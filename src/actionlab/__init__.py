@@ -19,14 +19,10 @@ from .grid import (
     sample_lagrangian,
 )
 from .measure_lp import (
-    CLOSED,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    FlowDecomposition,
-    MinimizationProblem,
     OptimalSolution,
-    decompose,
     solve_boundary,
     solve_closed,
 )
@@ -36,28 +32,30 @@ from .certificates import (
     certify_boundary,
     certify_closed,
     lax_oleinik_backward,
-    lax_oleinik_forward,
     weak_kam_iterate,
 )
 from .convexify import (
     FiberEnvelope,
     envelope_fiber_derivative,
     fiber_convex_envelope,
-    momentum_at,
     momentum_field,
 )
 from .diagnostics import (
     DiagnosticsReport,
+    MeasureResult,
     check_energy_conservation,
     discrete_hamiltonian,
     estimate_momentum_lipschitz,
     full_report,
+    run_measure,
     torus_distance,
+    verify_measure,
 )
 from .control import (
     ControlCertificate,
     ControlMeasure,
     ControlProblem,
+    ControlResult,
     ValueFunction,
     certify_control,
     check_u_v_relation,
@@ -65,6 +63,7 @@ from .control import (
     hjb_residual,
     make_control_problem,
     maximum_principle_check,
+    run_control,
     solve_relaxed_lp,
     solve_value_function,
 )

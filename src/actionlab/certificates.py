@@ -27,7 +27,6 @@ __all__ = [
     "certify_closed",
     "certify_boundary",
     "lax_oleinik_backward",
-    "lax_oleinik_forward",
     "weak_kam_iterate",
 ]
 
@@ -83,9 +82,8 @@ def certify_closed(table: LagrangianTable, solution) -> DualCertificate:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
     grid = table.grid
     c0 = solution.value
-    n, m = grid.num_nodes, grid.num_offsets
-    tails = np.repeat(np.arange(n), m)
-    heads = grid.neighbors.ravel()
+    n = grid.num_nodes
+    tails, heads = grid.edge_endpoints
     red = grid.time_step * (table.values.ravel() - c0)
     scale = max(1.0, float(np.max(np.abs(red))))
     pot, ok = network.relax_to_fixpoint(n, tails, heads, red, tol=1e-12 * scale * n)
@@ -113,11 +111,10 @@ def certify_boundary(
     if solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
     grid = table.grid
-    n, m = grid.num_nodes, grid.num_offsets
+    n = grid.num_nodes
     h = grid.time_step
 
-    fwd_tails = np.repeat(np.arange(n), m)
-    fwd_heads = grid.neighbors.ravel()
+    fwd_tails, fwd_heads = grid.edge_endpoints
     fwd_costs = h * table.values.ravel()
     back_tails = []
     back_heads = []
@@ -157,14 +154,6 @@ def lax_oleinik_backward(f0, table: LagrangianTable, c0: float) -> np.ndarray:
     cand = f0[:, None] + step
     np.minimum.at(out, grid.neighbors.ravel(), cand.ravel())
     return out
-
-
-def lax_oleinik_forward(f0, table: LagrangianTable, c0: float) -> np.ndarray:
-    """Mirror step: T[f](x) = max over out-edges (x -> y) of f(y) - h*(L - c0)."""
-    grid = table.grid
-    f0 = np.asarray(f0, dtype=float)
-    step = grid.time_step * (table.values - c0)
-    return np.max(f0[grid.neighbors] - step, axis=1)
 
 
 @dataclass

@@ -11,13 +11,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import serialize
-from .certificates import certify_boundary, certify_closed
-from .convexify import fiber_convex_envelope
-from .diagnostics import full_report
-from .measure_lp import OPTIMAL, solve_boundary, solve_closed
+from .diagnostics import verify_measure
+from .measure_lp import OPTIMAL, OptimalSolution, solve_boundary, solve_closed
 from .scenarios import UnknownScenarioError, parse_config, refinement_sweep, run_scenario
 from . import control as ctl
 
@@ -48,14 +44,7 @@ def _cmd_solve(args) -> int:
     dest = Path(args.outdir)
     dest.mkdir(parents=True, exist_ok=True)
     serialize.write_measure_csv(dest / "solution.csv", solution.measure)
-    serialize.write_json(
-        dest / "summary.json",
-        {
-            "value": solution.value,
-            "status": solution.status,
-            "mass": solution.measure.mass,
-        },
-    )
+    serialize.write_json(dest / "summary.json", solution.summary())
     print(f"status {solution.status}  value {solution.value!r}")
     return 0
 
@@ -64,40 +53,22 @@ def _cmd_certify(args) -> int:
     grid, table, current = _load_problem(args)
     measure = serialize.read_measure_csv(grid, args.solution)
     value = float(sum(table.values[e] * w for e, w in measure.weights.items()))
-    from .measure_lp import OptimalSolution
-
     solution = OptimalSolution(measure=measure, value=value, status=OPTIMAL)
     try:
-        if current is None:
-            cert = certify_closed(table, solution)
-        else:
-            cert = certify_boundary(table, current, solution)
+        result = verify_measure(table, solution, current)
     except RuntimeError as exc:
         # negative reduced/residual cycle: the supplied measure is not optimal
         print(f"certification failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE
-    envelope = fiber_convex_envelope(table)
-    report = full_report(table, solution, cert, envelope, current=current)
+    serialize.write_measure_result(args.outdir, result)
 
-    dest = Path(args.outdir)
-    dest.mkdir(parents=True, exist_ok=True)
-    serialize.write_certificate_json_with_support(dest / "certificate.json", cert, measure)
-    serialize.write_slack_csv(dest / "slack.csv", cert)
-    serialize.write_envelope_csv(dest / "envelope.csv", table, envelope)
-    serialize.write_json(dest / "diagnostics.json", report.as_dict())
-    serialize.write_node_table_csv(dest / "node_table.csv", grid, report)
-
-    ok = (
-        report.slack_min >= -args.tol
-        and report.slack_on_support_max <= args.tol
-        and report.hamiltonian_residual_max <= args.tol
-        and report.duality_gap <= args.tol
-    )
+    report = result.report
     print(
         f"slack_min {report.slack_min!r}  slack_on_support {report.slack_on_support_max!r}  "
-        f"gap {report.duality_gap!r}  energy {report.hamiltonian_residual_max!r}"
+        f"gap {report.duality_gap!r}  energy {report.hamiltonian_residual_max!r}  "
+        f"boundary {report.boundary_residual_max!r}  mass {measure.mass!r}"
     )
-    return 0 if ok else CHECK_FAILURE
+    return _exit_code(result.criteria(args.tol))
 
 
 def _cmd_control(args) -> int:
@@ -105,48 +76,24 @@ def _cmd_control(args) -> int:
     init = serialize.read_initial_csv(
         problem.num_states, problem.state_dim, problem.nodes_per_axis, args.init
     )
-    vf = ctl.solve_value_function(problem)
-    lp = ctl.solve_relaxed_lp(problem, init)
-    dest = Path(args.outdir)
-    dest.mkdir(parents=True, exist_ok=True)
-    serialize.write_value_function_csv(dest / "value_function.csv", vf)
-    if lp.status != OPTIMAL:
-        serialize.write_json(dest / "control_report.json", {"status": lp.status})
-        print(f"status {lp.status}")
+    result = ctl.run_control(problem, init)
+    serialize.write_control_result(args.outdir, result)
+    if result.certificate is None:
+        print(f"status {result.lp.status}")
         return CHECK_FAILURE
-    cert = ctl.certify_control(problem, lp)
-    mp = ctl.maximum_principle_check(cert, lp.measure)
-    trajs = ctl.extract_optimal_trajectories(problem, lp)
-    uv = max((ctl.check_u_v_relation(cert, vf, t) for t, _m in trajs), default=0.0)
-    hjb = ctl.hjb_residual(vf, problem)
-    dp_total = float(np.dot(lp.initial, vf.v[:, -1]))
-
-    serialize.write_json(
-        dest / "control_certificate.json",
-        {"c0": cert.c0, "empirical_mean_cost": cert.empirical_mean_cost, "u": cert.u},
-    )
-    serialize.write_json(
-        dest / "control_report.json",
-        {
-            "status": lp.status,
-            "lp_value": lp.value,
-            "dp_total": dp_total,
-            "hjb_residual": hjb,
-            "max_principle_on_support": mp[0],
-            "max_principle_off_support": mp[1],
-            "u_v_residual": uv,
-        },
-    )
-    ok = (
-        abs(lp.value - dp_total) <= args.tol
-        and mp[0] <= args.tol
-        and mp[1] >= -args.tol
-        and uv <= args.tol
-    )
     print(
-        f"lp {lp.value!r}  dp {dp_total!r}  max-principle {mp!r}  u/v {uv!r}  hjb {hjb!r}"
+        f"lp {result.lp.value!r}  dp {result.dp_total!r}  max-principle {result.max_principle!r}  "
+        f"u/v {result.u_v_residual!r}  hjb {result.hjb_residual!r}"
     )
-    return 0 if ok else CHECK_FAILURE
+    return _exit_code(result.criteria(args.tol))
+
+
+def _exit_code(criteria: dict) -> int:
+    failed = [name for name, ok in criteria.items() if not ok]
+    if failed:
+        print(f"failed: {', '.join(failed)}")
+        return CHECK_FAILURE
+    return 0
 
 
 def _parse_params(pairs, config_path) -> dict:
@@ -162,9 +109,7 @@ def _parse_params(pairs, config_path) -> dict:
 
 def _cmd_scenario(args) -> int:
     params = _parse_params(args.param, args.config)
-    run = run_scenario(
-        args.name, params, outdir=args.outdir, label=_default_label(args), tol=args.tol
-    )
+    run = run_scenario(args.name, params, outdir=args.outdir, label=_default_label(args))
     for check in run.checks:
         mark = "pass" if check.passed else "FAIL"
         print(
@@ -198,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Action minimization over discrete measures: solvers, "
         "certificates, diagnostics, scenarios.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a problem given grid/Lagrangian/current files")
@@ -230,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--outdir", default=None)
     p.add_argument("--label", default=None, help="run directory name (default: UTC timestamp)")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("sweep", help="refinement sweep of a scenario")

@@ -44,6 +44,8 @@ __all__ = [
     "maximum_principle_check",
     "check_u_v_relation",
     "extract_optimal_trajectories",
+    "ControlResult",
+    "run_control",
 ]
 
 
@@ -78,16 +80,8 @@ class ControlProblem:
         return self.nodes_per_axis**self.state_dim
 
     @property
-    def num_controls(self) -> int:
-        return len(self.controls)
-
-    @property
     def num_steps(self) -> int:
         return self.ell.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.num_steps + 1) * self.time_step
 
     def state_coords(self, s: int) -> tuple[int, ...]:
         n = self.nodes_per_axis
@@ -99,13 +93,6 @@ class ControlProblem:
         coords = np.array(self.state_coords(s), dtype=float)
         pos = self.origin + coords * self.spacing
         return float(pos[0]) if self.state_dim == 1 else pos
-
-    def velocity(self, s: int, a: int):
-        v = self.steps[s, a] * self.spacing / self.time_step
-        return v
-
-    def admissible(self) -> np.ndarray:
-        return self.move >= 0
 
     def on_box_edge(self, s: int) -> bool:
         n = self.nodes_per_axis
@@ -555,7 +542,7 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
             f_vel = p.steps[s, a] * dx / dt
             ham = max(ham, float(-np.dot(f_vel, grad) - p.ell[s, jt, a]))
         worst = max(worst, abs(v_t + ham))
-    return worst
+    return float(worst)
 
 
 def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution):
@@ -637,3 +624,71 @@ def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) 
         rhs = cert.u[s, j] - cert.u[y[0], 0] + cert.c0 * (j * dt)
         worst = max(worst, abs(float(arrival[s, j] - rhs)))
     return worst
+
+
+@dataclass
+class ControlResult:
+    """One control problem solved twice (DP and LP) and verified.
+
+    The certificate and the checks built on it are None when the LP status is
+    not OPTIMAL.  ``max_principle`` is the pair from maximum_principle_check;
+    ``certificate_identity`` is the largest |ell - c0 - du o (f, 1) - w| over
+    admissible arcs, zero up to roundoff by construction.
+    """
+
+    problem: ControlProblem
+    value_function: ValueFunction
+    lp: RelaxedSolution
+    dp_total: float
+    certificate: ControlCertificate | None = None
+    max_principle: tuple | None = None
+    trajectories: list | None = None
+    u_v_residual: float | None = None
+    hjb_residual: float | None = None
+    certificate_identity: float | None = None
+
+    def criteria(self, tol: float) -> dict[str, bool]:
+        """Named pass/fail checks: DP = LP, and the certificate's optimality conditions."""
+        if self.certificate is None:
+            return {"status_optimal": False}
+        on_support, off_support = self.max_principle
+        return {
+            "lp_dp_gap": abs(self.lp.value - self.dp_total) <= tol,
+            "max_principle_on_support": on_support <= tol,
+            "max_principle_off_support": off_support >= -tol,
+            "u_v_residual": self.u_v_residual <= tol,
+        }
+
+
+def run_control(p: ControlProblem, initial) -> ControlResult:
+    """Solve by DP and by the layered LP, certify the LP, and run every check."""
+    vf = solve_value_function(p)
+    lp = solve_relaxed_lp(p, initial)
+    dp_total = float(np.dot(lp.initial, vf.v[:, -1]))
+    if lp.status != OPTIMAL:
+        return ControlResult(problem=p, value_function=vf, lp=lp, dp_total=dp_total)
+    cert = certify_control(p, lp)
+    mp = maximum_principle_check(cert, lp.measure)
+    trajs = extract_optimal_trajectories(p, lp)
+    uv = max((check_u_v_relation(cert, vf, states) for states, _m in trajs), default=0.0)
+    hjb = hjb_residual(vf, p)
+
+    adm = p.move >= 0
+    targets = np.where(adm, p.move, 0)
+    ident = 0.0
+    for j in range(p.num_steps):
+        du = (cert.u[targets, j + 1] - cert.u[:, j][:, None]) / p.time_step
+        resid = p.ell[:, j, :] - cert.c0 - du - cert.w[:, j, :]
+        ident = max(ident, float(np.nanmax(np.abs(np.where(adm, resid, 0.0)))))
+    return ControlResult(
+        problem=p,
+        value_function=vf,
+        lp=lp,
+        dp_total=dp_total,
+        certificate=cert,
+        max_principle=mp,
+        trajectories=trajs,
+        u_v_residual=uv,
+        hjb_residual=hjb,
+        certificate_identity=ident,
+    )

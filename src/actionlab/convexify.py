@@ -26,7 +26,6 @@ __all__ = [
     "fiber_convex_envelope",
     "envelope_fiber_derivative",
     "momentum_field",
-    "momentum_at",
 ]
 
 
@@ -251,13 +250,3 @@ def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure) -> dict[int, NodeMom
             any_endpoint=any(d.is_endpoint for _m, d in ders),
         )
     return field_out
-
-
-def momentum_at(env: FiberEnvelope, mu: DiscreteMeasure, node: int) -> NodeMomentum:
-    """Momentum at one node; UNDEFINED_NODE error off the projected support."""
-    info = momentum_field(env, mu).get(node)
-    if info is None:
-        raise ValueError(
-            f"UNDEFINED_NODE: node {node} is not in the projected support"
-        )
-    return info

@@ -1,6 +1,10 @@
 """Numerical verification of the optimality structure: energy conservation,
 decomposition residuals, and momentum regularity on the projected support.
 
+``run_measure`` is the one pipeline for the closed and boundary problems:
+solve, certify, convexify, report.  Its second half, ``verify_measure``,
+checks a solution that was supplied instead of solved.
+
 Every check reports a residual instead of asserting, so failed runs still
 produce a full report.  Distances on the torus use the l-infinity wraparound
 metric, which only rescales Lipschitz constants relative to any equivalent
@@ -21,8 +25,9 @@ from .grid import (
     boundary_of_measure,
     discrete_differential,
 )
-from .certificates import DualCertificate
-from .convexify import FiberEnvelope, momentum_field
+from .certificates import DualCertificate, certify_boundary, certify_closed
+from .convexify import FiberEnvelope, fiber_convex_envelope, momentum_field
+from .measure_lp import OptimalSolution, solve_boundary, solve_closed
 
 __all__ = [
     "DiagnosticsReport",
@@ -31,6 +36,9 @@ __all__ = [
     "estimate_momentum_lipschitz",
     "torus_distance",
     "full_report",
+    "MeasureResult",
+    "run_measure",
+    "verify_measure",
 ]
 
 
@@ -185,3 +193,61 @@ def full_report(
         boundary_residual_max=boundary_residual,
         details={"nodes": rows},
     )
+
+
+@dataclass
+class MeasureResult:
+    """One solution of a closed (``current`` None) or boundary problem, with its proof."""
+
+    table: LagrangianTable
+    current: BoundaryCurrent | None
+    solution: OptimalSolution
+    certificate: DualCertificate
+    envelope: FiberEnvelope
+    report: DiagnosticsReport
+
+    def criteria(self, tol: float) -> dict[str, bool]:
+        """Named pass/fail checks that together prove the solution optimal.
+
+        Dual feasibility, complementary slackness, energy conservation and a
+        zero duality gap, plus primal feasibility: the measure's boundary
+        matches the current (node balance in the closed case), and a closed
+        measure has mass one.
+        """
+        rep = self.report
+        out = {
+            "slack_min": rep.slack_min >= -tol,
+            "slack_on_support_max": rep.slack_on_support_max <= tol,
+            "hamiltonian_residual_max": rep.hamiltonian_residual_max <= tol,
+            "duality_gap": rep.duality_gap <= tol,
+            "boundary_residual_max": rep.boundary_residual_max <= tol,
+        }
+        if self.current is None:
+            out["mass_one"] = abs(self.solution.measure.mass - 1.0) <= tol
+        return out
+
+
+def run_measure(table: LagrangianTable, current: BoundaryCurrent | None = None) -> MeasureResult:
+    """Solve the closed problem (``current`` None) or the boundary problem, then verify."""
+    if current is None:
+        solution = solve_closed(table)
+    else:
+        solution = solve_boundary(table, current)
+    return verify_measure(table, solution, current)
+
+
+def verify_measure(
+    table: LagrangianTable, solution: OptimalSolution, current: BoundaryCurrent | None = None
+) -> MeasureResult:
+    """Certificate, convex envelope and diagnostics for a given solution.
+
+    Raises ValueError for a non-OPTIMAL status and RuntimeError when no
+    certificate exists because the solution is not optimal.
+    """
+    if current is None:
+        cert = certify_closed(table, solution)
+    else:
+        cert = certify_boundary(table, current, solution)
+    envelope = fiber_convex_envelope(table)
+    report = full_report(table, solution, cert, envelope, current=current)
+    return MeasureResult(table, current, solution, cert, envelope, report)

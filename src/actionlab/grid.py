@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,6 +70,14 @@ class PhaseGrid:
     def num_edges(self) -> int:
         return self.num_nodes * self.num_offsets
 
+    @cached_property
+    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of every edge, both indexed by ``edge_id``; read-only."""
+        tails = np.repeat(np.arange(self.num_nodes), self.num_offsets)
+        heads = self.neighbors.ravel()
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
+
     @property
     def zero_offset_index(self) -> int:
         # Offsets are sorted, so the zero vector sits exactly in the middle.
@@ -122,7 +131,7 @@ def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid
 
     The stencil is the full box of integer offsets with |k|_inf <= stencil_radius;
     it always contains the zero offset (rest is representable) and is symmetric
-    under negation (needed for the forward/backward value-update pair).
+    under negation.
     """
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")

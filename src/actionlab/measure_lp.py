@@ -24,34 +24,13 @@ from . import network
 from .network import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 __all__ = [
-    "CLOSED",
-    "MinimizationProblem",
     "OptimalSolution",
-    "FlowCycle",
-    "FlowPath",
-    "FlowDecomposition",
     "solve_closed",
     "solve_boundary",
-    "decompose",
     "OPTIMAL",
     "UNBOUNDED",
     "INFEASIBLE",
 ]
-
-CLOSED = "CLOSED"
-
-
-@dataclass(frozen=True)
-class MinimizationProblem:
-    """Problem data: a Lagrangian table plus a boundary current or the CLOSED marker."""
-
-    table: LagrangianTable
-    current: BoundaryCurrent | None = None  # None means CLOSED
-    mass_normalization: float = 1.0
-
-    @property
-    def closed(self) -> bool:
-        return self.current is None
 
 
 @dataclass
@@ -60,41 +39,8 @@ class OptimalSolution:
     value: float
     status: str
 
-
-@dataclass(frozen=True)
-class FlowCycle:
-    nodes: tuple  # closed: nodes[0] == nodes[-1]
-    edges: tuple  # (node, offset_index) pairs
-    weight: float
-
-
-@dataclass(frozen=True)
-class FlowPath:
-    nodes: tuple
-    edges: tuple
-    weight: float
-
-
-@dataclass(frozen=True)
-class FlowDecomposition:
-    cycles: tuple
-    paths: tuple
-
-    def recompose(self, grid) -> np.ndarray:
-        dense = np.zeros((grid.num_nodes, grid.num_offsets))
-        for part in list(self.cycles) + list(self.paths):
-            for node, m in part.edges:
-                dense[node, m] += part.weight
-        return dense
-
-
-def _edge_arrays(table: LagrangianTable):
-    grid = table.grid
-    n, m = grid.num_nodes, grid.num_offsets
-    tails = np.repeat(np.arange(n), m)
-    heads = grid.neighbors.ravel()
-    costs = table.values.ravel()
-    return tails, heads, costs
+    def summary(self) -> dict:
+        return {"value": self.value, "status": self.status, "mass": self.measure.mass}
 
 
 def solve_closed(table: LagrangianTable) -> OptimalSolution:
@@ -107,7 +53,8 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     deterministic.
     """
     grid = table.grid
-    tails, heads, costs = _edge_arrays(table)
+    tails, heads = grid.edge_endpoints
+    costs = table.values.ravel()
     lam = network.karp_minimum_mean_cycle(grid.num_nodes, tails, heads, costs)
     if lam is None:
         raise RuntimeError("phase grid produced an acyclic graph; solver bug")
@@ -183,7 +130,8 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     grid = table.grid
     if not grid.same_layout(current.grid):
         raise ValueError("Lagrangian table and current live on different grids")
-    tails, heads, costs = _edge_arrays(table)
+    tails, heads = grid.edge_endpoints
+    costs = table.values.ravel()
     b = grid.time_step * current.to_dense()
 
     result = network.min_cost_flow(grid.num_nodes, tails, heads, costs, b)
@@ -201,134 +149,3 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     measure = DiscreteMeasure(grid=grid, weights=weights)
     value = float(sum(table.values[edge] * w for edge, w in weights.items()))
     return OptimalSolution(measure=measure, value=value, status=OPTIMAL)
-
-
-def decompose(mu: DiscreteMeasure) -> FlowDecomposition:
-    """Split a measure into weighted cycles and source-to-sink paths.
-
-    Standard flow decomposition: paths drain the boundary charges first, the
-    remaining circulation is peeled into cycles.  Everything subtracted from
-    the measure is recorded, so edge-wise recomposition reproduces the input
-    up to roundoff.
-    """
-    grid = mu.grid
-    remaining: dict[tuple[int, int], float] = dict(sorted(mu.weights.items()))
-    scale = max(remaining.values(), default=0.0)
-    tol = 1e-12 * max(1.0, scale)
-
-    cycles: list[FlowCycle] = []
-    paths: list[FlowPath] = []
-    guard = 4 * (len(remaining) + grid.num_nodes + 2)
-
-    def excess() -> dict[int, float]:
-        ex: dict[int, float] = {}
-        for (node, m), w in remaining.items():
-            head = int(grid.neighbors[node, m])
-            ex[node] = ex.get(node, 0.0) + w
-            ex[head] = ex.get(head, 0.0) - w
-        return ex
-
-    def out_edge(v: int):
-        for node, m in remaining:
-            if node == v:
-                return (node, m)
-        return None
-
-    def subtract(edges: list[tuple[int, int]], amount: float):
-        for e in edges:
-            left = remaining[e] - amount
-            if left <= tol:
-                del remaining[e]
-            else:
-                remaining[e] = left
-
-    for _ in range(guard):
-        ex = excess()
-        sources = sorted(x for x, v in ex.items() if v > tol)
-        if not sources:
-            break
-        s = sources[0]
-        walk_nodes = [s]
-        walk_edges: list[tuple[int, int]] = []
-        pos = {s: 0}
-        v = s
-        closed_path = False
-        while True:
-            e = out_edge(v)
-            if e is None:
-                closed_path = True  # boundary-tolerance dead end; drain what we have
-                break
-            head = int(grid.neighbors[e])
-            walk_edges.append(e)
-            if head in pos:
-                i = pos[head]
-                cyc_edges = walk_edges[i:]
-                peel = min(remaining[c] for c in cyc_edges)
-                subtract(cyc_edges, peel)
-                cycles.append(
-                    FlowCycle(
-                        nodes=tuple(walk_nodes[i:] + [head]),
-                        edges=tuple(cyc_edges),
-                        weight=peel,
-                    )
-                )
-                closed_path = False
-                break
-            walk_nodes.append(head)
-            pos[head] = len(walk_nodes) - 1
-            if ex.get(head, 0.0) < -tol:
-                peel = min(
-                    ex[s], -ex[head], min(remaining[c] for c in walk_edges)
-                )
-                subtract(walk_edges, peel)
-                paths.append(
-                    FlowPath(nodes=tuple(walk_nodes), edges=tuple(walk_edges), weight=peel)
-                )
-                break
-            v = head
-        if closed_path and walk_edges:
-            peel = min(ex[s], min(remaining[c] for c in walk_edges))
-            if peel > 0:
-                subtract(walk_edges, peel)
-                paths.append(
-                    FlowPath(nodes=tuple(walk_nodes), edges=tuple(walk_edges), weight=peel)
-                )
-    else:
-        raise RuntimeError("decompose failed to drain boundary charges; solver bug")
-
-    for _ in range(guard):
-        if not remaining:
-            break
-        start = min(node for node, _m in remaining)
-        walk_nodes = [start]
-        walk_edges = []
-        pos = {start: 0}
-        v = start
-        while True:
-            e = out_edge(v)
-            if e is None:
-                # dangling roundoff dust: circulations always continue
-                remaining.pop(walk_edges[-1], None)
-                break
-            head = int(grid.neighbors[e])
-            walk_edges.append(e)
-            if head in pos:
-                i = pos[head]
-                cyc_edges = walk_edges[i:]
-                peel = min(remaining[c] for c in cyc_edges)
-                subtract(cyc_edges, peel)
-                cycles.append(
-                    FlowCycle(
-                        nodes=tuple(walk_nodes[i:] + [head]),
-                        edges=tuple(cyc_edges),
-                        weight=peel,
-                    )
-                )
-                break
-            walk_nodes.append(head)
-            pos[head] = len(walk_nodes) - 1
-            v = head
-    else:
-        raise RuntimeError("decompose failed to peel circulation; solver bug")
-
-    return FlowDecomposition(cycles=tuple(cycles), paths=tuple(paths))

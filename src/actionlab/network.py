@@ -25,6 +25,12 @@ OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
 INFEASIBLE = "INFEASIBLE"
 
+# Imbalances below MASS_TOL * max(1, total |imbalance|) count as settled.
+MASS_TOL = 1e-13
+# Successive shortest paths stop with an error after this many augmentations
+# per node and edge.
+AUGMENTATIONS_PER_ELEMENT = 50
+
 
 def _adjacency(num_nodes: int, tails: np.ndarray) -> list[list[int]]:
     """Out-edge ids per node, ascending (edge order is the tie-break order)."""
@@ -166,15 +172,7 @@ class FlowResult:
     value: float
 
 
-def min_cost_flow(
-    num_nodes,
-    tails,
-    heads,
-    costs,
-    imbalance,
-    mass_tol: float = 1e-13,
-    max_augmentations: int | None = None,
-) -> FlowResult:
+def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     """Uncapacitated min-cost flow by successive shortest paths.
 
     ``imbalance[v]`` is the required net inflow at v (negative = supply);
@@ -200,14 +198,11 @@ def min_cost_flow(
     supply_scale = float(np.sum(np.abs(b)))
     if supply_scale == 0.0:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
-    zero = mass_tol * max(1.0, supply_scale)
+    zero = MASS_TOL * max(1.0, supply_scale)
 
     out_edges = _adjacency(num_nodes, tails)
     in_edges = _adjacency(num_nodes, heads)
-    if max_augmentations is None:
-        max_augmentations = 50 * (num_nodes + num_edges + 1)
-
-    for _ in range(max_augmentations):
+    for _ in range(AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)):
         sources = np.flatnonzero(b < -zero)
         if len(sources) == 0:
             break

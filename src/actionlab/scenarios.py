@@ -1,11 +1,10 @@
 """Scenario library: canonical instances with expected quantities and tolerances.
 
 Each scenario builds a deterministic instance from numeric parameters, runs
-the full pipeline (solve, certify, convexify, diagnostics, or the control
-pipeline), and checks a table of named expected quantities.  Reference values
-are either analytically forced or recomputed at run time by an independent
-in-module oracle (e.g. the quadratic-scan shortest path used by the distance
-scenario).
+the measure pipeline (``run_measure``: solve, certify, convexify, diagnostics)
+or the control pipeline (``run_control``), and checks a table of named
+expected quantities.  Reference values are analytically forced, e.g. the ring
+distance in the distance scenario, or are identities of the construction.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import BoundaryCurrent, LagrangianTable, build_torus_grid, sample_lagrangian
-from .measure_lp import solve_boundary, solve_closed
-from .certificates import certify_boundary, certify_closed
-from .convexify import fiber_convex_envelope
-from .diagnostics import full_report
+from .diagnostics import run_measure
 from . import control as ctl
 from . import serialize
 
@@ -130,12 +126,12 @@ def _build_exact_form(params):
     table = LagrangianTable(grid=grid, values=df0)
 
     def checks(res):
-        cert = res["certificate"]
-        rep = res["report"]
+        cert = res.certificate
+        rep = res.report
         rec = cert.potential
         tgt = f0 - f0[cert.normalization_node]
         return [
-            Check("value", res["solution"].value, 0.0, 1e-9, "analytic: exact differentials telescope"),
+            Check("value", res.solution.value, 0.0, 1e-9, "analytic: exact differentials telescope"),
             Check("c0", cert.critical_constant, 0.0, 1e-9, "analytic"),
             Check("slack_min", rep.slack_min, 0.0, 1e-9, "dual feasibility", kind="ge"),
             Check("potential_recovery", float(np.max(np.abs(rec - tgt))), 0.0, 1e-8, "analytic"),
@@ -143,7 +139,7 @@ def _build_exact_form(params):
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_free_particle(params):
@@ -153,14 +149,14 @@ def _build_free_particle(params):
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
 
     def checks(res):
-        cert = res["certificate"]
-        rep = res["report"]
+        cert = res.certificate
+        rep = res.report
         return [
             Check("c0", cert.critical_constant, 0.0, 1e-12, "analytic: rest cycle is free"),
             Check("f_max_abs", float(np.max(np.abs(cert.potential))), 0.0, 1e-12, "analytic"),
             Check(
                 "slack_matches_kinetic",
-                float(np.max(np.abs(cert.slack - res["table"].values))),
+                float(np.max(np.abs(cert.slack - res.table.values))),
                 0.0,
                 1e-12,
                 "analytic: g = L when f = 0 and c0 = 0",
@@ -168,7 +164,7 @@ def _build_free_particle(params):
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_tonelli_pendulum(params):
@@ -187,19 +183,19 @@ def _build_tonelli_pendulum(params):
     dx = 1.0 / n
 
     def checks(res):
-        cert = res["certificate"]
-        rep = res["report"]
-        supp = res["solution"].measure.support_nodes()
+        cert = res.certificate
+        rep = res.report
+        supp = res.solution.measure.support_nodes()
         return [
             Check("c0", cert.critical_constant, vmin, dx * dx, "analytic: rest atom at the potential minimum"),
-            Check("support_size", float(len(res["solution"].measure.weights)), 1.0, 0.0, "analytic"),
+            Check("support_size", float(len(res.solution.measure.weights)), 1.0, 0.0, "analytic"),
             Check("support_node", float(supp[0]), float(vmin_node), 0.0, "analytic"),
             Check("slack_on_support", rep.slack_on_support_max, 0.0, 1e-8, "identity"),
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
             Check("slack_min", rep.slack_min, 0.0, 1e-9, "dual feasibility", kind="ge"),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_rotation(params):
@@ -213,13 +209,10 @@ def _build_rotation(params):
     table = sample_lagrangian(grid, lambda x, v: 0.5 * (v - v0) ** 2)
 
     def checks(res):
-        cert = res["certificate"]
-        rep = res["report"]
-        mu = res["solution"].measure
-        moms = [
-            info.momentum
-            for info in res["momenta"].values()
-        ]
+        cert = res.certificate
+        rep = res.report
+        mu = res.solution.measure
+        moms = [row["momentum"] for row in rep.details["nodes"] if row["momentum"] is not None]
         mom_max = max((abs(float(m)) for m in moms), default=0.0)
         return [
             Check("c0", cert.critical_constant, 0.0, 1e-12, "analytic: the v0-cycle is free"),
@@ -229,7 +222,7 @@ def _build_rotation(params):
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_double_well(params):
@@ -238,41 +231,17 @@ def _build_double_well(params):
     table = sample_lagrangian(grid, lambda x, v: (v * v - 1.0) ** 2)
 
     def checks(res):
-        env = res["envelope"]
-        cert = res["certificate"]
-        rest = res["grid"].zero_offset_index
-        flat = float(np.max(np.abs(env.values[:, rest])))
+        env = res.envelope
+        cert = res.certificate
+        flat = float(np.max(np.abs(env.values[:, grid.zero_offset_index])))
         return [
             Check("envelope_flat_at_rest", flat, 0.0, 0.0, "analytic: hull chord between the wells"),
             Check("c0", cert.critical_constant, 0.0, 1e-12, "analytic: well cycles are free"),
-            Check("slack_min", res["report"].slack_min, 0.0, 1e-9, "dual feasibility", kind="ge"),
-            Check("envelope_below_L", float(np.max(env.values - res["table"].values)), 0.0, 1e-12, "definition"),
+            Check("slack_min", res.report.slack_min, 0.0, 1e-9, "dual feasibility", kind="ge"),
+            Check("envelope_below_L", float(np.max(env.values - res.table.values)), 0.0, 1e-12, "definition"),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
-
-
-def _slow_dijkstra(grid, costs, src):
-    """Quadratic-scan shortest path distances; the in-module reference oracle."""
-    n = grid.num_nodes
-    dist = np.full(n, np.inf)
-    dist[src] = 0.0
-    done = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        u = -1
-        best = np.inf
-        for x in range(n):
-            if not done[x] and dist[x] < best:
-                best = dist[x]
-                u = x
-        if u < 0:
-            break
-        done[u] = True
-        for m in range(grid.num_offsets):
-            w = int(grid.neighbors[u, m])
-            if dist[u] + costs[u, m] < dist[w]:
-                dist[w] = dist[u] + costs[u, m]
-    return dist
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_finsler_distance(params):
@@ -283,22 +252,24 @@ def _build_finsler_distance(params):
     grid = build_torus_grid(1, n, k, h=1.0)
     table = sample_lagrangian(grid, lambda x, v: abs(v))
     current = BoundaryCurrent(grid=grid, charges={dst: 1.0, src: -1.0})
+    # a jump of k nodes costs |k|/n, so the distance is the ring distance / n
+    x = np.arange(n)
+    dist = np.minimum((x - src) % n, (src - x) % n) / n
 
     def checks(res):
-        cert = res["certificate"]
-        rep = res["report"]
-        dist = _slow_dijkstra(grid, res["table"].values, src)
+        cert = res.certificate
+        rep = res.report
         f = cert.potential - cert.potential[src]
-        profile_err = float(np.max(np.abs(f - (dist - dist[src]))))
+        profile_err = float(np.max(np.abs(f - dist)))
         return [
-            Check("value", res["solution"].value, float(dist[dst]), 1e-9, "oracle: quadratic-scan shortest path"),
-            Check("distance_profile", profile_err, 0.0, 1e-9, "oracle: quadratic-scan shortest path"),
-            Check("pairing_equals_value", cert.current_pairing, res["solution"].value, 1e-9, "identity"),
+            Check("value", res.solution.value, float(dist[dst]), 1e-9, "analytic: ring distance"),
+            Check("distance_profile", profile_err, 0.0, 1e-9, "analytic: ring distance"),
+            Check("pairing_equals_value", cert.current_pairing, res.solution.value, 1e-9, "identity"),
             Check("slack_min", rep.slack_min, 0.0, 1e-9, "dual feasibility", kind="ge"),
             Check("boundary_residual", rep.boundary_residual_max, 0.0, 1e-9, "feasibility"),
         ]
 
-    return {"grid": grid, "table": table, "current": current, "checks": checks}
+    return {"table": table, "current": current, "checks": checks}
 
 
 def _build_dirac_boundary(params):
@@ -310,8 +281,8 @@ def _build_dirac_boundary(params):
     )
 
     def checks(res):
-        mu = res["solution"].measure
-        cert = res["certificate"]
+        mu = res.solution.measure
+        cert = res.certificate
         off_support = [
             float(cert.slack[node, m])
             for node in range(grid.num_nodes)
@@ -341,7 +312,7 @@ def _build_dirac_boundary(params):
             ),
         ]
 
-    return {"grid": grid, "table": table, "current": None, "checks": checks}
+    return {"table": table, "current": None, "checks": checks}
 
 
 def _build_legendre_control(params):
@@ -372,11 +343,11 @@ def _build_legendre_control(params):
 
     def checks(res):
         return [
-            Check("dp_lp_gap", abs(res["lp"].value - res["dp_total"]), 0.0, 1e-9, "identity: two solvers"),
-            Check("max_principle_on_support", res["mp"][0], 0.0, 1e-8, "identity"),
-            Check("max_principle_off_support", res["mp"][1], 0.0, 1e-9, "dual feasibility", kind="ge"),
-            Check("u_v_relation", res["uv"], 0.0, 1e-8, "identity"),
-            Check("certificate_identity", res["cert_identity"], 0.0, 1e-12, "construction"),
+            Check("dp_lp_gap", abs(res.lp.value - res.dp_total), 0.0, 1e-9, "identity: two solvers"),
+            Check("max_principle_on_support", res.max_principle[0], 0.0, 1e-8, "identity"),
+            Check("max_principle_off_support", res.max_principle[1], 0.0, 1e-9, "dual feasibility", kind="ge"),
+            Check("u_v_relation", res.u_v_residual, 0.0, 1e-8, "identity"),
+            Check("certificate_identity", res.certificate_identity, 0.0, 1e-12, "construction"),
         ]
 
     return {"problem": problem, "initial": initial, "checks": checks}
@@ -414,97 +385,11 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def _run_measure_case(case: dict) -> tuple[dict, dict]:
-    grid = case["grid"]
-    table = case["table"]
-    current = case["current"]
-    if current is None:
-        solution = solve_closed(table)
-        cert = certify_closed(table, solution)
-    else:
-        solution = solve_boundary(table, current)
-        cert = certify_boundary(table, current, solution)
-    envelope = fiber_convex_envelope(table)
-    report = full_report(table, solution, cert, envelope, current=current)
-    from .convexify import momentum_field
-
-    momenta = momentum_field(envelope, solution.measure)
-    results = {
-        "grid": grid,
-        "table": table,
-        "current": current,
-        "solution": solution,
-        "certificate": cert,
-        "envelope": envelope,
-        "report": report,
-        "momenta": momenta,
-    }
-    values = {
-        "value": solution.value,
-        "status": solution.status,
-        "mass": solution.measure.mass,
-        "c0": cert.critical_constant,
-        **report.as_dict(),
-    }
-    return results, values
-
-
-def _run_control_case(case: dict) -> tuple[dict, dict]:
-    problem = case["problem"]
-    initial = case["initial"]
-    vf = ctl.solve_value_function(problem)
-    lp = ctl.solve_relaxed_lp(problem, initial)
-    cert = ctl.certify_control(problem, lp)
-    mp = ctl.maximum_principle_check(cert, lp.measure)
-    trajs = ctl.extract_optimal_trajectories(problem, lp)
-    uv = max(
-        (ctl.check_u_v_relation(cert, vf, states) for states, _m in trajs),
-        default=0.0,
-    )
-    hjb = ctl.hjb_residual(vf, problem)
-    init = lp.initial
-    dp_total = float(np.dot(init, vf.v[:, -1]))
-
-    adm = problem.move >= 0
-    targets = np.where(adm, problem.move, 0)
-    ident = 0.0
-    for j in range(problem.num_steps):
-        du = (cert.u[targets, j + 1] - cert.u[:, j][:, None]) / problem.time_step
-        resid = problem.ell[:, j, :] - cert.c0 - du - cert.w[:, j, :]
-        ident = max(ident, float(np.nanmax(np.abs(np.where(adm, resid, 0.0)))))
-
-    results = {
-        "problem": problem,
-        "vf": vf,
-        "lp": lp,
-        "cert": cert,
-        "mp": mp,
-        "uv": uv,
-        "hjb": hjb,
-        "dp_total": dp_total,
-        "cert_identity": ident,
-        "trajectories": trajs,
-    }
-    values = {
-        "value": lp.value,
-        "status": lp.status,
-        "dp_total": dp_total,
-        "c0": cert.c0,
-        "empirical_mean_cost": cert.empirical_mean_cost,
-        "hjb_residual": hjb,
-        "max_principle_on_support": mp[0],
-        "max_principle_off_support": mp[1],
-        "u_v_residual": uv,
-    }
-    return results, values
-
-
 def run_scenario(
     name: str,
     params: dict | None = None,
     outdir=None,
     label: str = "golden",
-    tol: float = 1e-8,
 ) -> ScenarioRun:
     """Build, solve, check, and optionally write the report files for a scenario."""
     if name not in SCENARIOS:
@@ -515,68 +400,48 @@ def run_scenario(
     merged = _require_params(name, params or {}, scen.defaults)
     case = scen.build(merged)
     if scen.kind == "measure":
-        results, values = _run_measure_case(case)
+        result = run_measure(case["table"], case["current"])
+        values = {
+            **result.solution.summary(),
+            "c0": result.certificate.critical_constant,
+            **result.report.as_dict(),
+        }
+        results = {"grid": result.table.grid, **vars(result)}
     else:
-        results, values = _run_control_case(case)
-    checks = case["checks"](results)
+        result = ctl.run_control(case["problem"], case["initial"])
+        values = {
+            "value": result.lp.value,
+            "status": result.lp.status,
+            "dp_total": result.dp_total,
+            "c0": result.certificate.c0,
+            "empirical_mean_cost": result.certificate.empirical_mean_cost,
+            "hjb_residual": result.hjb_residual,
+            "max_principle_on_support": result.max_principle[0],
+            "max_principle_off_support": result.max_principle[1],
+            "u_v_residual": result.u_v_residual,
+        }
+        results = dict(vars(result))
+    checks = case["checks"](result)
     run = ScenarioRun(name=name, params=merged, values=values, checks=checks, results=results)
 
     if outdir is not None:
-        _write_artifacts(run, scen.kind, Path(outdir) / name / label)
+        dest = Path(outdir) / name / label
+        dest.mkdir(parents=True, exist_ok=True)
+        summary = {
+            "scenario": run.name,
+            "params": run.params,
+            "values": run.values,
+            "checks": [c.as_dict() for c in run.checks],
+            "passed": run.passed,
+        }
+        serialize.write_json(dest / "summary.json", summary)
+        if scen.kind == "measure":
+            serialize.write_measure_csv(dest / "solution.csv", result.solution.measure)
+            serialize.write_json(dest / "solution_summary.json", result.solution.summary())
+            serialize.write_measure_result(dest, result)
+        else:
+            serialize.write_control_result(dest, result)
     return run
-
-
-def _write_artifacts(run: ScenarioRun, kind: str, dest: Path) -> None:
-    dest.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "scenario": run.name,
-        "params": run.params,
-        "values": run.values,
-        "checks": [c.as_dict() for c in run.checks],
-        "passed": run.passed,
-    }
-    serialize.write_json(dest / "summary.json", summary)
-    res = run.results
-    if kind == "measure":
-        serialize.write_measure_csv(dest / "solution.csv", res["solution"].measure)
-        serialize.write_certificate_json_with_support(
-            dest / "certificate.json", res["certificate"], res["solution"].measure
-        )
-        serialize.write_slack_csv(dest / "slack.csv", res["certificate"])
-        serialize.write_envelope_csv(dest / "envelope.csv", res["table"], res["envelope"])
-        serialize.write_json(dest / "diagnostics.json", res["report"].as_dict())
-        serialize.write_node_table_csv(dest / "node_table.csv", res["grid"], res["report"])
-        serialize.write_json(
-            dest / "solution_summary.json",
-            {
-                "value": res["solution"].value,
-                "status": res["solution"].status,
-                "mass": res["solution"].measure.mass,
-            },
-        )
-    else:
-        serialize.write_value_function_csv(dest / "value_function.csv", res["vf"])
-        serialize.write_json(
-            dest / "control_certificate.json",
-            {
-                "c0": res["cert"].c0,
-                "empirical_mean_cost": res["cert"].empirical_mean_cost,
-                "u": res["cert"].u,
-            },
-        )
-        serialize.write_json(
-            dest / "control_report.json",
-            {
-                "lp_value": res["lp"].value,
-                "dp_total": res["dp_total"],
-                "hjb_residual": res["hjb"],
-                "max_principle_on_support": res["mp"][0],
-                "max_principle_off_support": res["mp"][1],
-                "u_v_residual": res["uv"],
-                "certificate_identity": res["cert_identity"],
-                "duplicate_collapses": len(res["problem"].duplicate_collapses),
-            },
-        )
 
 
 def refinement_sweep(

@@ -37,6 +37,8 @@ __all__ = [
     "write_envelope_csv",
     "write_node_table_csv",
     "write_value_function_csv",
+    "write_measure_result",
+    "write_control_result",
     "read_control_problem",
     "read_initial_csv",
 ]
@@ -257,6 +259,47 @@ def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
             ]
         )
     _write_csv(path, header, rows)
+
+
+def write_measure_result(dest, result) -> None:
+    """Certificate, slack, envelope and diagnostics files of a MeasureResult."""
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    cert = result.certificate
+    write_certificate_json_with_support(dest / "certificate.json", cert, result.solution.measure)
+    write_slack_csv(dest / "slack.csv", cert)
+    write_envelope_csv(dest / "envelope.csv", result.table, result.envelope)
+    write_json(dest / "diagnostics.json", result.report.as_dict())
+    write_node_table_csv(dest / "node_table.csv", result.table.grid, result.report)
+
+
+def write_control_result(dest, result) -> None:
+    """Value function, certificate and report files of a ControlResult.
+
+    Without a certificate (LP status not OPTIMAL) the report holds the status
+    alone and no certificate file is written.
+    """
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    write_value_function_csv(dest / "value_function.csv", result.value_function)
+    report = {"status": result.lp.status}
+    cert = result.certificate
+    if cert is not None:
+        write_json(
+            dest / "control_certificate.json",
+            {"c0": cert.c0, "empirical_mean_cost": cert.empirical_mean_cost, "u": cert.u},
+        )
+        report.update(
+            lp_value=result.lp.value,
+            dp_total=result.dp_total,
+            hjb_residual=result.hjb_residual,
+            max_principle_on_support=result.max_principle[0],
+            max_principle_off_support=result.max_principle[1],
+            u_v_residual=result.u_v_residual,
+            certificate_identity=result.certificate_identity,
+            duplicate_collapses=len(result.problem.duplicate_collapses),
+        )
+    write_json(dest / "control_report.json", report)
 
 
 def write_value_function_csv(path, vf) -> None:

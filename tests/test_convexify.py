@@ -7,7 +7,6 @@ from actionlab import (
     build_torus_grid,
     envelope_fiber_derivative,
     fiber_convex_envelope,
-    momentum_at,
     momentum_field,
     sample_lagrangian,
     solve_closed,
@@ -159,21 +158,13 @@ def test_momentum_two_velocities_reports_spread():
     minus = grid.offset_index(-1)
     mu = DiscreteMeasure(grid=grid, weights={(0, plus): 0.5, (0, minus): 0.5})
     env = fiber_convex_envelope(table)
-    info = momentum_at(env, mu, 0)
+    info = momentum_field(env, mu)[0]
     assert len(info.derivatives) == 2
     assert info.spread > 0.0
     moms = sorted(d.momentum for _m, d in info.derivatives)
     # hull slopes: (-9, 0) around v=-1 and (0, 9) around v=+1, midpoints +-4.5
     assert moms[0] == pytest.approx(-4.5)
     assert moms[1] == pytest.approx(4.5)
-
-
-def test_momentum_at_undefined_node():
-    grid, table = double_well_table()
-    mu = DiscreteMeasure(grid=grid, weights={(0, grid.offset_index(1)): 1.0})
-    env = fiber_convex_envelope(table)
-    with pytest.raises(ValueError, match="UNDEFINED_NODE"):
-        momentum_at(env, mu, 2)
 
 
 def _adjacent_slope_variation(n):

@@ -3,11 +3,9 @@ import pytest
 
 from actionlab import (
     BoundaryCurrent,
-    DiscreteMeasure,
     LagrangianTable,
     boundary_of_measure,
     build_torus_grid,
-    decompose,
     sample_lagrangian,
     solve_boundary,
     solve_closed,
@@ -259,79 +257,6 @@ def test_boundary_value_matches_lp_polytope_oracle():
         )
         assert lp.success
         assert sol.value == pytest.approx(lp.fun, abs=1e-9)
-
-
-def test_minimization_problem_marker():
-    from actionlab import MinimizationProblem
-
-    table = two_node_table()
-    closed = MinimizationProblem(table=table)
-    assert closed.closed and closed.mass_normalization == 1.0
-    grid = table.grid
-    cur = BoundaryCurrent(grid=grid, charges={0: 1.0, 1: -1.0})
-    bounded = MinimizationProblem(table=table, current=cur)
-    assert not bounded.closed
-
-
-def test_decompose_single_cycle():
-    grid = build_torus_grid(1, 5, 1, 0.2)
-    plus = grid.offset_index(1)
-    mu = DiscreteMeasure(grid=grid, weights={(x, plus): 0.4 for x in range(5)})
-    dec = decompose(mu)
-    assert len(dec.paths) == 0
-    assert len(dec.cycles) == 1
-    cyc = dec.cycles[0]
-    assert cyc.weight == pytest.approx(0.4)
-    assert cyc.nodes[0] == cyc.nodes[-1]
-    assert np.allclose(dec.recompose(grid), mu.to_dense(), atol=1e-12)
-
-
-def test_decompose_two_disjoint_cycles():
-    grid = build_torus_grid(1, 6, 1, 0.5)
-    zero = grid.zero_offset_index
-    mu = DiscreteMeasure(grid=grid, weights={(1, zero): 0.3, (4, zero): 0.7})
-    dec = decompose(mu)
-    assert len(dec.cycles) == 2
-    assert sorted(c.weight for c in dec.cycles) == [pytest.approx(0.3), pytest.approx(0.7)]
-    assert np.allclose(dec.recompose(grid), mu.to_dense(), atol=1e-12)
-
-
-def test_decompose_path_from_boundary_solution():
-    grid = build_torus_grid(1, 9, 1, 1.0)
-    table = sample_lagrangian(grid, lambda x, v: abs(v) + 0.1)
-    current = BoundaryCurrent(grid=grid, charges={4: 1.0, 0: -1.0})
-    sol = solve_boundary(table, current)
-    dec = decompose(sol.measure)
-    assert len(dec.cycles) == 0
-    assert len(dec.paths) == 1
-    path = dec.paths[0]
-    assert path.nodes[0] == 0 and path.nodes[-1] == 4
-    assert path.weight == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(dec.recompose(grid), sol.measure.to_dense(), atol=1e-9)
-
-
-def test_decompose_recompose_random_mixtures():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        grid = build_torus_grid(1, int(rng.integers(3, 10)), 1, 0.5)
-        num = int(rng.integers(1, grid.num_edges))
-        ids = rng.choice(grid.num_edges, size=num, replace=False)
-        weights = {
-            (int(e) // grid.num_offsets, int(e) % grid.num_offsets): float(w)
-            for e, w in zip(ids, rng.uniform(0.1, 1.0, size=num))
-        }
-        mu = DiscreteMeasure(grid=grid, weights=weights)
-        dec = decompose(mu)
-        assert np.allclose(dec.recompose(grid), mu.to_dense(), atol=1e-9)
-        for cyc in dec.cycles:
-            assert cyc.nodes[0] == cyc.nodes[-1]
-        # path endpoints account for the whole boundary charge
-        endpoint = np.zeros(grid.num_nodes)
-        for path in dec.paths:
-            endpoint[path.nodes[-1]] += path.weight / grid.time_step
-            endpoint[path.nodes[0]] -= path.weight / grid.time_step
-        bm = boundary_of_measure(mu).to_dense()
-        assert np.max(np.abs(endpoint - bm)) <= 1e-9
 
 
 def test_boundary_certificates_random_suite():

@@ -60,17 +60,19 @@ def test_parse_config_values_and_errors():
         parse_config("x = unquoted")
 
 
-def test_scenario_artifacts_and_byte_stability(tmp_path):
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_artifacts_and_byte_stability(tmp_path, name):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    run_scenario("tonelli_pendulum", {"n": 16}, outdir=out1, label="golden")
-    run_scenario("tonelli_pendulum", {"n": 16}, outdir=out2, label="golden")
-    d1 = out1 / "tonelli_pendulum" / "golden"
-    d2 = out2 / "tonelli_pendulum" / "golden"
+    run_scenario(name, outdir=out1, label="golden")
+    run_scenario(name, outdir=out2, label="golden")
+    d1 = out1 / name / "golden"
+    d2 = out2 / name / "golden"
     names = sorted(p.name for p in d1.iterdir())
-    assert "summary.json" in names and "solution.csv" in names
-    for name in names:
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+    solved = "solution.csv" if SCENARIOS[name].kind == "measure" else "value_function.csv"
+    assert "summary.json" in names and solved in names
+    for fname in names:
+        assert (d1 / fname).read_bytes() == (d2 / fname).read_bytes(), fname
     summary = json.loads((d1 / "summary.json").read_text())
     assert summary["passed"] is True
     assert all(c["passed"] for c in summary["checks"])
@@ -178,7 +180,7 @@ def test_cli_boundary_solve_with_current(tmp_path):
     assert abs(summary["value"] - 0.5) <= 1e-9  # five unit steps of cost 1/10
 
 
-def test_cli_control_roundtrip(tmp_path):
+def test_cli_control_roundtrip(tmp_path, capsys):
     from actionlab import serialize
     from actionlab.serialize import _write_csv
 
@@ -221,6 +223,7 @@ def test_cli_control_roundtrip(tmp_path):
         ]
     )
     assert rc == 0
+    assert "np.float64" not in capsys.readouterr().out
     report = json.loads((outdir / "control_report.json").read_text())
     assert abs(report["lp_value"] - report["dp_total"]) <= 1e-9
     assert abs(report["lp_value"] - 0.25 * 0.25) <= 1e-12

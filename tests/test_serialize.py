@@ -65,27 +65,47 @@ def test_json_replaces_non_finite(tmp_path):
     assert data == {"v": None, "w": 1.25}
 
 
+def _certify_exit_code(tmp_path, table, measure, current=None):
+    """Write the inputs of ``actionlab certify`` and return its exit code."""
+    gpath, lpath, spath = (tmp_path / x for x in ("g.json", "l.csv", "s.csv"))
+    serialize.write_json(gpath, serialize.grid_to_json(table.grid))
+    serialize.write_lagrangian_csv(lpath, table)
+    serialize.write_measure_csv(spath, measure)
+    argv = ["certify", "--grid", str(gpath), "--lagrangian", str(lpath)]
+    if current is not None:
+        cpath = tmp_path / "c.csv"
+        serialize.write_current_csv(cpath, current)
+        argv += ["--current", str(cpath)]
+    return main(argv + ["--solution", str(spath), "--outdir", str(tmp_path / "out")])
+
+
 def test_cli_certify_flags_bad_solution(tmp_path):
     # feed a deliberately suboptimal measure; support slack exceeds the
     # tolerance so the certify subcommand must exit 1
     grid = build_torus_grid(1, 8, 1, 0.125)
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + np.cos(2 * np.pi * x))
-    gpath, lpath, spath = (tmp_path / x for x in ("g.json", "l.csv", "s.csv"))
-    serialize.write_json(gpath, serialize.grid_to_json(grid))
-    serialize.write_lagrangian_csv(lpath, table)
     bad = DiscreteMeasure(grid=grid, weights={(0, grid.zero_offset_index): 1.0})
-    serialize.write_measure_csv(spath, bad)
-    rc = main(
-        [
-            "certify",
-            "--grid",
-            str(gpath),
-            "--lagrangian",
-            str(lpath),
-            "--solution",
-            str(spath),
-            "--outdir",
-            str(tmp_path / "out"),
-        ]
-    )
-    assert rc == 1
+    assert _certify_exit_code(tmp_path, table, bad) == 1
+
+
+def test_cli_certify_flags_measure_off_the_boundary(tmp_path):
+    # the empty measure has zero cost and a trivial certificate, but its
+    # boundary misses the current by a full unit charge
+    grid = build_torus_grid(1, 10, 1, 1.0)
+    table = sample_lagrangian(grid, lambda x, v: abs(v))
+    current = BoundaryCurrent(grid=grid, charges={6: 1.0, 1: -1.0})
+    empty = DiscreteMeasure(grid=grid, weights={})
+    assert _certify_exit_code(tmp_path, table, empty, current) == 1
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["boundary_residual_max"] == 1.0
+
+
+def test_cli_certify_flags_closed_measure_of_wrong_mass(tmp_path):
+    # a free rest loop is optimal in shape, but a closed measure has mass one
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
+    heavy = DiscreteMeasure(grid=grid, weights={(0, grid.zero_offset_index): 5.0})
+    assert _certify_exit_code(tmp_path, table, heavy) == 1
+    light = DiscreteMeasure(grid=grid, weights={(0, grid.zero_offset_index): 1.0})
+    (tmp_path / "unit").mkdir()
+    assert _certify_exit_code(tmp_path / "unit", table, light) == 0
