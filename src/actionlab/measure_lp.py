@@ -3,9 +3,9 @@
 Two exact combinatorial solvers, per the two feasible sets:
 
 * closed probability measures (circulations of mass one): the optimal value is
-  the minimum mean cycle weight of the edge-cost graph, computed with Karp's
-  dynamic program; one achieving cycle is extracted deterministically by
-  walking tight edges of the reduced costs.
+  the minimum mean cycle weight of the edge-cost graph, computed by Howard's
+  policy iteration; one achieving cycle is extracted deterministically by
+  walking tight edges of the reduced costs under its bias potential.
 * measures with a prescribed boundary current: uncapacitated min-cost flow
   with node imbalances h*c(x), solved by successive shortest paths after a
   Bellman-Ford negative-cycle pre-check.
@@ -55,11 +55,17 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     grid = table.grid
     tails, heads = grid.edge_endpoints
     costs = table.values.ravel()
-    lam = network.karp_minimum_mean_cycle(grid.num_nodes, tails, heads, costs)
-    if lam is None:
+    # The value is shift-equivariant: solve at the data's own scale, so that
+    # slack and tolerance do not depend on an added constant.
+    shifted = costs - costs.min()
+    found = network.minimum_mean_cycle(grid.num_nodes, tails, heads, shifted)
+    if found is None:
         raise RuntimeError("phase grid produced an acyclic graph; solver bug")
+    lam, bias = found
+    slack = shifted - lam + bias[heads] - bias[tails]
+    tight = slack <= network.cost_tolerance(float(shifted.max()), grid.num_nodes)
 
-    cycle_edges = _extract_tight_cycle(grid, tails, heads, costs, lam)
+    cycle_edges = _extract_tight_cycle(grid, tails, heads, tight)
     weight = 1.0 / len(cycle_edges)
     measure = DiscreteMeasure(
         grid=grid, weights={edge: weight for edge in cycle_edges}
@@ -68,29 +74,16 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     return OptimalSolution(measure=measure, value=value, status=OPTIMAL)
 
 
-def _extract_tight_cycle(grid, tails, heads, costs, lam) -> list[tuple[int, int]]:
+def _extract_tight_cycle(grid, tails, heads, tight) -> list[tuple[int, int]]:
     """One minimum-mean cycle, as edges (node, offset_index).
 
-    Every cycle made of tight edges of the reduced costs h*(L - lam) has total
-    reduced cost zero, hence mean cost lam; walking tight edges greedily from
-    the smallest tight edge that lies on a cycle therefore lands on an optimal
-    cycle after at most num_nodes steps.
+    ``tight`` marks the edges of zero slack under a feasible potential of the
+    reduced costs L - lam.  Every cycle of tight edges has total reduced cost
+    zero, hence mean cost lam, and the tight edges that lie on a tight cycle
+    are the same for every feasible potential; walking them greedily from the
+    smallest one therefore lands on the same optimal cycle after at most
+    num_nodes steps.
     """
-    h = grid.time_step
-    red = h * (costs - lam)
-    scale = max(1.0, float(np.max(np.abs(red))))
-    pot, ok = network.relax_to_fixpoint(
-        grid.num_nodes, tails, heads, red, tol=1e-12 * scale * grid.num_nodes
-    )
-    if not ok:
-        raise RuntimeError(
-            "reduced costs admit a negative cycle at the computed critical "
-            "constant; solver bug"
-        )
-    slack = pot[tails] + red - pot[heads]
-    eps = 1e-11 * max(scale, float(np.max(np.abs(pot))), 1.0)
-    tight = slack <= eps
-
     t_idx = np.flatnonzero(tight)
     comp = network.strongly_connected_components(
         grid.num_nodes, tails[t_idx], heads[t_idx]

@@ -15,7 +15,8 @@ import numpy as np
 
 __all__ = [
     "strongly_connected_components",
-    "karp_minimum_mean_cycle",
+    "cost_tolerance",
+    "minimum_mean_cycle",
     "relax_to_fixpoint",
     "min_cost_flow",
     "FlowResult",
@@ -95,51 +96,142 @@ def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
     return comp
 
 
-def karp_minimum_mean_cycle(num_nodes, tails, heads, costs) -> float | None:
-    """Minimum mean cycle weight, or None if the graph is acyclic.
+def cost_tolerance(spread: float, num_nodes: int) -> float:
+    """Round-off allowance for sums of up to ``num_nodes`` costs that lie in an
+    interval of width ``spread``.
 
-    Karp's dynamic program is run inside each strongly connected component:
-    with d_k(v) the minimum weight of a k-edge walk from a fixed source,
-    the component's value is min_v max_k (d_m(v) - d_k(v)) / (m - k).
-    O(V*E) per component, exact up to float rounding.
+    Relative to the spread alone, with no absolute floor, so the comparisons
+    made on costs a*L + b (a > 0) are those made on L.  The factor covers the
+    error of a sum of num_nodes such terms formed by pointer doubling: about
+    log2(num_nodes) machine epsilons per term, below 1e-14 for any graph
+    that fits in memory.
+    """
+    return 1e-14 * spread * max(1, num_nodes)
+
+
+def minimum_mean_cycle(num_nodes, tails, heads, costs) -> tuple[float, np.ndarray] | None:
+    """Minimum mean cycle weight and a bias potential, or None if the graph is acyclic.
+
+    Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick &
+    Quadrat 1998) in O(V + E) memory.  Nodes from which no cycle can be
+    reached are stripped first; every remaining node keeps one out-edge (its
+    policy).  Each round evaluates the policy, giving per node the mean eta of
+    the policy cycle it reaches and the bias x (the policy path's cost of
+    c - eta down to that cycle's smallest node, where x = 0), then improves
+    it: every node with an out-edge into a node of smaller eta switches to
+    the out-edge of smallest eta; when no node has one, nodes switch to an
+    out-edge e = (u, w) of equal eta with c(e) - eta + x(w) below x(u) by
+    more than ``cost_tolerance``.  Costs are shifted by their minimum first;
+    the value is shift-equivariant, so this is exact and keeps the tolerance
+    relative to the cost spread.
+
+    Returns ``(value, bias)``.  ``bias`` is nan at nodes that reach no cycle;
+    costs - value + bias[heads] - bias[tails] >= -cost_tolerance on every
+    edge whose head reaches a cycle of mean ``value``, which on a strongly
+    connected graph is every edge.
     """
     tails = np.asarray(tails, dtype=int)
     heads = np.asarray(heads, dtype=int)
     costs = np.asarray(costs, dtype=float)
-    comp = strongly_connected_components(num_nodes, tails, heads)
+    live = _nodes_reaching_cycles(num_nodes, tails, heads)
+    nodes = np.flatnonzero(live)
+    m = len(nodes)
+    if m == 0:
+        return None
 
-    best: float | None = None
-    for c in range(comp.max() + 1):
-        nodes = np.flatnonzero(comp == c)
-        m = len(nodes)
-        mask = (comp[tails] == c) & (comp[heads] == c)
-        if not mask.any():
-            continue  # no cycle through a component with no internal edge
-        local = -np.ones(num_nodes, dtype=int)
-        local[nodes] = np.arange(m)
-        et = local[tails[mask]]
-        eh = local[heads[mask]]
-        ec = costs[mask]
+    # Live edges as CSR rows of the m live nodes, in edge-id order per row;
+    # every live node has at least one live out-edge.
+    local = np.full(num_nodes, -1)
+    local[nodes] = np.arange(m)
+    kept = np.flatnonzero(live[tails] & live[heads])
+    kept = kept[np.argsort(tails[kept], kind="stable")]
+    et = local[tails[kept]]
+    eh = local[heads[kept]]
+    shift = float(costs[kept].min())
+    ec = costs[kept] - shift
+    starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
+    spread = float(ec.max())
+    tol = cost_tolerance(spread, m)
 
-        d = np.full((m + 1, m), np.inf)
-        d[0, 0] = 0.0  # source: smallest-index node of the component
-        for k in range(1, m + 1):
-            row = np.full(m, np.inf)
-            cand = d[k - 1, et] + ec
-            np.minimum.at(row, eh, cand)
-            d[k] = row
+    _, policy = _row_min(ec, starts, et)
+    for _ in range(m + len(kept)):
+        eta, bias = _evaluate_policy(eh[policy], ec[policy])
+        best, choice = _row_min(eta[eh], starts, et)
+        better = best < eta
+        if not better.any():
+            same = eta[eh] == eta[et]
+            best, choice = _row_min(
+                np.where(same, ec - eta[et] + bias[eh], np.inf), starts, et
+            )
+            better = best < bias - tol
+            if not better.any():
+                break
+        policy[better] = choice[better]
+    else:
+        raise RuntimeError(
+            f"policy iteration did not settle on {m} nodes and {len(kept)} "
+            f"edges (cost spread {spread!r}); solver bug"
+        )
 
-        reach = np.isfinite(d[m])
-        if not reach.any():
-            continue
-        with np.errstate(invalid="ignore"):
-            ratios = (d[m][None, :] - d[:m]) / (m - np.arange(m))[:, None]
-        ratios[~np.isfinite(d[:m])] = -np.inf
-        per_node = ratios.max(axis=0)
-        val = float(per_node[reach].min())
-        if best is None or val < best:
-            best = val
-    return best
+    full = np.full(num_nodes, np.nan)
+    full[nodes] = bias
+    return float(eta.min()) + shift, full
+
+
+def _nodes_reaching_cycles(num_nodes, tails, heads) -> np.ndarray:
+    """Mask of nodes with a walk to some cycle: strip nodes with no out-edge
+    left, one at a time, through the in-edges of each stripped node."""
+    out_degree = np.bincount(tails, minlength=num_nodes)
+    by_head = np.argsort(heads, kind="stable")
+    first_in = np.searchsorted(heads[by_head], np.arange(num_nodes + 1))
+    live = np.ones(num_nodes, dtype=bool)
+    stack = np.flatnonzero(out_degree == 0).tolist()
+    while stack:
+        v = stack.pop()
+        live[v] = False
+        for t in tails[by_head[first_in[v] : first_in[v + 1]]]:
+            out_degree[t] -= 1
+            if out_degree[t] == 0:
+                stack.append(int(t))
+    return live
+
+
+def _row_min(values, starts, rows):
+    """Per CSR row: the smallest value and the position of its first occurrence."""
+    best = np.minimum.reduceat(values, starts)
+    hit = np.flatnonzero(values == best[rows])
+    first = np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]
+    return best, hit[first]
+
+
+def _evaluate_policy(succ, weight):
+    """Cycle mean reached and bias of every node of a functional graph.
+
+    Pointer doubling: after ceil(log2 m) squarings, succ^(2^k) maps every node
+    onto its policy cycle, whose smallest node is its root (bias 0); the bias
+    of any other node sums weight - eta along its path to the root.
+    """
+    m = len(succ)
+    index = np.arange(m)
+    rounds = max(1, (m - 1).bit_length())
+    jump, low = succ, index
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    root = low[jump]
+    on_cycle = np.zeros(m, dtype=bool)
+    on_cycle[jump] = True
+    total = np.bincount(root[on_cycle], weights=weight[on_cycle], minlength=m)
+    length = np.bincount(root[on_cycle], minlength=m)
+    eta = total[root] / length[root]
+
+    is_root = root == index
+    bias = np.where(is_root, 0.0, weight - eta)
+    nxt = np.where(is_root, index, succ)
+    for _ in range(rounds):
+        bias = bias + bias[nxt]
+        nxt = nxt[nxt]
+    return eta, bias
 
 
 def relax_to_fixpoint(num_nodes, tails, heads, costs, tol: float = 0.0):

@@ -132,19 +132,34 @@ def read_lagrangian_csv(grid: PhaseGrid, path) -> LagrangianTable:
     return LagrangianTable(grid=grid, values=values)
 
 
-def _read_edge_rows(grid: PhaseGrid, path):
-    d = grid.dim
+def _csv_rows(path):
+    """(line number, row) for each non-blank row after the header line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        if next(reader, None) is None:
+            raise ValueError(f"CSV file {path} is empty")
         for row in reader:
-            if not row:
-                continue
-            coords = [int(float(v)) for v in row[:d]]
-            offset = [int(float(v)) for v in row[d : 2 * d]]
-            node = grid.coords_to_node(coords)
-            m = grid.offset_index(offset)
-            yield node, m, float(row[2 * d])
+            if row:
+                yield reader.line_num, row
+
+
+def _integers(path, line: int, fields) -> list[int]:
+    """Integer coordinates or indices, written as 3 or 3.0; 1.7 is an error."""
+    out = []
+    for v in fields:
+        x = float(v)
+        if not x.is_integer():
+            raise ValueError(f"{path} line {line}: {v!r} is not an integer")
+        out.append(int(x))
+    return out
+
+
+def _read_edge_rows(grid: PhaseGrid, path):
+    d = grid.dim
+    for line, row in _csv_rows(path):
+        node = grid.coords_to_node(_integers(path, line, row[:d]))
+        m = grid.offset_index(_integers(path, line, row[d : 2 * d]))
+        yield node, m, float(row[2 * d])
 
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
@@ -177,14 +192,8 @@ def write_current_csv(path, current: BoundaryCurrent) -> None:
 def read_current_csv(grid: PhaseGrid, path) -> BoundaryCurrent:
     d = grid.dim
     charges = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            coords = [int(float(v)) for v in row[:d]]
-            charges[grid.coords_to_node(coords)] = float(row[d])
+    for line, row in _csv_rows(path):
+        charges[grid.coords_to_node(_integers(path, line, row[:d]))] = float(row[d])
     return BoundaryCurrent(grid=grid, charges=charges)
 
 
@@ -349,31 +358,21 @@ def read_control_problem(path) -> ControlProblem:
     def coords_to_state(coords):
         return coords[0] if state_dim == 1 else coords[0] * n + coords[1]
 
-    with open(path.parent / desc["dynamics_csv"], newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            coords = [int(float(v)) for v in row[:state_dim]]
-            a = int(float(row[state_dim]))
-            step = [int(float(v)) for v in row[state_dim + 1 : 2 * state_dim + 1]]
-            s = coords_to_state(coords)
-            target = [c + k for c, k in zip(coords, step)]
-            if all(0 <= c < n for c in target):
-                steps[s, a] = step
-                move[s, a] = coords_to_state(target)
+    dynamics_csv = path.parent / desc["dynamics_csv"]
+    for line, row in _csv_rows(dynamics_csv):
+        fields = _integers(dynamics_csv, line, row[: 2 * state_dim + 1])
+        coords, a, step = fields[:state_dim], fields[state_dim], fields[state_dim + 1 :]
+        s = coords_to_state(coords)
+        target = [c + k for c, k in zip(coords, step)]
+        if all(0 <= c < n for c in target):
+            steps[s, a] = step
+            move[s, a] = coords_to_state(target)
 
-    with open(path.parent / desc["costs_csv"], newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            coords = [int(float(v)) for v in row[:state_dim]]
-            j = int(float(row[state_dim]))
-            a = int(float(row[state_dim + 1]))
-            ell[coords_to_state(coords), j, a] = float(row[state_dim + 2])
+    costs_csv = path.parent / desc["costs_csv"]
+    for line, row in _csv_rows(costs_csv):
+        fields = _integers(costs_csv, line, row[: state_dim + 2])
+        coords, j, a = fields[:state_dim], fields[state_dim], fields[state_dim + 1]
+        ell[coords_to_state(coords), j, a] = float(row[state_dim + 2])
 
     if np.isnan(ell).any():
         raise ValueError("cost CSV does not cover every (state, time, control)")
@@ -402,13 +401,8 @@ def read_control_problem(path) -> ControlProblem:
 
 def read_initial_csv(num_states: int, state_dim: int, n: int, path) -> np.ndarray:
     init = np.zeros(num_states)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            coords = [int(float(v)) for v in row[:state_dim]]
-            s = coords[0] if state_dim == 1 else coords[0] * n + coords[1]
-            init[s] = float(row[state_dim])
+    for line, row in _csv_rows(path):
+        coords = _integers(path, line, row[:state_dim])
+        s = coords[0] if state_dim == 1 else coords[0] * n + coords[1]
+        init[s] = float(row[state_dim])
     return init

@@ -83,6 +83,25 @@ def test_affine_rescaling_scales_value_and_keeps_support():
         assert set(sol2.measure.weights) == set(sol.measure.weights)
 
 
+def test_closed_equivariance_from_tiny_to_huge_scales():
+    """solve_closed(a*L + b) has value a*c0 + b for a over 18 decades, b up to 1e9.
+
+    The support is compared for every a at b = 0 and for every b at a = 1.
+    Elsewhere float64 rounding of a*L + b can merge distinct costs (a = 1e-12
+    with b = 1e6, say), and the stored table is then a different problem.
+    """
+    grid = build_torus_grid(1, 512, 2, 1.0 / 512)
+    rng = np.random.default_rng(1)
+    values = rng.uniform(-1.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    base = solve_closed(LagrangianTable(grid=grid, values=values))
+    for a in (1e-12, 1e-6, 1.0, 1e6):
+        for b in (0.0, 1e6, 1e9):
+            sol = solve_closed(LagrangianTable(grid=grid, values=a * values + b))
+            assert sol.value == pytest.approx(a * base.value + b, rel=1e-9), (a, b)
+            if b == 0.0 or a == 1.0:
+                assert sol.measure.weights.keys() == base.measure.weights.keys(), (a, b)
+
+
 def test_boundary_distance_equals_dijkstra():
     grid = build_torus_grid(1, 12, 1, 1.0)
     table = sample_lagrangian(grid, lambda x, v: abs(v))

@@ -65,12 +65,40 @@ def test_json_replaces_non_finite(tmp_path):
     assert data == {"v": None, "w": 1.25}
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda grid, path: serialize.read_measure_csv(grid, path),
+        lambda grid, path: serialize.read_lagrangian_csv(grid, path),
+        lambda grid, path: serialize.read_current_csv(grid, path),
+        lambda grid, path: serialize.read_initial_csv(grid.num_nodes, 1, 4, path),
+    ],
+    ids=["measure", "lagrangian", "current", "initial"],
+)
+def test_csv_readers_reject_empty_file_and_fractional_coordinates(tmp_path, read):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    path = tmp_path / "in.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="in.csv is empty"):
+        read(grid, path)
+    # node 1.7 used to be read as node 1
+    path.write_text("x,k,w\n0,0,1.0\n1.7,0,1.0\n")
+    with pytest.raises(ValueError, match="in.csv line 3: '1.7' is not an integer"):
+        read(grid, path)
+
+
 def _certify_exit_code(tmp_path, table, measure, current=None):
-    """Write the inputs of ``actionlab certify`` and return its exit code."""
+    """Write the inputs of ``actionlab certify`` and return its exit code.
+
+    ``measure`` is written as the solution CSV; a string is written verbatim.
+    """
     gpath, lpath, spath = (tmp_path / x for x in ("g.json", "l.csv", "s.csv"))
     serialize.write_json(gpath, serialize.grid_to_json(table.grid))
     serialize.write_lagrangian_csv(lpath, table)
-    serialize.write_measure_csv(spath, measure)
+    if isinstance(measure, str):
+        spath.write_text(measure)
+    else:
+        serialize.write_measure_csv(spath, measure)
     argv = ["certify", "--grid", str(gpath), "--lagrangian", str(lpath)]
     if current is not None:
         cpath = tmp_path / "c.csv"
@@ -109,3 +137,14 @@ def test_cli_certify_flags_closed_measure_of_wrong_mass(tmp_path):
     light = DiscreteMeasure(grid=grid, weights={(0, grid.zero_offset_index): 1.0})
     (tmp_path / "unit").mkdir()
     assert _certify_exit_code(tmp_path / "unit", table, light) == 0
+
+
+def test_cli_certify_unreadable_solution_is_a_usage_error(tmp_path, capsys):
+    # a zero-byte or malformed --solution is bad input (exit 2), not a failed
+    # check (exit 1)
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
+    assert _certify_exit_code(tmp_path, table, "") == 2
+    assert "s.csv is empty" in capsys.readouterr().err
+    assert _certify_exit_code(tmp_path, table, "x,k,w\n1.7,0,1.0\n") == 2
+    assert "s.csv line 2: '1.7' is not an integer" in capsys.readouterr().err
