@@ -53,7 +53,6 @@ from .diagnostics import (
 )
 from .control import (
     ControlCertificate,
-    ControlMeasure,
     ControlProblem,
     ControlResult,
     ValueFunction,

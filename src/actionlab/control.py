@@ -32,7 +32,6 @@ from .network import OPTIMAL
 
 __all__ = [
     "ControlProblem",
-    "ControlMeasure",
     "ValueFunction",
     "ControlCertificate",
     "RelaxedSolution",
@@ -83,20 +82,15 @@ class ControlProblem:
     def num_steps(self) -> int:
         return self.ell.shape[1]
 
-    def state_coords(self, s: int) -> tuple[int, ...]:
-        n = self.nodes_per_axis
-        if self.state_dim == 1:
-            return (s,)
-        return (s // n, s % n)
+    @property
+    def coords(self) -> np.ndarray:
+        """(S, N) integer coordinates of every state."""
+        return _grid_coords(self.state_dim, self.nodes_per_axis)
 
-    def state_position(self, s: int):
-        coords = np.array(self.state_coords(s), dtype=float)
-        pos = self.origin + coords * self.spacing
-        return float(pos[0]) if self.state_dim == 1 else pos
 
-    def on_box_edge(self, s: int) -> bool:
-        n = self.nodes_per_axis
-        return any(c in (0, n - 1) for c in self.state_coords(s))
+def _grid_coords(state_dim: int, n: int) -> np.ndarray:
+    """(S, N) integer coordinates of every state; a state's index is their row-major rank."""
+    return np.indices((n,) * state_dim).reshape(state_dim, -1).T
 
 
 def make_control_problem(
@@ -118,6 +112,47 @@ def make_control_problem(
     the box remove the control at that state; a state left with no admissible
     control at all is rejected.
     """
+    num_steps = _num_steps(state_dim, nodes_per_axis, horizon, time_step)
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    controls = tuple(controls)
+    n = nodes_per_axis
+    coords = _grid_coords(state_dim, n)
+    positions = origin + coords.astype(float) * spacing
+    xs = positions[:, 0].tolist() if state_dim == 1 else list(positions)
+
+    vel = np.array(
+        [[np.atleast_1d(np.asarray(dynamics(x, a), dtype=float)) for a in controls] for x in xs]
+    ).reshape(len(xs), len(controls), state_dim)
+    raw = vel * time_step / spacing
+    step = np.rint(raw).astype(int)
+    off_grid = np.argwhere(~(np.abs(raw - step) <= 1e-9).all(axis=2))
+    if len(off_grid):
+        s, a = off_grid[0]
+        raise ValueError(
+            f"dynamics not grid-compatible at state {s}, control "
+            f"{controls[a]!r}: f*dt/dx = {raw[s, a]}"
+        )
+    target = coords[:, None, :] + step
+    inside = ((0 <= target) & (target < n)).all(axis=2)
+    times = [j * time_step for j in range(num_steps)]
+    return _control_problem(
+        state_dim=state_dim,
+        nodes_per_axis=n,
+        origin=origin,
+        spacing=float(spacing),
+        controls=controls,
+        move=np.where(inside, target @ n ** np.arange(state_dim - 1, -1, -1), -1),
+        steps=np.where(inside[:, :, None], step, 0),
+        ell=np.array(
+            [[[running_cost(x, t, a) for a in controls] for t in times] for x in xs], dtype=float
+        ),
+        horizon=float(horizon),
+        time_step=float(time_step),
+    )
+
+
+def _num_steps(state_dim: int, nodes_per_axis: int, horizon: float, time_step: float) -> int:
+    """Number of time steps of a valid grid description; ValueError otherwise."""
     if state_dim not in (1, 2):
         raise ValueError(f"state dimension must be 1 or 2, got {state_dim}")
     if nodes_per_axis < 2:
@@ -127,113 +162,40 @@ def make_control_problem(
     num_steps = int(round(horizon / time_step))
     if abs(num_steps * time_step - horizon) > 1e-9 * horizon or num_steps < 1:
         raise ValueError("horizon must be an integer number of time steps")
+    return num_steps
 
-    origin = np.atleast_1d(np.asarray(origin, dtype=float))
-    controls = tuple(controls)
-    n = nodes_per_axis
-    S = n**state_dim
-    A = len(controls)
-    move = np.full((S, A), -1, dtype=int)
-    steps = np.zeros((S, A, state_dim), dtype=int)
-    ell = np.empty((S, num_steps, A))
 
-    prob = ControlProblem(
-        state_dim=state_dim,
-        nodes_per_axis=n,
-        origin=origin,
-        spacing=float(spacing),
-        controls=controls,
-        move=move,
-        steps=steps,
-        ell=ell,
-        horizon=float(horizon),
-        time_step=float(time_step),
-        active=None,
-        duplicate_collapses=(),
-    )
-
-    for s in range(S):
-        pos = prob.state_position(s)
-        coords = np.array(prob.state_coords(s))
-        for a, label in enumerate(controls):
-            vel = np.atleast_1d(np.asarray(dynamics(pos, label), dtype=float))
-            raw = vel * time_step / spacing
-            step = np.rint(raw).astype(int)
-            if np.max(np.abs(raw - step)) > 1e-9:
-                raise ValueError(
-                    f"dynamics not grid-compatible at state {s}, control "
-                    f"{label!r}: f*dt/dx = {raw}"
-                )
-            target = coords + step
-            if np.all((0 <= target) & (target < n)):
-                steps[s, a] = step
-                move[s, a] = int(target[0]) if state_dim == 1 else int(
-                    target[0] * n + target[1]
-                )
-            for j in range(num_steps):
-                val = running_cost(pos, j * time_step, label)
-                if not np.isfinite(val):
-                    raise ValueError(
-                        f"running cost non-finite at state {s}, t index {j}, "
-                        f"control {label!r}"
-                    )
-                ell[s, j, a] = val
-        if not (move[s] >= 0).any():
-            raise ValueError(f"state {s} has no admissible control")
-
+def _control_problem(**fields) -> ControlProblem:
+    """Check the sampled or read tables, collapse duplicate dynamics, build the problem."""
+    move, ell, controls = fields["move"], fields["ell"], fields["controls"]
+    bad = np.argwhere(~np.isfinite(ell.transpose(0, 2, 1)))
+    if len(bad):
+        s, a, j = bad[0]
+        raise ValueError(
+            f"running cost non-finite at state {s}, t index {j}, control {controls[a]!r}"
+        )
+    stuck = np.flatnonzero(~(move >= 0).any(axis=1))
+    if len(stuck):
+        raise ValueError(f"state {stuck[0]} has no admissible control")
     active, collapses = _collapse_duplicates(move, ell)
-    return ControlProblem(
-        state_dim=state_dim,
-        nodes_per_axis=n,
-        origin=origin,
-        spacing=float(spacing),
-        controls=controls,
-        move=move,
-        steps=steps,
-        ell=ell,
-        horizon=float(horizon),
-        time_step=float(time_step),
-        active=active,
-        duplicate_collapses=tuple(collapses),
-    )
+    return ControlProblem(active=active, duplicate_collapses=collapses, **fields)
 
 
 def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
-    """Keep the cheapest control among those with identical targets per (s, t)."""
-    S, T, A = ell.shape
-    active = np.zeros((S, T, A), dtype=bool)
-    collapses = []
-    for s in range(S):
-        groups: dict[int, list[int]] = {}
-        for a in range(A):
-            if move[s, a] >= 0:
-                groups.setdefault(int(move[s, a]), []).append(a)
-        for _target, members in sorted(groups.items()):
-            if len(members) == 1:
-                active[s, :, members[0]] = True
-                continue
-            for j in range(T):
-                costs = [ell[s, j, a] for a in members]
-                kept = members[int(np.argmin(costs))]
-                active[s, j, kept] = True
-                for a in members:
-                    if a != kept:
-                        collapses.append((s, j, a, kept))
-    return active, collapses
+    """Keep the cheapest control among those with identical targets per (s, t).
 
-
-@dataclass(frozen=True)
-class ControlMeasure:
-    """Relaxed measure on (state, time node, control): weights are flow * dt."""
-
-    weights: dict = field(repr=False, compare=False)
-
-    @property
-    def mass(self) -> float:
-        return float(sum(self.weights.values()))
-
-    def support(self) -> list[tuple[int, int, int]]:
-        return sorted(self.weights)
+    Ties go to the lowest control index.  Collapses (s, j, a, kept) are listed
+    by state, then target, time node and control.
+    """
+    A = ell.shape[2]
+    adm = move >= 0
+    same = (move[:, :, None] == move[:, None, :]) & adm[:, None, :]  # (S, A, A)
+    kept = np.where(same[:, None], ell[:, :, None, :], np.inf).argmin(axis=3)  # (S, T, A)
+    own = kept == np.arange(A)
+    s, j, a = np.nonzero(adm[:, None, :] & ~own)
+    order = np.lexsort((a, j, move[s, a], s))
+    collapses = zip(*(x[order].tolist() for x in (s, j, a, kept[s, j, a])))
+    return adm[:, None, :] & own, tuple(collapses)
 
 
 @dataclass
@@ -276,32 +238,23 @@ def solve_value_function(p: ControlProblem) -> ValueFunction:
 
 
 def _layered_arcs(p: ControlProblem):
-    """Deterministically ordered arc list of the time-layered graph."""
+    """Arcs of the time-layered graph in (j, s, a) order, then one sink arc per state.
+
+    Returns (tails, heads, costs, (s, j, a), sink); the index arrays cover the
+    non-sink arcs, which come first.
+    """
     S, T, A = p.ell.shape
-    arcs = []  # (tail, head, cost, s, j, a)
-    for j in range(T):
-        for s in range(S):
-            for a in range(A):
-                if p.active[s, j, a]:
-                    arcs.append(
-                        (
-                            j * S + s,
-                            (j + 1) * S + int(p.move[s, a]),
-                            p.time_step * p.ell[s, j, a],
-                            s,
-                            j,
-                            a,
-                        )
-                    )
+    j, s, a = np.nonzero(p.active.transpose(1, 0, 2))
     sink = S * (T + 1)
-    for s in range(S):
-        arcs.append((T * S + s, sink, 0.0, s, T, -1))
-    return arcs, sink
+    tails = np.concatenate([j * S + s, T * S + np.arange(S)])
+    heads = np.concatenate([(j + 1) * S + p.move[s, a], np.full(S, sink)])
+    costs = np.concatenate([p.time_step * p.ell[s, j, a], np.zeros(S)])
+    return tails, heads, costs, (s, j, a), sink
 
 
 @dataclass
 class RelaxedSolution:
-    measure: ControlMeasure
+    measure: np.ndarray  # (S, T, A) weights flow * dt, zero off the support
     value: float
     status: str
     flow: np.ndarray  # (S, T, A)
@@ -320,54 +273,55 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     S, T, A = p.ell.shape
     init = np.zeros(S)
     if isinstance(initial, dict):
-        for s, m in initial.items():
-            init[int(s)] = float(m)
+        states = np.fromiter(initial, int)
+        outside = states[(states < 0) | (states >= S)]
+        if len(outside):
+            raise ValueError(f"initial state {outside[0]} is outside [0, {S})")
+        init[states] = np.fromiter(initial.values(), float)
     else:
         init = np.asarray(initial, dtype=float).copy()
     if init.shape != (S,) or np.any(init < 0) or init.sum() <= 0:
         raise ValueError("initial distribution must be nonnegative with positive mass")
 
-    arcs, sink = _layered_arcs(p)
-    tails = np.array([a[0] for a in arcs], dtype=int)
-    heads = np.array([a[1] for a in arcs], dtype=int)
-    costs = np.array([a[2] for a in arcs], dtype=float)
+    tails, heads, costs, arcs, sink = _layered_arcs(p)
     b = np.zeros(sink + 1)
     b[:S] = -init
     b[sink] = init.sum()
 
     result = network.min_cost_flow(sink + 1, tails, heads, costs, b)
+    flow = np.zeros((S, T, A))
+    measure = np.zeros((S, T, A))
     if result.status != OPTIMAL:
         return RelaxedSolution(
-            measure=ControlMeasure(weights={}),
+            measure=measure,
             value=result.value,
             status=result.status,
-            flow=np.zeros((S, T, A)),
+            flow=flow,
             node_potentials=result.potentials,
             initial=init,
         )
 
-    flow = np.zeros((S, T, A))
-    drop = 1e-12 * max(1.0, float(init.sum()))
-    weights = {}
-    for (tail, head, cost, s, j, a), fl in zip(arcs, result.flow):
-        if a >= 0 and fl > drop:
-            flow[s, j, a] = fl
-            weights[(s, j, a)] = fl * p.time_step
-    value = float(sum(w * p.ell[s, j, a] for (s, j, a), w in weights.items()))
+    arc_flow = result.flow[: len(arcs[0])]
+    keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
+    s, j, a = (x[keep] for x in arcs)
+    flow[s, j, a] = arc_flow[keep]
+    measure[s, j, a] = arc_flow[keep] * p.time_step
+    # a Python sum in arc order, so the value does not depend on numpy's summation
+    value = float(sum((measure[s, j, a] * p.ell[s, j, a]).tolist()))
 
-    edge_states = {s for (s, _j, _a) in weights if p.on_box_edge(s)}
-    edge_states |= {
-        int(p.move[s, a]) for (s, _j, a) in weights if p.on_box_edge(int(p.move[s, a]))
-    }
+    coords = p.coords
+    on_edge = ((coords == 0) | (coords == p.nodes_per_axis - 1)).any(axis=1)
+    touched = np.union1d(s, p.move[s, a])
+    edge_states = touched[on_edge[touched]].tolist()
     if edge_states:
         warnings.warn(
             f"optimal trajectories touch the state box edge at states "
-            f"{sorted(edge_states)}; interior-support assumptions may fail",
+            f"{edge_states}; interior-support assumptions may fail",
             stacklevel=2,
         )
 
     return RelaxedSolution(
-        measure=ControlMeasure(weights=weights),
+        measure=measure,
         value=value,
         status=OPTIMAL,
         flow=flow,
@@ -382,10 +336,8 @@ class ControlCertificate:
 
     Exact identity on every admissible arc:
     ell = c0 + (u(target, j+1) - u(x, j)) / dt + w.  The potential vanishes on
-    the boundary time layers; w >= 0 is guaranteed on arcs reachable from the
-    supplied initial states (everywhere except possibly arcs leaving
-    unsupplied states at t = 0, where the boundary normalization wins), and
-    w = 0 on the support when the initial distribution is a single atom.
+    the final time layer and off the set reachable from the supplied initial
+    states; w >= 0 holds on every reachable arc and w = 0 on the support.
     ``c0`` is the layer-shift constant; ``empirical_mean_cost`` reports
     sum(mu*ell)/mass alongside it.
     """
@@ -399,93 +351,71 @@ class ControlCertificate:
     reachable: np.ndarray = field(repr=False, compare=False, default=None)  # (S, T+1)
 
 
-def _reachable_mask(p: ControlProblem, supplied) -> np.ndarray:
+def _reachable_mask(p: ControlProblem, supplied: np.ndarray) -> np.ndarray:
     S, T, A = p.ell.shape
     reach = np.zeros((S, T + 1), dtype=bool)
-    for s in supplied:
-        reach[int(s), 0] = True
+    reach[supplied, 0] = True
+    adm = p.move >= 0
     for j in range(T):
-        src = np.flatnonzero(reach[:, j])
-        for s in src:
-            for a in range(A):
-                if p.move[s, a] >= 0:
-                    reach[int(p.move[s, a]), j + 1] = True
+        reach[p.move[adm & reach[:, j, None]], j + 1] = True
     return reach
 
 
 def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlCertificate:
     """Certificate from the layered-graph flow potentials.
 
-    Potentials are shifted affinely in time so that u vanishes at the initial
-    reference state and on the final layer; the shift rate is the constant c0.
-    u is then forced to zero on the whole t in {0, t0} boundary, which can
-    only increase the slack on reachable arcs.
+    Potentials are shifted affinely in time, at the constant rate c0, so that
+    u vanishes at the supplied initial state of largest potential and at the
+    sink.  u is then zeroed on the final layer and off the reachable set,
+    which can only increase the slack on reachable arcs.
     """
     if lp_solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {lp_solution.status}")
     S, T, A = p.ell.shape
     dt = p.time_step
     pot = lp_solution.node_potentials
-    supplied = tuple(int(s) for s in np.flatnonzero(lp_solution.initial > 0))
+    supplied = np.flatnonzero(lp_solution.initial > 0)
 
-    beta = max(pot[s] for s in supplied)
+    beta = pot[supplied].max()
     c0 = (pot[S * (T + 1)] - beta) / p.horizon
     reachable = _reachable_mask(p, supplied)
-    u = np.empty((S, T + 1))
-    for j in range(T + 1):
-        u[:, j] = pot[j * S : (j + 1) * S] - c0 * (j * dt) - beta
+    u = pot[: S * (T + 1)].reshape(T + 1, S).T - c0 * (np.arange(T + 1) * dt) - beta
     # off the reachable set the flow potentials are arbitrary; zero them so the
     # exported potential is determined by the problem alone
     u[~reachable] = 0.0
-    u[:, 0] = 0.0
     u[:, T] = 0.0
 
-    w = np.full((S, T, A), np.nan)
     adm = p.move >= 0
-    targets = np.where(adm, p.move, 0)
-    for j in range(T):
-        du = (u[targets, j + 1] - u[:, j][:, None]) / dt
-        wj = p.ell[:, j, :] - c0 - du
-        w[:, j, :] = np.where(adm, wj, np.nan)
+    du = (u[np.where(adm, p.move, 0), 1:] - u[:, None, :-1]) / dt  # (S, A, T)
+    w = np.where(adm[:, None, :], p.ell - c0 - du.transpose(0, 2, 1), np.nan)
 
-    mu = lp_solution.measure
-    mean_cost = (
-        float(sum(wt * p.ell[s, j, a] for (s, j, a), wt in mu.weights.items()) / mu.mass)
-        if mu.weights
-        else 0.0
-    )
+    mu = lp_solution.measure.transpose(1, 0, 2)  # summed in (j, s, a) arc order, as the value
+    mass = sum(mu[mu > 0].tolist())
     return ControlCertificate(
         problem=p,
         u=u,
         c0=float(c0),
         w=w,
-        empirical_mean_cost=mean_cost,
-        supplied=supplied,
+        empirical_mean_cost=float(lp_solution.value / mass) if mass else 0.0,
+        supplied=tuple(supplied.tolist()),
         reachable=reachable,
     )
 
 
-def maximum_principle_check(cert: ControlCertificate, mu: ControlMeasure):
+def maximum_principle_check(cert: ControlCertificate, measure: np.ndarray):
     """(max |w| on the support, min w off the support over reachable arcs).
 
-    The support values verify the pointwise optimality equality at every
-    supported time node; the off-support minimum verifies the inequality side.
+    ``measure`` is RelaxedSolution.measure; its support is where it is
+    positive.  The support values verify the pointwise optimality equality at
+    every supported time node; the off-support minimum verifies the
+    inequality side.
     """
     p = cert.problem
-    S, T, A = p.ell.shape
-    supp = set(mu.weights)
-    on_max = 0.0
-    for (s, j, a) in supp:
-        on_max = max(on_max, abs(float(cert.w[s, j, a])))
-    off_min = np.inf
-    for j in range(T):
-        for s in np.flatnonzero(cert.reachable[:, j]):
-            for a in range(A):
-                if p.move[s, a] >= 0 and (int(s), j, a) not in supp:
-                    off_min = min(off_min, float(cert.w[s, j, a]))
-    if not np.isfinite(off_min):
-        off_min = 0.0
-    return on_max, off_min
+    support = measure > 0
+    off = cert.reachable[:, :-1, None] & (p.move >= 0)[:, None, :] & ~support
+    on_max = float(np.max(np.abs(cert.w[support]), initial=0.0))
+    off_min = float(np.min(cert.w[off], initial=np.inf))
+    return on_max, (off_min if np.isfinite(off_min) else 0.0)
 
 
 def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
@@ -502,47 +432,32 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
     n = p.nodes_per_axis
     v = vf.v
 
-    nodes = set()
-    for s0 in range(S):
-        s = s0
-        nodes.add((s, 0))
-        for j in range(T):
-            a = vf.policy[s, j]
-            s = int(p.move[s, a])
-            nodes.add((s, j + 1))
+    # nodes (s, j) on the policy trajectories from every state at t = 0
+    on_path = np.zeros((S, T + 1), dtype=bool)
+    s = np.arange(S)
+    on_path[s, 0] = True
+    for j in range(T):
+        s = p.move[s, vf.policy[s, j]]
+        on_path[s, j + 1] = True
+    s, j = np.nonzero(on_path)
+    td = (T - j)[:, None]  # duration index of clock node j
 
-    worst = 0.0
-    for (s, j) in sorted(nodes):
-        td = T - j  # duration index of clock node j
-        if td == 0:
-            v_t = (v[s, 1] - v[s, 0]) / dt
-        elif td == T:
-            v_t = (v[s, T] - v[s, T - 1]) / dt
-        else:
-            v_t = (v[s, td + 1] - v[s, td - 1]) / (2 * dt)
+    hi, lo = np.minimum(td + 1, T), np.maximum(td - 1, 0)
+    v_t = (v[s[:, None], hi] - v[s[:, None], lo]) / ((hi - lo) * dt)
 
-        coords = p.state_coords(s)
-        grad = np.zeros(p.state_dim)
-        for axis in range(p.state_dim):
-            c = coords[axis]
-            up = list(coords)
-            dn = list(coords)
-            up[axis] = min(c + 1, n - 1)
-            dn[axis] = max(c - 1, 0)
-            su = up[0] if p.state_dim == 1 else up[0] * n + up[1]
-            sd = dn[0] if p.state_dim == 1 else dn[0] * n + dn[1]
-            span = (up[axis] - dn[axis]) * dx
-            grad[axis] = (v[su, td] - v[sd, td]) / span if span > 0 else 0.0
+    coords = p.coords[s]  # (K, N)
+    stride = n ** np.arange(p.state_dim - 1, -1, -1)
+    up, dn = np.minimum(coords + 1, n - 1), np.maximum(coords - 1, 0)
+    s_up = s[:, None] + (up - coords) * stride
+    s_dn = s[:, None] + (dn - coords) * stride
+    span = (up - dn) * dx
+    grad = np.divide(
+        v[s_up, td] - v[s_dn, td], span, out=np.zeros(span.shape), where=span > 0
+    )  # (K, N)
 
-        jt = min(j, T - 1)
-        ham = -np.inf
-        for a in range(A):
-            if p.move[s, a] < 0:
-                continue
-            f_vel = p.steps[s, a] * dx / dt
-            ham = max(ham, float(-np.dot(f_vel, grad) - p.ell[s, jt, a]))
-        worst = max(worst, abs(v_t + ham))
-    return float(worst)
+    slope = (p.steps[s] * dx / dt * grad[:, None, :]).sum(axis=2)  # f(x, a).v_x, (K, A)
+    ham = np.where(p.move[s] >= 0, -slope - p.ell[s, np.minimum(j, T - 1)], -np.inf).max(axis=1)
+    return float(np.max(np.abs(v_t[:, 0] + ham), initial=0.0))
 
 
 def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution):
@@ -563,24 +478,19 @@ def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution
             break
         s0 = int(sources[0])
         states = [s0]
-        arcs = []
-        s = s0
-        feasible = True
+        controls = []
         for j in range(T):
-            choices = [a for a in range(A) if remaining[s, j, a] > tol]
-            if not choices:
-                feasible = False
+            choices = np.flatnonzero(remaining[states[-1], j] > tol)
+            if len(choices) == 0:
                 break
-            a = choices[0]
-            arcs.append((s, j, a))
-            s = int(p.move[s, a])
-            states.append(s)
-        if not feasible:
+            controls.append(int(choices[0]))
+            states.append(int(p.move[states[-1], controls[-1]]))
+        if len(controls) < T:
             init[s0] = 0.0  # roundoff leftovers
             continue
-        amount = min(init[s0], min(remaining[s, j, a] for (s, j, a) in arcs))
-        for (s, j, a) in arcs:
-            remaining[s, j, a] -= amount
+        path = (states[:-1], list(range(T)), controls)
+        amount = min(init[s0], remaining[path].min())
+        remaining[path] -= amount
         init[s0] -= amount
         out.append((tuple(states), float(amount)))
     else:
@@ -600,30 +510,24 @@ def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) 
     p = cert.problem
     S, T, A = p.ell.shape
     dt = p.time_step
-    y = [int(s) for s in trajectory]
+    y = np.asarray(trajectory, dtype=int)
     if len(y) > T + 1:
         raise ValueError("trajectory longer than the time grid")
 
     arrival = np.full((S, len(y)), np.inf)
     arrival[y[0], 0] = 0.0
     for j in range(len(y) - 1):
-        nxt = np.full(S, np.inf)
-        for s in np.flatnonzero(np.isfinite(arrival[:, j])):
-            for a in range(A):
-                if p.active[s, j, a]:
-                    t = int(p.move[s, a])
-                    cand = arrival[s, j] + dt * p.ell[s, j, a]
-                    if cand < nxt[t]:
-                        nxt[t] = cand
-        arrival[:, j + 1] = nxt
+        s, a = np.nonzero(p.active[:, j, :] & np.isfinite(arrival[:, j, None]))
+        np.minimum.at(arrival[:, j + 1], p.move[s, a], arrival[s, j] + dt * p.ell[s, j, a])
 
-    worst = 0.0
-    for j, s in enumerate(y):
-        if not np.isfinite(arrival[s, j]):
-            raise ValueError(f"trajectory node {s} unreachable at time index {j}")
-        rhs = cert.u[s, j] - cert.u[y[0], 0] + cert.c0 * (j * dt)
-        worst = max(worst, abs(float(arrival[s, j] - rhs)))
-    return worst
+    times = np.arange(len(y))
+    reached = arrival[y, times]
+    missed = np.flatnonzero(~np.isfinite(reached))
+    if len(missed):
+        j = int(missed[0])
+        raise ValueError(f"trajectory node {y[j]} unreachable at time index {j}")
+    rhs = cert.u[y, times] - cert.u[y[0], 0] + cert.c0 * (times * dt)
+    return float(np.max(np.abs(reached - rhs), initial=0.0))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .grid import (
     PhaseGrid,
     build_torus_grid,
 )
-from .control import ControlProblem
+from .control import ControlProblem, _control_problem, _num_steps
 
 __all__ = [
     "write_json",
@@ -315,12 +315,12 @@ def write_value_function_csv(path, vf) -> None:
     p = vf.problem
     header = (["x"] if p.state_dim == 1 else ["x_i", "x_j"]) + ["t", "v", "argmin_control"]
     rows = []
+    coords = p.coords.tolist()
     for s in range(p.num_states):
-        coords = list(p.state_coords(s))
         for t_idx in range(p.num_steps + 1):
             a = int(vf.argmin_control[s, t_idx])
             rows.append(
-                coords
+                coords[s]
                 + [
                     float(t_idx * p.time_step),
                     float(vf.v[s, t_idx]),
@@ -347,7 +347,7 @@ def read_control_problem(path) -> ControlProblem:
     controls = tuple(desc["controls"])
     t0 = float(desc["t0"])
     dt = float(desc["dt"])
-    T = int(round(t0 / dt))
+    T = _num_steps(state_dim, n, t0, dt)
     S = n**state_dim
     A = len(controls)
 
@@ -355,35 +355,28 @@ def read_control_problem(path) -> ControlProblem:
     steps = np.zeros((S, A, state_dim), dtype=int)
     ell = np.full((S, T, A), np.nan)
 
-    def coords_to_state(coords):
-        return coords[0] if state_dim == 1 else coords[0] * n + coords[1]
-
     dynamics_csv = path.parent / desc["dynamics_csv"]
     for line, row in _csv_rows(dynamics_csv):
         fields = _integers(dynamics_csv, line, row[: 2 * state_dim + 1])
-        coords, a, step = fields[:state_dim], fields[state_dim], fields[state_dim + 1 :]
-        s = coords_to_state(coords)
+        coords, step = fields[:state_dim], fields[state_dim + 1 :]
+        s = _state(dynamics_csv, line, coords, n)
+        a = _index(dynamics_csv, line, fields[state_dim], A, "control index")
         target = [c + k for c, k in zip(coords, step)]
         if all(0 <= c < n for c in target):
             steps[s, a] = step
-            move[s, a] = coords_to_state(target)
+            move[s, a] = _state(dynamics_csv, line, target, n)
 
     costs_csv = path.parent / desc["costs_csv"]
     for line, row in _csv_rows(costs_csv):
         fields = _integers(costs_csv, line, row[: state_dim + 2])
-        coords, j, a = fields[:state_dim], fields[state_dim], fields[state_dim + 1]
-        ell[coords_to_state(coords), j, a] = float(row[state_dim + 2])
+        s = _state(costs_csv, line, fields[:state_dim], n)
+        j = _index(costs_csv, line, fields[state_dim], T, "time index")
+        a = _index(costs_csv, line, fields[state_dim + 1], A, "control index")
+        ell[s, j, a] = float(row[state_dim + 2])
 
     if np.isnan(ell).any():
         raise ValueError("cost CSV does not cover every (state, time, control)")
-    for s in range(S):
-        if not (move[s] >= 0).any():
-            raise ValueError(f"state {s} has no admissible control")
-
-    from .control import _collapse_duplicates
-
-    active, collapses = _collapse_duplicates(move, ell)
-    return ControlProblem(
+    return _control_problem(
         state_dim=state_dim,
         nodes_per_axis=n,
         origin=origin,
@@ -394,15 +387,25 @@ def read_control_problem(path) -> ControlProblem:
         ell=ell,
         horizon=t0,
         time_step=dt,
-        active=active,
-        duplicate_collapses=tuple(collapses),
     )
+
+
+def _index(path, line: int, value: int, size: int, what: str) -> int:
+    if not 0 <= value < size:
+        raise ValueError(f"{path} line {line}: {what} {value} is outside [0, {size})")
+    return value
+
+
+def _state(path, line: int, coords, n: int) -> int:
+    """Row-major state index of coordinates, each checked to lie in [0, n)."""
+    s = 0
+    for c in coords:
+        s = s * n + _index(path, line, c, n, "coordinate")
+    return s
 
 
 def read_initial_csv(num_states: int, state_dim: int, n: int, path) -> np.ndarray:
     init = np.zeros(num_states)
     for line, row in _csv_rows(path):
-        coords = _integers(path, line, row[:state_dim])
-        s = coords[0] if state_dim == 1 else coords[0] * n + coords[1]
-        init[s] = float(row[state_dim])
+        init[_state(path, line, _integers(path, line, row[:state_dim]), n)] = float(row[state_dim])
     return init

@@ -171,3 +171,112 @@ def random_closed_instance(rng, max_n=64, max_k=2):
     grid = build_torus_grid(1, n, k, h)
     values = rng.uniform(-1.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
     return LagrangianTable(grid=grid, values=values)
+
+
+# Per-element loop forms of the control checks.  They are the reference the
+# array code in actionlab.control must match bit for bit: the float operations
+# are the same, only their batching differs.
+
+
+def loop_collapse_duplicates(move, ell):
+    """Cheapest control per (state, target, time); lowest index wins ties."""
+    S, T, A = ell.shape
+    active = np.zeros((S, T, A), dtype=bool)
+    collapses = []
+    for s in range(S):
+        groups: dict[int, list[int]] = {}
+        for a in range(A):
+            if move[s, a] >= 0:
+                groups.setdefault(int(move[s, a]), []).append(a)
+        for _target, members in sorted(groups.items()):
+            for j in range(T):
+                kept = members[int(np.argmin([ell[s, j, a] for a in members]))]
+                active[s, j, kept] = True
+                collapses += [(s, j, a, kept) for a in members if a != kept]
+    return active, collapses
+
+
+def loop_reachable(problem, supplied):
+    S, T, A = problem.ell.shape
+    reach = np.zeros((S, T + 1), dtype=bool)
+    for s in supplied:
+        reach[s, 0] = True
+    for j in range(T):
+        for s in np.flatnonzero(reach[:, j]):
+            for a in range(A):
+                if problem.move[s, a] >= 0:
+                    reach[problem.move[s, a], j + 1] = True
+    return reach
+
+
+def loop_maximum_principle(cert, measure):
+    """(max |w| on the support, min w over reachable admissible arcs off it)."""
+    p = cert.problem
+    S, T, A = p.ell.shape
+    on_max, off_min = 0.0, np.inf
+    for j in range(T):
+        for s in range(S):
+            for a in range(A):
+                if measure[s, j, a] > 0:
+                    on_max = max(on_max, abs(float(cert.w[s, j, a])))
+                elif cert.reachable[s, j] and p.move[s, a] >= 0:
+                    off_min = min(off_min, float(cert.w[s, j, a]))
+    return on_max, (off_min if np.isfinite(off_min) else 0.0)
+
+
+def loop_hjb_residual(vf, p):
+    """max |v_t + H(x, t, v_x)| over the nodes of the policy paths from t = 0."""
+    S, T, A = p.ell.shape
+    dt, dx, n, v = p.time_step, p.spacing, p.nodes_per_axis, vf.v
+    nodes = set()
+    for s in range(S):
+        nodes.add((s, 0))
+        for j in range(T):
+            s = int(p.move[s, vf.policy[s, j]])
+            nodes.add((s, j + 1))
+    worst = 0.0
+    for s, j in sorted(nodes):
+        td = T - j
+        if td == 0:
+            v_t = (v[s, 1] - v[s, 0]) / dt
+        elif td == T:
+            v_t = (v[s, T] - v[s, T - 1]) / dt
+        else:
+            v_t = (v[s, td + 1] - v[s, td - 1]) / (2 * dt)
+        coords = [s] if p.state_dim == 1 else [s // n, s % n]
+        grad = np.zeros(p.state_dim)
+        for axis in range(p.state_dim):
+            up, dn = list(coords), list(coords)
+            up[axis] = min(coords[axis] + 1, n - 1)
+            dn[axis] = max(coords[axis] - 1, 0)
+            su = up[0] if p.state_dim == 1 else up[0] * n + up[1]
+            sd = dn[0] if p.state_dim == 1 else dn[0] * n + dn[1]
+            grad[axis] = (v[su, td] - v[sd, td]) / ((up[axis] - dn[axis]) * dx)
+        ham = -np.inf
+        for a in range(A):
+            if p.move[s, a] >= 0:
+                f_vel = p.steps[s, a] * dx / dt
+                slope = sum(float(f) * float(g) for f, g in zip(f_vel, grad))
+                ham = max(ham, -slope - p.ell[s, min(j, T - 1), a])
+        worst = max(worst, abs(v_t + ham))
+    return float(worst)
+
+
+def loop_u_v_residual(cert, trajectory):
+    """Accumulated-cost identity along a trajectory, by a forward arrival DP."""
+    p = cert.problem
+    S, T, A = p.ell.shape
+    dt, y = p.time_step, [int(s) for s in trajectory]
+    arrival = np.full((S, len(y)), np.inf)
+    arrival[y[0], 0] = 0.0
+    for j in range(len(y) - 1):
+        for s in np.flatnonzero(np.isfinite(arrival[:, j])):
+            for a in range(A):
+                if p.active[s, j, a]:
+                    t = p.move[s, a]
+                    arrival[t, j + 1] = min(arrival[t, j + 1], arrival[s, j] + dt * p.ell[s, j, a])
+    worst = 0.0
+    for j, s in enumerate(y):
+        rhs = cert.u[s, j] - cert.u[y[0], 0] + cert.c0 * (j * dt)
+        worst = max(worst, abs(float(arrival[s, j] - rhs)))
+    return worst

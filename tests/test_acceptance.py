@@ -228,8 +228,9 @@ def test_criterion_7_optimal_control():
         worst_mp = max(worst_mp, on_max, -off_min)
         assert on_max <= 1e-8
         assert off_min >= -1e-9
-        comp = sum(wt * cert.w[arc] for arc, wt in lp.measure.weights.items())
-        assert comp <= 1e-8 * lp.measure.mass
+        supp = lp.measure > 0
+        comp = np.sum(lp.measure[supp] * cert.w[supp])
+        assert comp <= 1e-8 * lp.measure.sum()
         for states, _m in ctl.extract_optimal_trajectories(p, lp):
             resid = ctl.check_u_v_relation(cert, vf, states)
             worst_uv = max(worst_uv, resid)

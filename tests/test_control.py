@@ -8,11 +8,19 @@ from actionlab import (
     hjb_residual,
     make_control_problem,
     maximum_principle_check,
+    run_control,
     solve_relaxed_lp,
     solve_value_function,
 )
 
-from oracles import enumerate_control_cost
+from oracles import (
+    enumerate_control_cost,
+    loop_collapse_duplicates,
+    loop_hjb_residual,
+    loop_maximum_principle,
+    loop_reachable,
+    loop_u_v_residual,
+)
 
 
 def constant_cost_problem(k=2.0, n=5, steps=4):
@@ -191,7 +199,7 @@ def test_certificate_single_control_telescopes():
     lp = solve_relaxed_lp(p, {0: 1.0})
     cert = certify_control(p, lp)
     # single control: w vanishes along the (only) reachable trajectory
-    for (s, j, a) in lp.measure.support():
+    for (s, j, a) in np.argwhere(lp.measure > 0).tolist():
         assert abs(cert.w[s, j, a]) <= 1e-12
     assert cert.u[0, 0] == 0.0
     assert np.all(cert.u[:, p.num_steps] == 0.0)
@@ -201,7 +209,7 @@ def test_certificate_three_state_slack_pattern():
     p = three_state_problem()
     lp = solve_relaxed_lp(p, {1: 1.0})
     cert = certify_control(p, lp)
-    supp = set(lp.measure.support())
+    supp = set(map(tuple, np.argwhere(lp.measure > 0).tolist()))
     assert supp, "optimal flow should be nonempty"
     for (s, j, a) in supp:
         assert abs(cert.w[s, j, a]) <= 1e-12
@@ -401,3 +409,83 @@ def test_random_suite_dp_equals_lp_and_checks_hold():
         assert off_min >= -1e-9
         for states, _m in extract_optimal_trajectories(p, lp):
             assert check_u_v_relation(cert, vf, states) <= 1e-8
+
+
+def box_problem_2d(rng, half=3, steps=3):
+    # controls {-1, 0, 1}^2 at unit speed, dt = dx, seeded quadratic cost plus
+    # a travelling tilt, as in the 2-D box of the benchmark
+    dx = 0.5 / half
+    gamma, beta, phase = rng.uniform(0.02, 0.1), rng.uniform(0.1, 0.5), rng.uniform(0, 2 * np.pi)
+    omega = 2 * np.pi / (steps * dx)
+
+    def running_cost(x, t, a):
+        return (
+            x[0] ** 2 + x[1] ** 2 + gamma * (a[0] ** 2 + a[1] ** 2)
+            + beta * np.cos(omega * t + phase) * (x[0] - x[1])
+        )
+
+    return make_control_problem(
+        state_dim=2,
+        nodes_per_axis=2 * half + 1,
+        origin=[-0.5, -0.5],
+        spacing=dx,
+        controls=tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)),
+        dynamics=lambda x, a: np.array(a, dtype=float),
+        running_cost=running_cost,
+        horizon=steps * dx,
+        time_step=dx,
+    )
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_run_control_2d_box(atoms):
+    rng = np.random.default_rng(83)
+    p = box_problem_2d(rng)
+    assert p.state_dim == 2 and len(p.controls) == 9
+    starts = rng.choice(p.num_states, size=atoms, replace=False)
+    masses = rng.uniform(0.5, 1.5, size=atoms)
+    result = run_control(p, {int(s): float(m) for s, m in zip(starts, masses)})
+    assert all(result.criteria(1e-8).values()), result.criteria(1e-8)
+    for s in starts:
+        dp = result.value_function.v[s, p.num_steps]
+        assert dp == pytest.approx(enumerate_control_cost(p, int(s)), abs=1e-12)
+
+
+def test_run_control_1d_multi_atom():
+    p = random_problem(np.random.default_rng(89), max_states=9, max_controls=3, max_steps=5)
+    result = run_control(p, {0: 0.2, p.num_states // 2: 0.5, p.num_states - 1: 0.3})
+    assert all(result.criteria(1e-8).values()), result.criteria(1e-8)
+    # u vanishes on the final layer and off the reachable set, not at t = 0
+    cert = result.certificate
+    assert np.all(cert.u[:, -1] == 0.0) and np.all(cert.u[~cert.reachable] == 0.0)
+    assert np.any(cert.u[:, 0] != 0.0)
+
+
+def test_lp_rejects_initial_state_outside_grid():
+    p = three_state_problem()
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            solve_relaxed_lp(p, {bad: 1.0})
+
+
+def test_array_checks_equal_loop_references():
+    rng = np.random.default_rng(97)
+    for i in range(12):
+        if i % 2:
+            p = random_problem(rng, max_controls=5)
+        else:
+            p = box_problem_2d(rng, half=int(rng.integers(1, 4)), steps=int(rng.integers(1, 4)))
+        k = int(rng.integers(1, min(3, p.num_states) + 1))
+        atoms = rng.choice(p.num_states, size=k, replace=False)
+        lp = solve_relaxed_lp(p, {int(s): float(m) for s, m in zip(atoms, rng.uniform(0.5, 1.5, k))})
+        vf = solve_value_function(p)
+        cert = certify_control(p, lp)
+
+        active, collapses = loop_collapse_duplicates(p.move, p.ell)
+        assert np.array_equal(active, p.active)
+        assert collapses == list(p.duplicate_collapses)
+        assert np.array_equal(loop_reachable(p, cert.supplied), cert.reachable)
+        assert loop_maximum_principle(cert, lp.measure) == maximum_principle_check(cert, lp.measure)
+        assert loop_hjb_residual(vf, p) == hjb_residual(vf, p)
+        for states, _m in extract_optimal_trajectories(p, lp):
+            assert loop_u_v_residual(cert, states) == check_u_v_relation(cert, vf, states)

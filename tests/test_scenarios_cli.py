@@ -180,7 +180,10 @@ def test_cli_boundary_solve_with_current(tmp_path):
     assert abs(summary["value"] - 0.5) <= 1e-9  # five unit steps of cost 1/10
 
 
-def test_cli_control_roundtrip(tmp_path, capsys):
+def _control_bundle(
+    tmp_path, init_rows=((1, 1.0),), dynamics_extra=(), costs_extra=(), **desc_changes
+):
+    """Three states {-1/2, 0, 1/2}, controls -1 and +1, cost x^2; returns the CLI arguments."""
     from actionlab import serialize
     from actionlab.serialize import _write_csv
 
@@ -194,40 +197,74 @@ def test_cli_control_roundtrip(tmp_path, capsys):
         "dt": 0.25,
         "dynamics_csv": "dynamics.csv",
         "costs_csv": "costs.csv",
+        **desc_changes,
     }
     serialize.write_json(tmp_path / "problem.json", desc)
     dyn_rows = []
     for s in range(3):
         for a, lab in enumerate((-1, 1)):
             dyn_rows.append([s, a, lab])
-    _write_csv(tmp_path / "dynamics.csv", ["x", "control", "step"], dyn_rows)
+    _write_csv(tmp_path / "dynamics.csv", ["x", "control", "step"], dyn_rows + list(dynamics_extra))
     cost_rows = []
     xs = [-0.5, 0.0, 0.5]
     for s in range(3):
         for j in range(2):
             for a in range(2):
                 cost_rows.append([s, j, a, xs[s] ** 2])
-    _write_csv(tmp_path / "costs.csv", ["x", "t_index", "control", "ell"], cost_rows)
-    _write_csv(tmp_path / "init.csv", ["x", "mass"], [[1, 1.0]])
-
-    outdir = tmp_path / "out"
-    rc = main(
-        [
-            "control",
-            "--problem",
-            str(tmp_path / "problem.json"),
-            "--init",
-            str(tmp_path / "init.csv"),
-            "--outdir",
-            str(outdir),
-        ]
+    _write_csv(
+        tmp_path / "costs.csv", ["x", "t_index", "control", "ell"], cost_rows + list(costs_extra)
     )
+    _write_csv(tmp_path / "init.csv", ["x", "mass"], [list(r) for r in init_rows])
+    return [
+        "control",
+        "--problem",
+        str(tmp_path / "problem.json"),
+        "--init",
+        str(tmp_path / "init.csv"),
+        "--outdir",
+        str(tmp_path / "out"),
+    ]
+
+
+def test_cli_control_roundtrip(tmp_path, capsys):
+    rc = main(_control_bundle(tmp_path))
     assert rc == 0
     assert "np.float64" not in capsys.readouterr().out
+    outdir = tmp_path / "out"
     report = json.loads((outdir / "control_report.json").read_text())
     assert abs(report["lp_value"] - report["dp_total"]) <= 1e-9
     assert abs(report["lp_value"] - 0.25 * 0.25) <= 1e-12
     assert (outdir / "value_function.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"init_rows": [(-1, 1.0)]}, "init.csv line 2: coordinate -1 is outside"),
+        ({"init_rows": [(7, 1.0)]}, "init.csv line 2: coordinate 7 is outside"),
+        ({"dynamics_extra": [(0, 2, 1)]}, "dynamics.csv line 8: control index 2 is outside"),
+        ({"costs_extra": [(0, 2, 0, 1.0)]}, "costs.csv line 14: time index 2 is outside"),
+        ({"costs_extra": [(3, 0, 0, 1.0)]}, "costs.csv line 14: coordinate 3 is outside"),
+        ({"t0": 0.6}, "horizon must be an integer number of time steps"),
+        ({"t0": -0.5, "dt": -0.25}, "horizon and time step must be positive"),
+        ({"dt": 0.0}, "horizon and time step must be positive"),
+        ({"n": 1}, "need at least 2 state nodes per axis"),
+    ],
+    ids=[
+        "init_negative",
+        "init_beyond_grid",
+        "dynamics_control",
+        "costs_time",
+        "costs_state",
+        "horizon_off_grid",
+        "negative_time_step",
+        "zero_time_step",
+        "single_node",
+    ],
+)
+def test_cli_control_rejects_out_of_range_input(tmp_path, capsys, bad, message):
+    assert main(_control_bundle(tmp_path, **bad)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_legendre_control_scenario_hjb_refines():
