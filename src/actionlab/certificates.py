@@ -69,6 +69,14 @@ def _finish_certificate(table, pot, c0, normalization_node, pairing=0.0):
     )
 
 
+def _describe(table: LagrangianTable) -> str:
+    grid = table.grid
+    return (
+        f"the table on grid d={grid.dim}, n={grid.nodes_per_dim}, k={grid.stencil_radius} "
+        f"with L in [{float(table.values.min())!r}, {float(table.values.max())!r}]"
+    )
+
+
 def certify_closed(table: LagrangianTable, solution) -> DualCertificate:
     """Certificate for a closed-case optimum: c0 = value, f from shortest walks.
 
@@ -85,12 +93,17 @@ def certify_closed(table: LagrangianTable, solution) -> DualCertificate:
     n = grid.num_nodes
     tails, heads = grid.edge_endpoints
     red = grid.time_step * (table.values.ravel() - c0)
-    scale = max(1.0, float(np.max(np.abs(red))))
-    pot, ok = network.relax_to_fixpoint(n, tails, heads, red, tol=1e-12 * scale * n)
+    tol = network.cost_tolerance(float(red.max() - red.min()), n)
+    pot, ok = network.relax_to_fixpoint(n, tails, heads, red, tol=tol)
+    if not ok:
+        # c0 is a rounded sum of up to n costs, so it may lie up to n units in
+        # its last place above the critical constant: retry from below that
+        rounding = n * grid.time_step * float(np.spacing(abs(c0)))
+        pot, ok = network.relax_to_fixpoint(n, tails, heads, red + rounding, tol=tol)
     if not ok:
         raise RuntimeError(
-            "reduced costs admit a negative cycle; the supplied value is not "
-            "the critical constant (solver bug)"
+            f"reduced costs h*(L - c0) admit a negative cycle: c0 = {c0!r} is not the "
+            f"critical constant of {_describe(table)}, tolerance {tol!r}"
         )
     support = solution.measure.support_nodes()
     norm_node = support[0] if support else 0
@@ -127,12 +140,12 @@ def certify_boundary(
     heads = np.concatenate([fwd_heads, np.array(back_heads, dtype=int)])
     costs = np.concatenate([fwd_costs, np.array(back_costs, dtype=float)])
 
-    scale = max(1.0, float(np.max(np.abs(costs))))
-    pot, ok = network.relax_to_fixpoint(n, tails, heads, costs, tol=1e-11 * scale * n)
+    tol = network.cost_tolerance(float(costs.max() - costs.min()), n)
+    pot, ok = network.relax_to_fixpoint(n, tails, heads, costs, tol=tol)
     if not ok:
         raise RuntimeError(
-            "residual graph has a negative cycle: the supplied solution is "
-            "not optimal"
+            "residual graph has a negative cycle: the supplied solution is not optimal "
+            f"for {_describe(table)}, tolerance {tol!r}"
         )
     support = solution.measure.support_nodes()
     norm_node = support[0] if support else 0

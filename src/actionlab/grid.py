@@ -83,13 +83,6 @@ class PhaseGrid:
         # Offsets are sorted, so the zero vector sits exactly in the middle.
         return (self.num_offsets - 1) // 2
 
-    def node_coords(self, node: int) -> tuple[int, ...]:
-        """Integer lattice coordinates of a node index."""
-        n = self.nodes_per_dim
-        if self.dim == 1:
-            return (node,)
-        return (node // n, node % n)
-
     def coords_to_node(self, coords) -> int:
         n = self.nodes_per_dim
         coords = [int(c) % n for c in np.atleast_1d(coords)]

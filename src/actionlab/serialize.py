@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,8 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -68,6 +71,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a float as its ``repr``, None as an empty field,
+    every other value as ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -75,8 +80,22 @@ def _write_csv(path, header: list[str], rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _node_cols(grid: PhaseGrid, node: int) -> list[int]:
-    return list(grid.node_coords(node))
+def _rows(columns):
+    """Rows of equal-length columns, each converted whole to Python scalars."""
+    return zip(*(np.asarray(c).ravel().tolist() for c in columns))
+
+
+def _coord_columns(grid: PhaseGrid, ids, edges: bool = False) -> list[np.ndarray]:
+    """Coordinate columns of node ids, or of edge ids (node * num_offsets + m)
+    when ``edges``: the node's lattice coordinates, then the offset's."""
+    ids = np.asarray(ids, dtype=int)
+    M = grid.num_offsets
+    nodes = ids // M if edges else ids
+    n = grid.nodes_per_dim
+    cols = [nodes] if grid.dim == 1 else [nodes // n, nodes % n]
+    if edges:
+        cols += list(grid.offsets[ids % M].T)
+    return cols
 
 
 def _node_header(grid: PhaseGrid, base: str = "node") -> list[str]:
@@ -112,15 +131,8 @@ def grid_from_json(payload: dict) -> PhaseGrid:
 def write_lagrangian_csv(path, table: LagrangianTable) -> None:
     grid = table.grid
     header = _node_header(grid) + _offset_header(grid) + ["value"]
-    rows = []
-    for node in range(grid.num_nodes):
-        for m in range(grid.num_offsets):
-            rows.append(
-                _node_cols(grid, node)
-                + [int(k) for k in grid.offsets[m]]
-                + [float(table.values[node, m])]
-            )
-    _write_csv(path, header, rows)
+    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
+    _write_csv(path, header, _rows(edges + [table.values]))
 
 
 def read_lagrangian_csv(grid: PhaseGrid, path) -> LagrangianTable:
@@ -165,12 +177,12 @@ def _read_edge_rows(grid: PhaseGrid, path):
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     grid = mu.grid
     header = _node_header(grid) + _offset_header(grid) + ["weight"]
-    rows = []
-    for (node, m), w in sorted(mu.weights.items()):
-        rows.append(
-            _node_cols(grid, node) + [int(k) for k in grid.offsets[m]] + [float(w)]
-        )
-    _write_csv(path, header, rows)
+    nodes, m = np.array(list(mu.weights), dtype=int).reshape(-1, 2).T
+    ids = nodes * grid.num_offsets + m
+    weights = np.fromiter(mu.weights.values(), float, len(ids))
+    order = np.argsort(ids)
+    columns = _coord_columns(grid, ids[order], edges=True) + [weights[order]]
+    _write_csv(path, header, _rows(columns))
 
 
 def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
@@ -183,10 +195,10 @@ def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
 def write_current_csv(path, current: BoundaryCurrent) -> None:
     grid = current.grid
     header = _node_header(grid) + ["charge"]
-    rows = [
-        _node_cols(grid, node) + [float(c)] for node, c in sorted(current.charges.items())
-    ]
-    _write_csv(path, header, rows)
+    nodes = np.fromiter(current.charges, int, len(current.charges))
+    charges = np.fromiter(current.charges.values(), float, len(nodes))
+    order = np.argsort(nodes)
+    _write_csv(path, header, _rows(_coord_columns(grid, nodes[order]) + [charges[order]]))
 
 
 def read_current_csv(grid: PhaseGrid, path) -> BoundaryCurrent:
@@ -214,15 +226,8 @@ def write_certificate_json_with_support(path, cert, mu) -> None:
 def write_slack_csv(path, cert) -> None:
     grid = cert.grid
     header = _node_header(grid) + _offset_header(grid) + ["g"]
-    rows = []
-    for node in range(grid.num_nodes):
-        for m in range(grid.num_offsets):
-            rows.append(
-                _node_cols(grid, node)
-                + [int(k) for k in grid.offsets[m]]
-                + [float(cert.slack[node, m])]
-            )
-    _write_csv(path, header, rows)
+    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
+    _write_csv(path, header, _rows(edges + [cert.slack]))
 
 
 def write_envelope_csv(path, table: LagrangianTable, env) -> None:
@@ -234,40 +239,29 @@ def write_envelope_csv(path, table: LagrangianTable, env) -> None:
         + (["p_minus", "p_plus"] if grid.dim == 1 else ["p_lo_i", "p_hi_i", "p_lo_j", "p_hi_j"])
         + ["endpoint"]
     )
-    rows = []
-    for node in range(grid.num_nodes):
-        for m in range(grid.num_offsets):
-            slopes = []
-            for axis in range(grid.dim):
-                slopes += [float(env.grad_lo[node, m, axis]), float(env.grad_hi[node, m, axis])]
-            rows.append(
-                _node_cols(grid, node)
-                + [int(k) for k in grid.offsets[m]]
-                + [float(table.values[node, m]), float(env.values[node, m])]
-                + slopes
-                + [int(env.endpoint[node, m])]
-            )
-    _write_csv(path, header, rows)
+    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
+    slopes = np.stack([env.grad_lo, env.grad_hi], axis=-1).reshape(grid.num_edges, -1)
+    columns = edges + [table.values, env.values] + list(slopes.T) + [env.endpoint.astype(int)]
+    _write_csv(path, header, _rows(columns))
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
-    header = _node_header(grid) + ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
-    rows = []
-    for entry in report.details["nodes"]:
-        mom = entry["momentum"]
-        if mom is not None and not np.isscalar(mom):
-            mom = "|".join(repr(float(v)) for v in np.atleast_1d(mom))
-        rows.append(
-            _node_cols(grid, entry["node"])
-            + [
-                float(entry["f"]),
-                "" if mom is None else mom,
-                "" if entry["momentum_spread"] is None else float(entry["momentum_spread"]),
-                float(entry["H_residual"]),
-                int(entry["on_support"]),
-            ]
-        )
-    _write_csv(path, header, rows)
+    fields = ("f", "momentum", "momentum_spread", "H_residual", "on_support")
+    header = _node_header(grid) + list(fields)
+    entries = report.details["nodes"]
+    nodes, f, mom, spread, h_res, on = zip(*map(itemgetter("node", *fields), entries))
+    # None (off the support) is an empty field, like a None spread; a 2-D
+    # momentum is one field, its components joined by "|".
+    if grid.dim == 2:
+        mom = [None if m is None else "|".join(map(repr, np.ravel(m).tolist())) for m in mom]
+    columns = _coord_columns(grid, nodes) + [
+        np.asarray(f, dtype=float),
+        mom,
+        spread,
+        np.asarray(h_res, dtype=float),
+        np.asarray(on, dtype=int),
+    ]
+    _write_csv(path, header, _rows(columns))
 
 
 def write_measure_result(dest, result) -> None:
@@ -314,20 +308,13 @@ def write_control_result(dest, result) -> None:
 def write_value_function_csv(path, vf) -> None:
     p = vf.problem
     header = (["x"] if p.state_dim == 1 else ["x_i", "x_j"]) + ["t", "v", "argmin_control"]
-    rows = []
-    coords = p.coords.tolist()
-    for s in range(p.num_states):
-        for t_idx in range(p.num_steps + 1):
-            a = int(vf.argmin_control[s, t_idx])
-            rows.append(
-                coords[s]
-                + [
-                    float(t_idx * p.time_step),
-                    float(vf.v[s, t_idx]),
-                    "" if a < 0 else repr(p.controls[a]),
-                ]
-            )
-    _write_csv(path, header, rows)
+    layers = p.num_steps + 1
+    coords = np.repeat(p.coords, layers, axis=0)
+    t = np.tile(np.arange(layers) * p.time_step, p.num_states)
+    # argmin_control is -1 where no step remains: index 0 of the lookup, written empty
+    names = np.array([""] + [repr(a) for a in p.controls], dtype=object)
+    columns = list(coords.T) + [t, vf.v, names[vf.argmin_control + 1]]
+    _write_csv(path, header, _rows(columns))
 
 
 def read_control_problem(path) -> ControlProblem:

@@ -8,6 +8,7 @@ they validate.
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -280,3 +281,148 @@ def loop_u_v_residual(cert, trajectory):
         rhs = cert.u[s, j] - cert.u[y[0], 0] + cert.c0 * (j * dt)
         worst = max(worst, abs(float(arrival[s, j] - rhs)))
     return worst
+
+
+# Row-loop CSV writers: the row-by-row form of the serialize writers, kept
+# as the byte reference for their column form.
+
+
+def _loop_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def _loop_node_cols(grid, node):
+    n = grid.nodes_per_dim
+    if grid.dim == 1:
+        return [node]
+    return [node // n, node % n]
+
+
+def _loop_node_header(grid, base="node"):
+    if grid.dim == 1:
+        return [base]
+    return [f"{base}_i", f"{base}_j"]
+
+
+def _loop_offset_header(grid):
+    if grid.dim == 1:
+        return ["offset"]
+    return ["offset_i", "offset_j"]
+
+
+def loop_write_lagrangian_csv(path, table):
+    grid = table.grid
+    header = _loop_node_header(grid) + _loop_offset_header(grid) + ["value"]
+    rows = []
+    for node in range(grid.num_nodes):
+        for m in range(grid.num_offsets):
+            rows.append(
+                _loop_node_cols(grid, node)
+                + [int(k) for k in grid.offsets[m]]
+                + [float(table.values[node, m])]
+            )
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_measure_csv(path, mu):
+    grid = mu.grid
+    header = _loop_node_header(grid) + _loop_offset_header(grid) + ["weight"]
+    rows = []
+    for (node, m), w in sorted(mu.weights.items()):
+        rows.append(
+            _loop_node_cols(grid, node) + [int(k) for k in grid.offsets[m]] + [float(w)]
+        )
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_current_csv(path, current):
+    grid = current.grid
+    header = _loop_node_header(grid) + ["charge"]
+    rows = [
+        _loop_node_cols(grid, node) + [float(c)] for node, c in sorted(current.charges.items())
+    ]
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_slack_csv(path, cert):
+    grid = cert.grid
+    header = _loop_node_header(grid) + _loop_offset_header(grid) + ["g"]
+    rows = []
+    for node in range(grid.num_nodes):
+        for m in range(grid.num_offsets):
+            rows.append(
+                _loop_node_cols(grid, node)
+                + [int(k) for k in grid.offsets[m]]
+                + [float(cert.slack[node, m])]
+            )
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_envelope_csv(path, table, env):
+    grid = table.grid
+    header = (
+        _loop_node_header(grid)
+        + _loop_offset_header(grid)
+        + ["L", "L_tilde"]
+        + (["p_minus", "p_plus"] if grid.dim == 1 else ["p_lo_i", "p_hi_i", "p_lo_j", "p_hi_j"])
+        + ["endpoint"]
+    )
+    rows = []
+    for node in range(grid.num_nodes):
+        for m in range(grid.num_offsets):
+            slopes = []
+            for axis in range(grid.dim):
+                slopes += [float(env.grad_lo[node, m, axis]), float(env.grad_hi[node, m, axis])]
+            rows.append(
+                _loop_node_cols(grid, node)
+                + [int(k) for k in grid.offsets[m]]
+                + [float(table.values[node, m]), float(env.values[node, m])]
+                + slopes
+                + [int(env.endpoint[node, m])]
+            )
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_node_table_csv(path, grid, report):
+    header = _loop_node_header(grid) + [
+        "f", "momentum", "momentum_spread", "H_residual", "on_support"
+    ]
+    rows = []
+    for entry in report.details["nodes"]:
+        mom = entry["momentum"]
+        if mom is not None and not np.isscalar(mom):
+            mom = "|".join(repr(float(v)) for v in np.atleast_1d(mom))
+        rows.append(
+            _loop_node_cols(grid, entry["node"])
+            + [
+                float(entry["f"]),
+                "" if mom is None else mom,
+                "" if entry["momentum_spread"] is None else float(entry["momentum_spread"]),
+                float(entry["H_residual"]),
+                int(entry["on_support"]),
+            ]
+        )
+    _loop_write_csv(path, header, rows)
+
+
+def loop_write_value_function_csv(path, vf):
+    p = vf.problem
+    header = (["x"] if p.state_dim == 1 else ["x_i", "x_j"]) + ["t", "v", "argmin_control"]
+    rows = []
+    coords = p.coords.tolist()
+    for s in range(p.num_states):
+        for t_idx in range(p.num_steps + 1):
+            a = int(vf.argmin_control[s, t_idx])
+            rows.append(
+                coords[s]
+                + [
+                    float(t_idx * p.time_step),
+                    float(vf.v[s, t_idx]),
+                    "" if a < 0 else repr(p.controls[a]),
+                ]
+            )
+    _loop_write_csv(path, header, rows)

@@ -3,15 +3,18 @@ import pytest
 
 from actionlab import (
     BoundaryCurrent,
+    DiscreteMeasure,
     LagrangianTable,
     build_torus_grid,
     certify_boundary,
     certify_closed,
     discrete_differential,
     lax_oleinik_backward,
+    run_measure,
     sample_lagrangian,
     solve_boundary,
     solve_closed,
+    verify_measure,
     weak_kam_iterate,
 )
 from actionlab.measure_lp import OptimalSolution, OPTIMAL
@@ -247,3 +250,55 @@ def test_weak_kam_output_dual_feasible():
         df = discrete_differential(res.potential, table.grid)
         slack = table.values - sol.value - df
         assert slack.min() >= -1e-9
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-6, 1e-12])
+def test_certificates_reject_suboptimal_measures_at_every_scale(a):
+    # d=1, n=8 pendulum 0.5 v^2 + cos 2 pi x, scaled by a: the relaxation
+    # tolerance follows the cost spread, so a measure rejected at a = 1 is
+    # rejected at every a > 0, and the optima still certify
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    pendulum = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + np.cos(2 * np.pi * x))
+    table = LagrangianTable(grid=grid, values=a * pendulum.values)
+
+    # closed: the rest loop at node 0 sits on the hill top, cos 0 = 1
+    rest = DiscreteMeasure(grid=grid, weights={(0, grid.zero_offset_index): 1.0})
+    value = float(table.values[0, grid.zero_offset_index])
+    with pytest.raises(RuntimeError, match="negative cycle"):
+        verify_measure(table, OptimalSolution(measure=rest, value=value, status=OPTIMAL))
+    assert all(run_measure(table).criteria(1e-8 * a).values())
+
+    # boundary: unit charge from node 0 to node 3; the five-edge path the long
+    # way round, 0 -> 7 -> 6 -> 5 -> 4 -> 3, costs more than 0 -> 1 -> 2 -> 3
+    shifted = LagrangianTable(grid=grid, values=table.values + a)
+    current = BoundaryCurrent(grid=grid, charges={0: -1.0, 3: 1.0})
+    h = grid.time_step
+    left = grid.offset_index([-1])
+    long_way = DiscreteMeasure(grid=grid, weights={(x, left): h for x in (0, 7, 6, 5, 4)})
+    value = float(sum(shifted.values[e] * w for e, w in long_way.weights.items()))
+    with pytest.raises(RuntimeError, match="negative cycle"):
+        verify_measure(shifted, OptimalSolution(long_way, value, OPTIMAL), current)
+    assert all(run_measure(shifted, current).criteria(1e-8 * a).values())
+
+
+@pytest.mark.parametrize("b", [1e6, 1e9])
+def test_closed_optimum_of_offset_table_certifies(b):
+    # d=1, n=64 drift table 0.5 (v - 1.37)^2 + 0.1 cos 2 pi x, whose optimum
+    # is a cycle of 64 edges.  Plus a large offset b, its value c0 is a
+    # rounded mean, a few units in the last place off the exact one; the
+    # optimum must certify with c0 as solved and as summed edge by edge, the
+    # way a measure read from a CSV is valued
+    grid = build_torus_grid(1, 64, 2, 1.0 / 64)
+    drift = sample_lagrangian(
+        grid, lambda x, v: 0.5 * (v - 1.37) ** 2 + 0.1 * np.cos(2 * np.pi * x)
+    )
+    for a in (1.0, 1e-6):
+        table = LagrangianTable(grid=grid, values=a * drift.values + b)
+        result = run_measure(table)
+        measure = result.solution.measure
+        assert len(measure.weights) == 64
+        summed = float(sum(table.values[e] * w for e, w in measure.weights.items()))
+        cert = certify_closed(table, OptimalSolution(measure, summed, OPTIMAL))
+        for c in (result.certificate, cert):
+            assert c.slack_min >= -1e-14 * b, (a, c.slack_min)
+            assert c.slack_on_support(measure) <= 1e-12 * b, (a, c.slack_on_support(measure))

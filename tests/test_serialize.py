@@ -1,16 +1,23 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
 from actionlab import (
     BoundaryCurrent,
     DiscreteMeasure,
+    LagrangianTable,
     build_torus_grid,
+    fiber_convex_envelope,
+    run_measure,
     sample_lagrangian,
 )
 from actionlab import serialize
 from actionlab.cli import main
+from actionlab.control import make_control_problem, solve_value_function
 
 
 @pytest.mark.parametrize("d,n,k", [(1, 6, 2), (2, 3, 1)])
@@ -148,3 +155,88 @@ def test_cli_certify_unreadable_solution_is_a_usage_error(tmp_path, capsys):
     assert "s.csv is empty" in capsys.readouterr().err
     assert _certify_exit_code(tmp_path, table, "x,k,w\n1.7,0,1.0\n") == 2
     assert "s.csv line 2: '1.7' is not an integer" in capsys.readouterr().err
+
+
+def _same_bytes(tmp_path, write, loop_write, *args):
+    write(tmp_path / "column.csv", *args)
+    loop_write(tmp_path / "loop.csv", *args)
+    assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+EXTREMES = [-0.0, 1e-300, 1e300, -1e300, 5e-324]
+
+
+@pytest.mark.parametrize("d,n,k", [(1, 5, 1), (1, 6, 2), (2, 3, 1), (2, 4, 2)])
+def test_measure_writers_match_loop_references(tmp_path, d, n, k):
+    # the column writers against the row loops they replaced, byte for byte
+    rng = np.random.default_rng([d, n, k])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    shape = (grid.num_nodes, grid.num_offsets)
+    table = LagrangianTable(grid=grid, values=rng.uniform(-1, 1, shape))
+    result = run_measure(table)
+    values = table.values.copy()
+    values.flat[rng.choice(values.size, len(EXTREMES), replace=False)] = EXTREMES
+    extreme = LagrangianTable(grid=grid, values=values)
+    edges = rng.choice(grid.num_edges, 6, replace=False).tolist()
+    weights = [1e-300, 1e300, 5e-324, 0.1, 2.0, 1 / 3]
+    sparse = DiscreteMeasure(
+        grid=grid, weights={divmod(e, grid.num_offsets): w for e, w in zip(edges, weights)}
+    )
+    a, b, c, e = rng.choice(grid.num_nodes, 4, replace=False).tolist()
+    current = BoundaryCurrent(grid=grid, charges={a: 1e300, b: -1e300, c: 1e-300, e: -1e-300})
+    # 1-D momenta are floats, 2-D ones are "|"-joined; None off the support
+    momentum = 1e-300 if d == 1 else np.array([-0.0, 1e300])
+    nodes = [
+        {
+            "node": x,
+            "f": EXTREMES[x % 5],
+            "momentum": None if x % 2 else momentum,
+            "momentum_spread": None if x % 2 else EXTREMES[(x + 1) % 5],
+            "H_residual": -EXTREMES[(x + 2) % 5],
+            "on_support": x % 2 == 0,
+        }
+        for x in range(grid.num_nodes)
+    ]
+    synthetic = SimpleNamespace(details={"nodes": nodes})
+    cases = [
+        ("lagrangian", table), ("lagrangian", extreme),
+        ("measure", result.solution.measure), ("measure", sparse),
+        ("measure", DiscreteMeasure(grid=grid, weights={})),
+        ("current", current),
+        ("slack", result.certificate),
+        ("slack", dataclasses.replace(result.certificate, slack=values)),
+        ("envelope", table, result.envelope),
+        ("envelope", extreme, fiber_convex_envelope(extreme)),
+        ("node_table", grid, result.report), ("node_table", grid, synthetic),
+    ]
+    for i, (kind, *args) in enumerate(cases):
+        dest = tmp_path / str(i)
+        dest.mkdir()
+        writer = getattr(serialize, f"write_{kind}_csv")
+        _same_bytes(dest, writer, getattr(oracles, f"loop_write_{kind}_csv"), *args)
+
+
+@pytest.mark.parametrize("state_dim", [1, 2])
+def test_value_function_writer_matches_loop_reference(tmp_path, state_dim):
+    rng = np.random.default_rng(state_dim)
+    dx, dt = 0.25, 0.25
+    if state_dim == 1:
+        controls = (-1.0, 0, 1)
+    else:
+        controls = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
+    weights = rng.uniform(0.5, 2.0, len(controls))
+    p = make_control_problem(
+        state_dim=state_dim,
+        nodes_per_axis=4,
+        origin=[-0.5] * state_dim,
+        spacing=dx,
+        controls=controls,
+        dynamics=lambda x, a: np.asarray(a, dtype=float) * dx / dt,
+        running_cost=lambda x, t, a: float(np.sum(np.square(x))) + weights[controls.index(a)] * t,
+        horizon=3 * dt,
+        time_step=dt,
+    )
+    vf = solve_value_function(p)
+    assert (vf.argmin_control[:, 0] == -1).all()  # the final layer: nothing remains
+    write = serialize.write_value_function_csv
+    _same_bytes(tmp_path, write, oracles.loop_write_value_function_csv, vf)
