@@ -48,7 +48,6 @@ from .diagnostics import (
     estimate_momentum_lipschitz,
     full_report,
     run_measure,
-    torus_distance,
     verify_measure,
 )
 from .control import (

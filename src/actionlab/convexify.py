@@ -231,9 +231,11 @@ def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure) -> dict[int, NodeMom
     """
     if not env.grid.same_layout(mu.grid):
         raise ValueError("envelope and measure live on different grids")
+    offsets: dict[int, list[int]] = {}
+    for node, m in sorted(mu.weights):
+        offsets.setdefault(node, []).append(m)
     field_out: dict[int, NodeMomentum] = {}
-    for node in mu.support_nodes():
-        offs = mu.supported_offsets(node)
+    for node, offs in offsets.items():
         ders = tuple((m, envelope_fiber_derivative(env, node, m)) for m in offs)
         moms = np.array([np.atleast_1d(d.momentum) for _m, d in ders])
         spread = 0.0

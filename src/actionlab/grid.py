@@ -248,9 +248,6 @@ class DiscreteMeasure:
         """Sorted projected support pi(supp mu)."""
         return sorted({node for (node, _m) in self.weights})
 
-    def supported_offsets(self, node: int) -> list[int]:
-        return sorted(m for (x, m) in self.weights if x == node)
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.grid.num_nodes, self.grid.num_offsets))
         for (node, m), w in self.weights.items():

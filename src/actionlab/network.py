@@ -8,6 +8,7 @@ combinatorial algorithms instead of general-purpose LP.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -33,12 +34,13 @@ MASS_TOL = 1e-13
 AUGMENTATIONS_PER_ELEMENT = 50
 
 
-def _adjacency(num_nodes: int, tails: np.ndarray) -> list[list[int]]:
-    """Out-edge ids per node, ascending (edge order is the tie-break order)."""
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for e, t in enumerate(tails):
-        adj[int(t)].append(e)
-    return adj
+def _csr(num_nodes: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids grouped by node: node v's edges are ``order[first[v]:first[v + 1]]``,
+    ascending within each node (edge order is the tie-break order)."""
+    order = np.argsort(keys, kind="stable")
+    first = np.zeros(num_nodes + 1, dtype=int)
+    np.cumsum(np.bincount(keys, minlength=num_nodes), out=first[1:])
+    return order, first
 
 
 def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
@@ -48,11 +50,13 @@ def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
     smallest label among components it could be compared with; only equality
     of labels is meaningful.
     """
-    adj = _adjacency(num_nodes, tails)
-    index = np.full(num_nodes, -1, dtype=int)
-    low = np.zeros(num_nodes, dtype=int)
-    on_stack = np.zeros(num_nodes, dtype=bool)
-    comp = np.full(num_nodes, -1, dtype=int)
+    order, first = _csr(num_nodes, np.asarray(tails, dtype=int))
+    succ = np.asarray(heads, dtype=int)[order].tolist()
+    first = first.tolist()
+    index = [-1] * num_nodes
+    low = [0] * num_nodes
+    on_stack = [False] * num_nodes
+    comp = [-1] * num_nodes
     stack: list[int] = []
     counter = 0
     ncomp = 0
@@ -69,8 +73,8 @@ def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            while ei < len(adj[v]):
-                w = int(heads[adj[v][ei]])
+            while first[v] + ei < first[v + 1]:
+                w = succ[first[v] + ei]
                 ei += 1
                 if index[w] == -1:
                     work[-1] = (v, ei)
@@ -93,7 +97,7 @@ def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return comp
+    return np.array(comp, dtype=int)
 
 
 def cost_tolerance(spread: float, num_nodes: int) -> float:
@@ -182,8 +186,7 @@ def _nodes_reaching_cycles(num_nodes, tails, heads) -> np.ndarray:
     """Mask of nodes with a walk to some cycle: strip nodes with no out-edge
     left, one at a time, through the in-edges of each stripped node."""
     out_degree = np.bincount(tails, minlength=num_nodes)
-    by_head = np.argsort(heads, kind="stable")
-    first_in = np.searchsorted(heads[by_head], np.arange(num_nodes + 1))
+    by_head, first_in = _csr(num_nodes, heads)
     live = np.ones(num_nodes, dtype=bool)
     stack = np.flatnonzero(out_degree == 0).tolist()
     while stack:
@@ -273,16 +276,28 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     and demand make it INFEASIBLE.  Dijkstra runs on reduced costs, with
     initial potentials from the virtual-source Bellman-Ford pass, so all
     reduced costs stay nonnegative throughout.
+
+    No tolerance depends on the costs' absolute size, so the status and the
+    support do not change under costs -> a * costs (a > 0): the negative-cycle
+    test allows ``cost_tolerance`` of the cost spread, and Dijkstra compares
+    distances exactly.  Imbalances below ``MASS_TOL`` times the total
+    |imbalance| count as settled.
+
+    Dijkstra reads the arcs through memoryviews, so its inner loop handles
+    Python scalars: forward arcs from the out-edges of a CSR table, reverse
+    arcs from each node's list of in-edges that carry flow.  Of equal
+    distances a node keeps the first found, scanning out-edges and then
+    in-edges in ascending id; the heap pops equal distances by node index.
     """
-    tails = np.asarray(tails, dtype=int)
-    heads = np.asarray(heads, dtype=int)
-    costs = np.asarray(costs, dtype=float)
-    b = np.asarray(imbalance, dtype=float).copy()
+    tails = np.ascontiguousarray(tails, dtype=int)
+    heads = np.ascontiguousarray(heads, dtype=int)
+    costs = np.ascontiguousarray(costs, dtype=float)
+    b = np.array(imbalance, dtype=float)
     num_edges = len(tails)
     flow = np.zeros(num_edges)
 
-    scale = float(np.max(np.abs(costs))) if num_edges else 1.0
-    neg_tol = 1e-12 * max(1.0, scale) * max(1, num_nodes)
+    spread = float(costs.max() - costs.min()) if num_edges else 0.0
+    neg_tol = cost_tolerance(spread, num_nodes)
     pot, ok = relax_to_fixpoint(num_nodes, tails, heads, costs, tol=neg_tol)
     if not ok:
         return FlowResult(UNBOUNDED, flow, pot, float("-inf"))
@@ -292,8 +307,14 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
     zero = MASS_TOL * max(1.0, supply_scale)
 
-    out_edges = _adjacency(num_nodes, tails)
-    in_edges = _adjacency(num_nodes, heads)
+    out_order, out_first = _csr(num_nodes, tails)
+    out_order, out_first = memoryview(out_order), out_first.tolist()
+    # node -> ascending ids of its in-edges with flow above ``zero``, the
+    # only reverse arcs of the residual graph
+    carrying: dict[int, list[int]] = {}
+    tail_of, head_of, cost_of = memoryview(tails), memoryview(heads), memoryview(costs)
+    flow_of, pot_of, b_of = memoryview(flow), memoryview(pot), memoryview(b)
+    inf = float("inf")
     for _ in range(AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)):
         sources = np.flatnonzero(b < -zero)
         if len(sources) == 0:
@@ -301,35 +322,38 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         s = int(sources[0])
 
         # Dijkstra on the residual graph with reduced costs.
-        dist = np.full(num_nodes, np.inf)
+        dist = [inf] * num_nodes
         dist[s] = 0.0
         pred: dict[int, tuple[int, int]] = {}  # node -> (edge, direction)
-        done = np.zeros(num_nodes, dtype=bool)
+        done = bytearray(num_nodes)
         heap = [(0.0, s)]
         target = -1
         while heap:
             dv, v = heapq.heappop(heap)
             if done[v] or dv > dist[v]:
                 continue
-            done[v] = True
-            if b[v] > zero:
+            done[v] = 1
+            if b_of[v] > zero:
                 target = v
                 break
-            for e in out_edges[v]:
-                rc = costs[e] + pot[v] - pot[heads[e]]
-                nd = dv + max(rc, 0.0)
-                w = int(heads[e])
-                if nd < dist[w] - 1e-18:
+            pv = pot_of[v]
+            for e in out_order[out_first[v] : out_first[v + 1]]:
+                w = head_of[e]
+                rc = cost_of[e] + pv - pot_of[w]
+                if rc < 0.0:  # max(rc, 0.0) without the call
+                    rc = 0.0
+                nd = dv + rc
+                if nd < dist[w]:
                     dist[w] = nd
                     pred[w] = (e, +1)
                     heapq.heappush(heap, (nd, w))
-            for e in in_edges[v]:
-                if flow[e] <= zero:
-                    continue
-                rc = -costs[e] + pot[v] - pot[tails[e]]
-                nd = dv + max(rc, 0.0)
-                w = int(tails[e])
-                if nd < dist[w] - 1e-18:
+            for e in carrying.get(v, ()):
+                w = tail_of[e]
+                rc = -cost_of[e] + pv - pot_of[w]
+                if rc < 0.0:
+                    rc = 0.0
+                nd = dv + rc
+                if nd < dist[w]:
                     dist[w] = nd
                     pred[w] = (e, -1)
                     heapq.heappush(heap, (nd, w))
@@ -339,21 +363,28 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         # Trace the augmenting path and the amount it can carry.
         path: list[tuple[int, int]] = []
         v = target
-        amount = min(-b[s], b[target])
+        amount = min(-b_of[s], b_of[target])
         while v != s:
             e, direction = pred[v]
             path.append((e, direction))
             if direction < 0:
-                amount = min(amount, flow[e])
-                v = int(heads[e])
+                amount = min(amount, flow_of[e])
+                v = head_of[e]
             else:
-                v = int(tails[e])
+                v = tail_of[e]
         for e, direction in path:
-            flow[e] += direction * amount
-            if flow[e] < 0.0:
-                flow[e] = 0.0
-        b[s] += amount
-        b[target] -= amount
+            flow_of[e] += direction * amount
+            if flow_of[e] < 0.0:
+                flow_of[e] = 0.0
+            into = carrying.setdefault(head_of[e], [])
+            i = bisect.bisect_left(into, e)
+            listed = i < len(into) and into[i] == e
+            if flow_of[e] > zero and not listed:
+                into.insert(i, e)
+            elif flow_of[e] <= zero and listed:
+                del into[i]
+        b_of[s] += amount
+        b_of[target] -= amount
         pot += np.minimum(dist, dist[target])
     else:
         raise RuntimeError("min_cost_flow failed to terminate; solver bug")

@@ -71,13 +71,12 @@ def write_json(path, payload: dict) -> None:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """The one CSV writer: a float as its ``repr``, None as an empty field,
-    every other value as ``str``."""
+    """The one CSV writer: the csv module writes a float as its ``repr``,
+    None as an empty field, every other value as ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def _rows(columns):

@@ -426,3 +426,150 @@ def loop_write_value_function_csv(path, vf):
                 ]
             )
     _loop_write_csv(path, header, rows)
+
+
+# Loop forms of the boundary hot paths: per-node edge lists and numpy-scalar
+# reads for the min-cost flow, a Python pair loop for the Lipschitz estimate.
+# The package's CSR and array code must match them bit for bit: the float
+# operations and their order are the same.
+
+
+def _loop_adjacency(num_nodes, tails):
+    """Out-edge ids per node, ascending."""
+    adj = [[] for _ in range(num_nodes)]
+    for e, t in enumerate(tails):
+        adj[int(t)].append(e)
+    return adj
+
+
+def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
+    """Successive shortest paths, one numpy scalar per arc read.
+
+    Same algorithm and tolerances as ``network.min_cost_flow``: the
+    negative-cycle test allows ``cost_tolerance`` of the cost spread, and
+    Dijkstra compares distances exactly.
+    """
+    import heapq
+
+    from actionlab.network import (
+        AUGMENTATIONS_PER_ELEMENT,
+        INFEASIBLE,
+        MASS_TOL,
+        OPTIMAL,
+        UNBOUNDED,
+        FlowResult,
+        cost_tolerance,
+        relax_to_fixpoint,
+    )
+
+    tails = np.asarray(tails, dtype=int)
+    heads = np.asarray(heads, dtype=int)
+    costs = np.asarray(costs, dtype=float)
+    b = np.asarray(imbalance, dtype=float).copy()
+    num_edges = len(tails)
+    flow = np.zeros(num_edges)
+
+    spread = float(costs.max() - costs.min()) if num_edges else 0.0
+    neg_tol = cost_tolerance(spread, num_nodes)
+    pot, ok = relax_to_fixpoint(num_nodes, tails, heads, costs, tol=neg_tol)
+    if not ok:
+        return FlowResult(UNBOUNDED, flow, pot, float("-inf"))
+
+    supply_scale = float(np.sum(np.abs(b)))
+    if supply_scale == 0.0:
+        return FlowResult(OPTIMAL, flow, pot, 0.0)
+    zero = MASS_TOL * max(1.0, supply_scale)
+
+    out_edges = _loop_adjacency(num_nodes, tails)
+    in_edges = _loop_adjacency(num_nodes, heads)
+    for _ in range(AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)):
+        sources = np.flatnonzero(b < -zero)
+        if len(sources) == 0:
+            break
+        s = int(sources[0])
+
+        dist = np.full(num_nodes, np.inf)
+        dist[s] = 0.0
+        pred = {}
+        done = np.zeros(num_nodes, dtype=bool)
+        heap = [(0.0, s)]
+        target = -1
+        while heap:
+            dv, v = heapq.heappop(heap)
+            if done[v] or dv > dist[v]:
+                continue
+            done[v] = True
+            if b[v] > zero:
+                target = v
+                break
+            for e in out_edges[v]:
+                rc = costs[e] + pot[v] - pot[heads[e]]
+                nd = dv + max(rc, 0.0)
+                w = int(heads[e])
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = (e, +1)
+                    heapq.heappush(heap, (nd, w))
+            for e in in_edges[v]:
+                if flow[e] <= zero:
+                    continue
+                rc = -costs[e] + pot[v] - pot[tails[e]]
+                nd = dv + max(rc, 0.0)
+                w = int(tails[e])
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = (e, -1)
+                    heapq.heappush(heap, (nd, w))
+        if target < 0:
+            return FlowResult(INFEASIBLE, flow, pot, float("inf"))
+
+        path = []
+        v = target
+        amount = min(-b[s], b[target])
+        while v != s:
+            e, direction = pred[v]
+            path.append((e, direction))
+            if direction < 0:
+                amount = min(amount, flow[e])
+                v = int(heads[e])
+            else:
+                v = int(tails[e])
+        for e, direction in path:
+            flow[e] += direction * amount
+            if flow[e] < 0.0:
+                flow[e] = 0.0
+        b[s] += amount
+        b[target] -= amount
+        pot += np.minimum(dist, dist[target])
+    else:
+        raise RuntimeError("loop_min_cost_flow failed to terminate")
+
+    value = float(np.dot(costs, flow))
+    return FlowResult(OPTIMAL, flow, pot, value)
+
+
+def torus_distance(grid, x: int, y: int) -> float:
+    """l-infinity wraparound distance between two nodes."""
+    px, py = grid.positions[x], grid.positions[y]
+    delta = np.abs(px - py)
+    delta = np.minimum(delta, 1.0 - delta)
+    return float(delta.max())
+
+
+def loop_momentum_lipschitz(momenta: dict, grid, exclusion=()) -> float:
+    """max over node pairs outside the exclusion set of |p(x) - p(y)| / dist(x, y),
+    one pair at a time; pairs at distance 0 are skipped."""
+    excl = set(exclusion)
+    nodes = sorted(x for x in momenta if x not in excl)
+    if len(nodes) < 2:
+        return 0.0
+    vals = [np.atleast_1d(np.asarray(momenta[x], dtype=float)) for x in nodes]
+    best = 0.0
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            dist = torus_distance(grid, nodes[i], nodes[j])
+            if dist == 0.0:
+                continue
+            diff = float(np.max(np.abs(vals[i] - vals[j])))
+            best = max(best, diff / dist)
+    return best

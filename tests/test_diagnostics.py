@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,15 @@ from actionlab import (
     estimate_momentum_lipschitz,
     fiber_convex_envelope,
     full_report,
+    momentum_field,
     sample_lagrangian,
     solve_boundary,
     solve_closed,
-    torus_distance,
 )
+from actionlab import diagnostics
+from actionlab.diagnostics import LIPSCHITZ_BLOCK
 
-from oracles import random_closed_instance
+from oracles import loop_momentum_lipschitz, random_closed_instance, torus_distance
 
 
 def test_hamiltonian_examples():
@@ -113,7 +117,49 @@ def test_lipschitz_exclusion_monotone():
         assert estimate_momentum_lipschitz(momenta, grid, excl) <= base + 1e-15
 
 
+def _pipeline_momenta(rng, d, n, k, pairs):
+    """Momenta of every support node of a seeded boundary solution (endpoint
+    velocities included) and the charged nodes, to be excluded."""
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    table = LagrangianTable(
+        grid=grid, values=rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    )
+    ends = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
+    charges = {int(x): -1.0 for x in ends[:pairs]}
+    charges.update({int(x): 1.0 for x in ends[pairs:]})
+    current = BoundaryCurrent(grid=grid, charges=charges)
+    sol = solve_boundary(table, current)
+    field = momentum_field(fiber_convex_envelope(table), sol.measure)
+    assert any(info.any_endpoint for info in field.values())
+    return {x: info.momentum for x, info in field.items()}, grid, current.support()
+
+
+@pytest.mark.parametrize("block", [40, LIPSCHITZ_BLOCK])
+def test_lipschitz_estimator_equals_loop_reference(monkeypatch, block):
+    # the blocked array scan against the pair loop, bit for bit, with row
+    # blocks smaller and larger than the support
+    monkeypatch.setattr(diagnostics, "LIPSCHITZ_BLOCK", block)
+    rng = np.random.default_rng(43)
+    for d, n, k, pairs in ((1, 64, 2, 6), (2, 12, 1, 4), (2, 16, 2, 5)):
+        momenta, grid, charged = _pipeline_momenta(rng, d, n, k, pairs)
+        for exclusion in ((), charged):
+            est = estimate_momentum_lipschitz(momenta, grid, exclusion)
+            assert est == loop_momentum_lipschitz(momenta, grid, exclusion)
+            assert est > 0.0
+    # the largest quotient sits on the last pair of nodes
+    grid = build_torus_grid(1, 10, 1, 0.1)
+    jump = {x: float(x == 9) for x in range(1, 10)}
+    assert estimate_momentum_lipschitz(jump, grid) == loop_momentum_lipschitz(jump, grid)
+    # distance-0 pairs: positions 0 and 1 coincide on the torus, as do repeats
+    for dim in (1, 2):
+        grid = SimpleNamespace(positions=rng.choice([0.0, 0.25, 0.5, 1.0], size=(30, dim)))
+        momenta = {x: rng.normal(size=dim) if dim == 2 else float(rng.normal()) for x in range(30)}
+        est = estimate_momentum_lipschitz(momenta, grid, exclusion=(3, 7))
+        assert est == loop_momentum_lipschitz(momenta, grid, exclusion=(3, 7))
+
+
 def test_torus_distance_wraps():
+    # the distance of the loop reference above
     grid = build_torus_grid(1, 10, 1, 0.1)
     assert torus_distance(grid, 0, 9) == pytest.approx(0.1)
     assert torus_distance(grid, 2, 7) == pytest.approx(0.5)

@@ -116,6 +116,36 @@ def test_boundary_distance_equals_dijkstra():
     assert bm.charge(src) == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [1e6, 1.0, 1e-6, 1e-12, 1e-15])
+def test_boundary_negative_cycle_unbounded_at_every_scale(a):
+    # d=1, n=8 pendulum 0.5 v^2 + cos 2 pi x times a: the rest loops over the
+    # valley cost a cos 2 pi x < 0, so every a > 0 leaves the problem unbounded
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    pendulum = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + np.cos(2 * np.pi * x))
+    table = LagrangianTable(grid=grid, values=a * pendulum.values)
+    current = BoundaryCurrent(grid=grid, charges={0: -1.0, 3: 1.0})
+    assert solve_boundary(table, current).status == UNBOUNDED
+
+
+def test_boundary_status_and_support_invariant_under_scaling():
+    # seeded nonnegative 2-D n=16 table with 8 unit charge pairs: L -> a L
+    # keeps the status and the support, and scales the value by a
+    rng = np.random.default_rng(97)
+    grid = build_torus_grid(2, 16, 1, 1.0 / 16)
+    values = rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    ends = rng.choice(grid.num_nodes, size=16, replace=False)
+    charges = {int(x): -1.0 for x in ends[:8]}
+    charges.update({int(x): 1.0 for x in ends[8:]})
+    current = BoundaryCurrent(grid=grid, charges=charges)
+    base = solve_boundary(LagrangianTable(grid=grid, values=values), current)
+    assert base.status == OPTIMAL
+    for a in (1e6, 1.0, 1e-6, 1e-12, 1e-18, 1e-24):
+        sol = solve_boundary(LagrangianTable(grid=grid, values=a * values), current)
+        assert sol.status == OPTIMAL, a
+        assert sol.measure.weights.keys() == base.measure.weights.keys(), a
+        assert sol.value / a == pytest.approx(base.value, rel=1e-12), a
+
+
 def test_boundary_zero_current_with_negative_cycle_is_unbounded():
     grid = build_torus_grid(1, 6, 1, 0.5)
     table = sample_lagrangian(grid, lambda x, v: -1.0 if v == 0 else 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import independent_karp
+from oracles import independent_karp, loop_min_cost_flow
 
 from actionlab.network import (
     INFEASIBLE,
@@ -221,3 +221,78 @@ def test_min_cost_flow_fractional_amounts():
         net[h] += f
         net[t] -= f
     assert np.max(np.abs(net - b)) <= 1e-10
+
+
+def _random_flow_case(rng, n, negative_cycle=False, split=False, integer=False):
+    """Dense graph with parallel edges and self-loops.  Costs are a positive
+    part plus a potential difference, so single arcs go negative while every
+    cycle stays positive, unless a negative cycle is planted.  With ``split``
+    no edge joins the two halves of the nodes; ``integer`` costs tie often."""
+    f = rng.integers(-2, 3, size=n) if integer else rng.normal(size=n)
+    tails, heads = [], []
+    for u in range(n):
+        for v in range(n):
+            if not split or (u < n // 2) == (v < n // 2):
+                tails += [u] * int(rng.integers(1, 3))
+                heads += [v] * (len(tails) - len(heads))
+    tails, heads = np.array(tails), np.array(heads)
+    if integer:
+        costs = (rng.integers(1, 3, size=len(tails)) + f[heads] - f[tails]).astype(float)
+    else:
+        costs = rng.uniform(0.05, 1.0, size=len(tails)) + f[heads] - f[tails]
+    if negative_cycle:
+        u, v = rng.choice(n, size=2, replace=False)
+        pair = np.flatnonzero(((tails == u) & (heads == v)) | ((tails == v) & (heads == u)))
+        costs[pair] = f[heads[pair]] - f[tails[pair]] - 0.5
+    b = np.zeros(n)
+    ends = rng.choice(n, size=4, replace=False)
+    supply = rng.uniform(0.1, 1.0, size=2)
+    b[ends[:2]] = -supply
+    b[ends[2:]] = supply[::-1] if rng.random() < 0.5 else supply
+    return n, tails, heads, costs, b
+
+
+def _random_layered_case(rng, states, layers):
+    """Time-layered DAG like the control LP's: arcs from layer j to j + 1 with
+    signed costs, parallel arcs, fractional supplies at layer 0 and one sink."""
+    sink = states * (layers + 1)
+    tails, heads = [], []
+    for j in range(layers):
+        for s in range(states):
+            for t in rng.integers(0, states, size=int(rng.integers(1, 4))):
+                tails.append(j * states + s)
+                heads.append((j + 1) * states + int(t))
+    tails += [layers * states + s for s in range(states)]
+    heads += [sink] * states
+    costs = np.concatenate(
+        [rng.uniform(-1.0, 1.0, size=len(tails) - states), np.zeros(states)]
+    )
+    b = np.zeros(sink + 1)
+    b[:states] = -rng.dirichlet(np.ones(states))
+    b[sink] = -b[:states].sum()
+    return sink + 1, np.array(tails), np.array(heads), costs, b
+
+
+def test_min_cost_flow_equals_loop_reference():
+    # the CSR/memoryview solver against the per-node-list, numpy-scalar loop:
+    # equal flows, potentials, values and statuses, bit for bit; integer
+    # costs make ties, so the scan order of the arcs is pinned too
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(4, 10))
+        cases.append(_random_flow_case(rng, n))
+        cases.append(_random_flow_case(rng, n, negative_cycle=True))
+        cases.append(_random_flow_case(rng, n, split=True))
+        cases.append(_random_flow_case(rng, n, integer=True))
+        cases.append(_random_layered_case(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5))))
+    statuses = set()
+    for case in cases:
+        res = min_cost_flow(*case)
+        ref = loop_min_cost_flow(*case)
+        statuses.add(res.status)
+        assert res.status == ref.status
+        assert np.array_equal(res.flow, ref.flow)
+        assert np.array_equal(res.potentials, ref.potentials)
+        assert res.value == ref.value
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
