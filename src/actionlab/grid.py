@@ -194,16 +194,18 @@ def sample_lagrangian(grid: PhaseGrid, lagrangian: Callable) -> LagrangianTable:
     non-finite output raises with the offending edge identified.
     """
     values = np.empty((grid.num_nodes, grid.num_offsets))
+    velocities = [grid.velocity(m) for m in range(grid.num_offsets)]
     for x in range(grid.num_nodes):
         pos = grid.position(x)
-        for m in range(grid.num_offsets):
-            val = lagrangian(pos, grid.velocity(m))
-            values[x, m] = val
-            if not np.isfinite(values[x, m]):
-                raise ValueError(
-                    f"Lagrangian returned non-finite value {val!r} at node {x} "
-                    f"(x={pos}), offset {tuple(grid.offsets[m])}"
-                )
+        row = [lagrangian(pos, v) for v in velocities]
+        values[x] = row
+        finite = np.isfinite(values[x])
+        if not finite.all():
+            m = int(np.argmin(finite))
+            raise ValueError(
+                f"Lagrangian returned non-finite value {row[m]!r} at node {x} "
+                f"(x={pos}), offset {tuple(grid.offsets[m].tolist())}"
+            )
     return LagrangianTable(grid=grid, values=values)
 
 

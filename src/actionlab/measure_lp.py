@@ -132,13 +132,10 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
         empty = DiscreteMeasure(grid=grid, weights={})
         return OptimalSolution(measure=empty, value=result.value, status=result.status)
 
-    m = grid.num_offsets
     drop = 1e-12 * max(1.0, float(np.sum(np.abs(b))))
-    weights = {
-        (int(e) // m, int(e) % m): float(w)
-        for e, w in enumerate(result.flow)
-        if w > drop
-    }
-    measure = DiscreteMeasure(grid=grid, weights=weights)
-    value = float(sum(table.values[edge] * w for edge, w in weights.items()))
+    support = np.flatnonzero(result.flow > drop)  # ascending edge ids
+    flow = result.flow[support].tolist()
+    edges = zip(*(c.tolist() for c in np.divmod(support, grid.num_offsets)))
+    measure = DiscreteMeasure(grid=grid, weights=dict(zip(edges, flow)))
+    value = float(sum(c * w for c, w in zip(costs[support].tolist(), flow)))
     return OptimalSolution(measure=measure, value=value, status=OPTIMAL)

@@ -230,18 +230,12 @@ def write_slack_csv(path, cert) -> None:
 
 
 def write_envelope_csv(path, table: LagrangianTable, env) -> None:
+    """L_tilde and the endpoint flag per edge.  L itself is the Lagrangian
+    CSV, and the one-sided slopes are differences of L_tilde (``_fiber_slopes``)."""
     grid = table.grid
-    header = (
-        _node_header(grid)
-        + _offset_header(grid)
-        + ["L", "L_tilde"]
-        + (["p_minus", "p_plus"] if grid.dim == 1 else ["p_lo_i", "p_hi_i", "p_lo_j", "p_hi_j"])
-        + ["endpoint"]
-    )
+    header = _node_header(grid) + _offset_header(grid) + ["L_tilde", "endpoint"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    slopes = np.stack([env.grad_lo, env.grad_hi], axis=-1).reshape(grid.num_edges, -1)
-    columns = edges + [table.values, env.values] + list(slopes.T) + [env.endpoint.astype(int)]
-    _write_csv(path, header, _rows(columns))
+    _write_csv(path, header, _rows(edges + [env.values, env.endpoint.astype(int)]))
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:

@@ -9,9 +9,12 @@ they validate.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
+
+from actionlab.convexify import _fiber_slopes
 
 
 def simple_cycle_min_mean(num_nodes: int, edges) -> float | None:
@@ -364,27 +367,34 @@ def loop_write_slack_csv(path, cert):
 
 def loop_write_envelope_csv(path, table, env):
     grid = table.grid
-    header = (
-        _loop_node_header(grid)
-        + _loop_offset_header(grid)
-        + ["L", "L_tilde"]
-        + (["p_minus", "p_plus"] if grid.dim == 1 else ["p_lo_i", "p_hi_i", "p_lo_j", "p_hi_j"])
-        + ["endpoint"]
-    )
+    header = _loop_node_header(grid) + _loop_offset_header(grid) + ["L_tilde", "endpoint"]
     rows = []
     for node in range(grid.num_nodes):
         for m in range(grid.num_offsets):
-            slopes = []
-            for axis in range(grid.dim):
-                slopes += [float(env.grad_lo[node, m, axis]), float(env.grad_hi[node, m, axis])]
             rows.append(
                 _loop_node_cols(grid, node)
                 + [int(k) for k in grid.offsets[m]]
-                + [float(table.values[node, m]), float(env.values[node, m])]
-                + slopes
-                + [int(env.endpoint[node, m])]
+                + [float(env.values[node, m]), int(env.endpoint[node, m])]
             )
     _loop_write_csv(path, header, rows)
+
+
+def read_envelope_csv(grid, path):
+    """The envelope of an envelope CSV: L_tilde and the endpoint flag as
+    written, the one-sided slopes and their midpoint rebuilt from L_tilde."""
+    d = grid.dim
+    values = np.full((grid.num_nodes, grid.num_offsets), np.nan)
+    endpoint = np.zeros(values.shape, dtype=bool)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader)[2 * d :] == ["L_tilde", "endpoint"]
+        for row in reader:
+            node = grid.coords_to_node([int(c) for c in row[:d]])
+            m = grid.offset_index([int(c) for c in row[d : 2 * d]])
+            values[node, m] = float(row[2 * d])
+            endpoint[node, m] = {"0": False, "1": True}[row[2 * d + 1]]
+    assert not np.isnan(values).any(), "envelope CSV does not cover every edge"
+    return dataclasses.replace(_fiber_slopes(grid, values), endpoint=endpoint)
 
 
 def loop_write_node_table_csv(path, grid, report):

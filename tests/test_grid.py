@@ -82,6 +82,36 @@ def test_sample_lagrangian_rejects_non_finite():
         sample_lagrangian(grid, lambda x, v: np.inf if x == 0.5 else 0.0)
 
 
+def test_sample_lagrangian_names_first_non_finite_edge_1d():
+    grid = build_torus_grid(1, 4, 2, 0.25)  # velocities -2, -1, 0, 1, 2
+
+    def lagrangian(x, v):
+        if x == 0.5 and v >= 1.0:  # node 2, offsets 1 and 2
+            return float("nan") if v == 1.0 else -np.inf
+        return np.inf if x > 0.5 else 0.5 * v * v
+
+    with pytest.raises(ValueError) as info:
+        sample_lagrangian(grid, lagrangian)
+    message = str(info.value)
+    assert "non-finite value nan at node 2 (x=0.5), offset (1,)" in message
+
+
+def test_sample_lagrangian_names_first_non_finite_edge_2d():
+    grid = build_torus_grid(2, 3, 1, 1.0 / 3)  # velocities are the offsets
+    bad = np.float64("nan")
+
+    def lagrangian(x, v):
+        if np.array_equal(x, grid.positions[4]) and tuple(v) >= (0.0, 1.0):
+            return bad if tuple(v) == (0.0, 1.0) else np.inf  # node 4, offsets from (0, 1)
+        return np.inf if x[0] > 0.5 else 0.5 * np.dot(v, v)
+
+    with pytest.raises(ValueError) as info:
+        sample_lagrangian(grid, lagrangian)
+    message = str(info.value)
+    assert f"non-finite value {bad!r} at node 4" in message
+    assert message.endswith("offset (0, 1)")
+
+
 def test_discrete_differential_constant_is_zero():
     grid = build_torus_grid(1, 6, 2, 0.5)
     df = discrete_differential(np.full(6, 7.0), grid)

@@ -216,6 +216,26 @@ def test_measure_writers_match_loop_references(tmp_path, d, n, k):
         _same_bytes(dest, writer, getattr(oracles, f"loop_write_{kind}_csv"), *args)
 
 
+@pytest.mark.parametrize("d,n,k", [(1, 5, 1), (1, 6, 2), (2, 3, 1), (2, 4, 2)])
+def test_envelope_csv_rebuilds_every_envelope_array(tmp_path, d, n, k):
+    # the file holds L_tilde and the endpoint flag; the slopes it dropped are
+    # rebuilt from L_tilde bit for bit
+    rng = np.random.default_rng([d, n, k, 7])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    extreme = values.copy()
+    extreme.flat[rng.choice(values.size, len(EXTREMES), replace=False)] = EXTREMES
+    for i, vals in enumerate((values, extreme)):
+        table = LagrangianTable(grid=grid, values=vals)
+        env = fiber_convex_envelope(table)
+        path = tmp_path / f"envelope{i}.csv"
+        serialize.write_envelope_csv(path, table, env)
+        back = oracles.read_envelope_csv(grid, path)
+        for name in ("values", "grad_lo", "grad_hi", "grad", "endpoint"):
+            assert np.array_equal(getattr(back, name), getattr(env, name)), name
+        assert back.values.tobytes() == env.values.tobytes()  # -0.0 stays -0.0
+
+
 @pytest.mark.parametrize("state_dim", [1, 2])
 def test_value_function_writer_matches_loop_reference(tmp_path, state_dim):
     rng = np.random.default_rng(state_dim)
