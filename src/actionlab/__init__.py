@@ -36,14 +36,12 @@ from .certificates import (
 )
 from .convexify import (
     FiberEnvelope,
-    envelope_fiber_derivative,
     fiber_convex_envelope,
     momentum_field,
 )
 from .diagnostics import (
     DiagnosticsReport,
     MeasureResult,
-    check_energy_conservation,
     discrete_hamiltonian,
     estimate_momentum_lipschitz,
     full_report,

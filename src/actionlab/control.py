@@ -535,9 +535,7 @@ class ControlResult:
     """One control problem solved twice (DP and LP) and verified.
 
     The certificate and the checks built on it are None when the LP status is
-    not OPTIMAL.  ``max_principle`` is the pair from maximum_principle_check;
-    ``certificate_identity`` is the largest |ell - c0 - du o (f, 1) - w| over
-    admissible arcs, zero up to roundoff by construction.
+    not OPTIMAL.  ``max_principle`` is the pair from maximum_principle_check.
     """
 
     problem: ControlProblem
@@ -549,7 +547,6 @@ class ControlResult:
     trajectories: list | None = None
     u_v_residual: float | None = None
     hjb_residual: float | None = None
-    certificate_identity: float | None = None
 
     def criteria(self, tol: float) -> dict[str, bool]:
         """Named pass/fail checks: DP = LP, and the certificate's optimality conditions."""
@@ -576,14 +573,6 @@ def run_control(p: ControlProblem, initial) -> ControlResult:
     trajs = extract_optimal_trajectories(p, lp)
     uv = max((check_u_v_relation(cert, vf, states) for states, _m in trajs), default=0.0)
     hjb = hjb_residual(vf, p)
-
-    adm = p.move >= 0
-    targets = np.where(adm, p.move, 0)
-    ident = 0.0
-    for j in range(p.num_steps):
-        du = (cert.u[targets, j + 1] - cert.u[:, j][:, None]) / p.time_step
-        resid = p.ell[:, j, :] - cert.c0 - du - cert.w[:, j, :]
-        ident = max(ident, float(np.nanmax(np.abs(np.where(adm, resid, 0.0)))))
     return ControlResult(
         problem=p,
         value_function=vf,
@@ -594,5 +583,4 @@ def run_control(p: ControlProblem, initial) -> ControlResult:
         trajectories=trajs,
         u_v_residual=uv,
         hjb_residual=hjb,
-        certificate_identity=ident,
     )

@@ -21,46 +21,25 @@ from .grid import DiscreteMeasure, LagrangianTable, PhaseGrid
 
 __all__ = [
     "FiberEnvelope",
-    "FiberDerivative",
-    "NodeMomentum",
     "fiber_convex_envelope",
-    "envelope_fiber_derivative",
     "momentum_field",
 ]
 
 
 @dataclass(frozen=True)
 class FiberEnvelope:
-    """Envelope values plus one-sided fiber slopes on every edge.
+    """Envelope values plus fiber slopes on every edge.
 
-    ``grad_lo`` / ``grad_hi`` hold the backward / forward difference quotients
-    of the envelope along each velocity axis (copied one-sided at the stencil
-    boundary, where ``endpoint`` is set).  ``grad`` is their midpoint, the
-    deterministic subgradient selection used for momenta.
+    ``grad`` is the midpoint of the backward and forward difference quotients
+    of the envelope along each velocity axis, the deterministic subgradient
+    selection used for momenta.  At the stencil boundary, where ``endpoint``
+    is set, only one quotient exists and ``grad`` is that one-sided slope.
     """
 
     grid: PhaseGrid
     values: np.ndarray = field(repr=False, compare=False)  # (N, M)
     grad: np.ndarray = field(repr=False, compare=False)  # (N, M, d)
-    grad_lo: np.ndarray = field(repr=False, compare=False)  # (N, M, d)
-    grad_hi: np.ndarray = field(repr=False, compare=False)  # (N, M, d)
     endpoint: np.ndarray = field(repr=False, compare=False)  # (N, M) bool
-
-
-@dataclass(frozen=True)
-class FiberDerivative:
-    momentum: object  # float for d=1, length-2 array for d=2
-    width: float  # half the gap between one-sided slopes; 0 iff differentiable
-    is_endpoint: bool
-
-
-@dataclass(frozen=True)
-class NodeMomentum:
-    node: int
-    derivatives: tuple  # (offset_index, FiberDerivative) pairs
-    spread: float  # max pairwise distance between the momenta
-    momentum: object  # mean momentum, the per-node selection
-    any_endpoint: bool
 
 
 def _lower_hull_1d(y: np.ndarray) -> np.ndarray:
@@ -195,60 +174,37 @@ def _fiber_slopes(grid: PhaseGrid, env: np.ndarray) -> FiberEnvelope:
         endpoint = (np.abs(grid.offsets) == K).any(axis=1)[None, :].repeat(n, axis=0)
 
     grad = 0.5 * (lo + hi)
-    return FiberEnvelope(
-        grid=grid, values=env, grad=grad, grad_lo=lo, grad_hi=hi, endpoint=endpoint
-    )
+    return FiberEnvelope(grid=grid, values=env, grad=grad, endpoint=endpoint)
 
 
-def envelope_fiber_derivative(
-    env: FiberEnvelope, x: int, offset_index: int
-) -> FiberDerivative:
-    """Deterministic fiber derivative of the envelope at one edge.
+def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure):
+    """Envelope fiber derivatives at the supported velocities, per node.
 
-    The momentum is the midpoint of the one-sided slopes; ``width`` is half
-    their gap, so zero width means the envelope is differentiable there.  At
-    stencil endpoints the slope is one-sided and the edge is flagged.
-    """
-    d = env.grid.dim
-    lo = env.grad_lo[x, offset_index]
-    hi = env.grad_hi[x, offset_index]
-    width = float(np.max(hi - lo) / 2.0)
-    mom = env.grad[x, offset_index]
-    momentum = float(mom[0]) if d == 1 else mom.copy()
-    return FiberDerivative(
-        momentum=momentum,
-        width=width,
-        is_endpoint=bool(env.endpoint[x, offset_index]),
-    )
-
-
-def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure) -> dict[int, NodeMomentum]:
-    """Envelope fiber derivatives at every supported velocity, per support node.
-
-    When several velocities are supported over one node, all their momenta are
-    returned and the spread between them is reported; the per-node selection
-    is their mean.
+    Returns ``(momentum, spread, any_endpoint)``: the mean of ``env.grad``
+    over each node's supported offsets, shape (N, d); the largest component
+    of max - min over those rows, the largest pairwise distance between the
+    momenta, shape (N,); and whether any of them is a stencil endpoint.
+    Momentum and spread are NaN off the projected support.  The mean adds the
+    rows in ascending offset order.
     """
     if not env.grid.same_layout(mu.grid):
         raise ValueError("envelope and measure live on different grids")
-    offsets: dict[int, list[int]] = {}
-    for node, m in sorted(mu.weights):
-        offsets.setdefault(node, []).append(m)
-    field_out: dict[int, NodeMomentum] = {}
-    for node, offs in offsets.items():
-        ders = tuple((m, envelope_fiber_derivative(env, node, m)) for m in offs)
-        moms = np.array([np.atleast_1d(d.momentum) for _m, d in ders])
-        spread = 0.0
-        for i in range(len(moms)):
-            for j in range(i + 1, len(moms)):
-                spread = max(spread, float(np.max(np.abs(moms[i] - moms[j]))))
-        mean = moms.mean(axis=0)
-        momentum = float(mean[0]) if env.grid.dim == 1 else mean
-        field_out[node] = NodeMomentum(
-            node=node,
-            derivatives=ders,
-            spread=spread,
-            momentum=momentum,
-            any_endpoint=any(d.is_endpoint for _m, d in ders),
-        )
-    return field_out
+    n, d = env.grid.num_nodes, env.grid.dim
+    nodes, offs = np.array(sorted(mu.weights), dtype=int).reshape(-1, 2).T
+    rows = env.grad[nodes, offs]
+    total = np.zeros((n, d))
+    hi = np.full((n, d), -np.inf)
+    lo = np.full((n, d), np.inf)
+    np.add.at(total, nodes, rows)
+    np.maximum.at(hi, nodes, rows)
+    np.minimum.at(lo, nodes, rows)
+    any_endpoint = np.zeros(n, dtype=bool)
+    np.logical_or.at(any_endpoint, nodes, env.endpoint[nodes, offs])
+
+    count = np.bincount(nodes, minlength=n)
+    on = count > 0
+    momentum = np.full((n, d), np.nan)
+    momentum[on] = total[on] / count[on, None]
+    spread = np.full(n, np.nan)
+    spread[on] = (hi[on] - lo[on]).max(axis=1)
+    return momentum, spread, any_endpoint

@@ -19,7 +19,6 @@ import numpy as np
 
 from .grid import (
     BoundaryCurrent,
-    DiscreteMeasure,
     LagrangianTable,
     PhaseGrid,
     boundary_of_measure,
@@ -32,7 +31,6 @@ from .measure_lp import OptimalSolution, solve_boundary, solve_closed
 __all__ = [
     "DiagnosticsReport",
     "discrete_hamiltonian",
-    "check_energy_conservation",
     "estimate_momentum_lipschitz",
     "full_report",
     "MeasureResult",
@@ -43,13 +41,25 @@ __all__ = [
 
 @dataclass
 class DiagnosticsReport:
+    """The six residuals of one solved instance, plus the node table.
+
+    The node table is one column per array, indexed by node: the potential
+    ``f``; the mean envelope momentum over the node's supported velocities,
+    shape (N, d), and the spread between those momenta, both NaN off the
+    projected support; ``H_residual`` = H(x, df_x) + c0; and ``on_support``.
+    """
+
     hamiltonian_residual_max: float
     slack_min: float
     slack_on_support_max: float
     duality_gap: float
     momentum_lipschitz_estimate: float
     boundary_residual_max: float
-    details: dict = field(default_factory=dict)
+    f: np.ndarray = field(repr=False, compare=False)
+    momentum: np.ndarray = field(repr=False, compare=False)
+    momentum_spread: np.ndarray = field(repr=False, compare=False)
+    H_residual: np.ndarray = field(repr=False, compare=False)
+    on_support: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -62,53 +72,38 @@ class DiagnosticsReport:
         }
 
 
-def discrete_hamiltonian(table: LagrangianTable, x: int, p) -> float:
-    """H(x, p) = max over the stencil of p(v) - L(x, v).
+def discrete_hamiltonian(table: LagrangianTable, p) -> np.ndarray:
+    """H(x, p_x) = max over the stencil of p_x(v) - L(x, v), for every node.
 
-    ``p`` holds one covector value per stencil offset (the edge-wise pairing
-    p(v), e.g. a row of a discrete differential).
+    ``p`` holds one covector value per edge, shape (N, M): the edge-wise
+    pairing p_x(v), e.g. a discrete differential.  For a certificate,
+    H(x, df_x) + c0 = -min over the fiber of the slack g(x, .), so it
+    vanishes on the support of an exact optimum: the discrete energy
+    conservation principle.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (table.grid.num_offsets,):
-        raise ValueError("p must supply one value per stencil offset")
-    return float(np.max(p - table.values[x]))
-
-
-def check_energy_conservation(
-    table: LagrangianTable, cert: DualCertificate, mu: DiscreteMeasure
-) -> float:
-    """max over support nodes of |H(x, df_x) + c0|.
-
-    Since H(x, df_x) + c0 = -min over the fiber of the slack g(x, .), this
-    residual is bounded by the largest slack on the support, hence vanishes
-    for exact optima: the discrete energy conservation principle.
-    """
-    df = discrete_differential(cert.potential, table.grid)
-    worst = 0.0
-    for x in mu.support_nodes():
-        ham = discrete_hamiltonian(table, x, df[x])
-        worst = max(worst, abs(ham + cert.critical_constant))
-    return worst
+    if p.shape != table.values.shape:
+        raise ValueError("p must supply one value per edge")
+    return np.max(p - table.values, axis=1)
 
 
 # Values per intermediate array of the blocked pair scan.
 LIPSCHITZ_BLOCK = 1 << 16
 
 
-def estimate_momentum_lipschitz(momenta: dict, grid: PhaseGrid, exclusion=()) -> float:
-    """max over node pairs outside the exclusion set of |p(x) - p(y)| / dist(x, y).
+def estimate_momentum_lipschitz(momentum, usable, grid: PhaseGrid) -> float:
+    """max over pairs of usable nodes of |p(x) - p(y)| / dist(x, y).
 
-    ``momenta`` maps node -> covector (scalar for d=1).  Returns 0 with fewer
-    than two usable nodes.  Enlarging the exclusion set can only shrink the
-    estimate.  Each node is compared with every later node, a block of rows
+    ``momentum`` holds one covector per node, shape (N, d); ``usable`` is a
+    boolean mask of the nodes to compare.  Returns 0 with fewer than two
+    usable nodes.  Shrinking the mask can only shrink the estimate.  Each node is compared with every later node, a block of rows
     at a time, so memory stays at about LIPSCHITZ_BLOCK values per array.
     """
-    excl = set(exclusion)
-    nodes = sorted(x for x in momenta if x not in excl)
+    nodes = np.flatnonzero(usable)
     s = len(nodes)
     if s < 2:
         return 0.0
-    vals = np.array([np.atleast_1d(np.asarray(momenta[x], dtype=float)) for x in nodes])
+    vals = momentum[nodes]
     pos = grid.positions[nodes]
     rows = max(1, LIPSCHITZ_BLOCK // (s * max(pos.shape[1], vals.shape[1])))
     best = 0.0
@@ -152,37 +147,21 @@ def full_report(
     pairing = current.pairing(cert.potential) if current is not None else 0.0
     duality_gap = abs(action - (cert.critical_constant * mass + pairing))
 
-    energy = check_energy_conservation(table, cert, mu)
-
     bm = boundary_of_measure(mu)
     target = current.to_dense() if current is not None else np.zeros(grid.num_nodes)
     boundary_residual = float(np.max(np.abs(bm.to_dense() - target))) if grid.num_nodes else 0.0
 
-    momenta_info = momentum_field(envelope, mu)
-    usable = {
-        x: info.momentum
-        for x, info in momenta_info.items()
-        if not info.any_endpoint
-    }
-    exclusion = set(current.support()) if current is not None else set()
-    lip = estimate_momentum_lipschitz(usable, grid, exclusion)
-
+    on_support = np.zeros(grid.num_nodes, dtype=bool)
+    on_support[mu.support_nodes()] = True
     df = discrete_differential(cert.potential, grid)
-    h_resid = np.max(df - table.values, axis=1) + cert.critical_constant
-    support_nodes = set(mu.support_nodes())
-    rows = []
-    for x in range(grid.num_nodes):
-        info = momenta_info.get(x)
-        rows.append(
-            {
-                "node": x,
-                "f": float(cert.potential[x]),
-                "momentum": None if info is None else info.momentum,
-                "momentum_spread": None if info is None else info.spread,
-                "H_residual": float(h_resid[x]),
-                "on_support": x in support_nodes,
-            }
-        )
+    h_resid = discrete_hamiltonian(table, df) + cert.critical_constant
+    energy = float(np.max(np.abs(h_resid[on_support]), initial=0.0))
+
+    momentum, spread, any_endpoint = momentum_field(envelope, mu)
+    usable = on_support & ~any_endpoint
+    if current is not None:
+        usable[current.support()] = False
+    lip = estimate_momentum_lipschitz(momentum, usable, grid)
 
     return DiagnosticsReport(
         hamiltonian_residual_max=energy,
@@ -191,7 +170,11 @@ def full_report(
         duality_gap=duality_gap,
         momentum_lipschitz_estimate=lip,
         boundary_residual_max=boundary_residual,
-        details={"nodes": rows},
+        f=cert.potential,
+        momentum=momentum,
+        momentum_spread=spread,
+        H_residual=h_resid,
+        on_support=on_support,
     )
 
 

@@ -212,8 +212,7 @@ def _build_rotation(params):
         cert = res.certificate
         rep = res.report
         mu = res.solution.measure
-        moms = [row["momentum"] for row in rep.details["nodes"] if row["momentum"] is not None]
-        mom_max = max((abs(float(m)) for m in moms), default=0.0)
+        mom_max = float(np.max(np.abs(rep.momentum[rep.on_support]), initial=0.0))
         return [
             Check("c0", cert.critical_constant, 0.0, 1e-12, "analytic: the v0-cycle is free"),
             Check("support_size", float(len(mu.weights)), float(n), 0.0, "analytic: one full rotation"),
@@ -283,12 +282,9 @@ def _build_dirac_boundary(params):
     def checks(res):
         mu = res.solution.measure
         cert = res.certificate
-        off_support = [
-            float(cert.slack[node, m])
-            for node in range(grid.num_nodes)
-            for m in range(grid.num_offsets)
-            if (node, m) not in mu.weights
-        ]
+        off = np.ones(cert.slack.shape, dtype=bool)
+        off[tuple(zip(*mu.weights))] = False
+        off_support = cert.slack[off]
         return [
             Check("support_size", float(len(mu.weights)), 1.0, 0.0, "analytic: single rest atom"),
             Check("support_node", float(mu.support_nodes()[0]), 0.0, 0.0, "analytic"),
@@ -296,7 +292,7 @@ def _build_dirac_boundary(params):
             Check("slack_on_support", cert.slack_on_support(mu), 0.0, 1e-8, "identity"),
             Check(
                 "min_slack_off_support",
-                min(off_support),
+                float(off_support.min()),
                 0.0,
                 1e-12,
                 "analytic: no tightness away from the atom",
@@ -304,7 +300,7 @@ def _build_dirac_boundary(params):
             ),
             Check(
                 "positive_slack_off_support",
-                max(off_support),
+                float(off_support.max()),
                 0.5,
                 0.0,
                 "analytic: slack grows away from the atom",
@@ -347,7 +343,6 @@ def _build_legendre_control(params):
             Check("max_principle_on_support", res.max_principle[0], 0.0, 1e-8, "identity"),
             Check("max_principle_off_support", res.max_principle[1], 0.0, 1e-9, "dual feasibility", kind="ge"),
             Check("u_v_relation", res.u_v_residual, 0.0, 1e-8, "identity"),
-            Check("certificate_identity", res.certificate_identity, 0.0, 1e-12, "construction"),
         ]
 
     return {"problem": problem, "initial": initial, "checks": checks}

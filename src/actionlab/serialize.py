@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -239,20 +238,25 @@ def write_envelope_csv(path, table: LagrangianTable, env) -> None:
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
-    fields = ("f", "momentum", "momentum_spread", "H_residual", "on_support")
-    header = _node_header(grid) + list(fields)
-    entries = report.details["nodes"]
-    nodes, f, mom, spread, h_res, on = zip(*map(itemgetter("node", *fields), entries))
-    # None (off the support) is an empty field, like a None spread; a 2-D
-    # momentum is one field, its components joined by "|".
-    if grid.dim == 2:
-        mom = [None if m is None else "|".join(map(repr, np.ravel(m).tolist())) for m in mom]
-    columns = _coord_columns(grid, nodes) + [
-        np.asarray(f, dtype=float),
-        mom,
+    """One row per node from the report's node-table columns.  Momentum and
+    spread are empty off the support; a 2-D momentum is one field, its
+    components joined by "|"."""
+    on = report.on_support
+    supported = report.momentum[on]
+    momentum = np.full(grid.num_nodes, None)
+    spread = np.full(grid.num_nodes, None)
+    if grid.dim == 1:
+        momentum[on] = supported[:, 0]
+    else:
+        momentum[on] = ["|".join(map(repr, m)) for m in supported.tolist()]
+    spread[on] = report.momentum_spread[on]
+    header = _node_header(grid) + ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
+    columns = _coord_columns(grid, np.arange(grid.num_nodes)) + [
+        report.f,
+        momentum,
         spread,
-        np.asarray(h_res, dtype=float),
-        np.asarray(on, dtype=int),
+        report.H_residual,
+        on.astype(int),
     ]
     _write_csv(path, header, _rows(columns))
 
@@ -292,7 +296,6 @@ def write_control_result(dest, result) -> None:
             max_principle_on_support=result.max_principle[0],
             max_principle_off_support=result.max_principle[1],
             u_v_residual=result.u_v_residual,
-            certificate_identity=result.certificate_identity,
             duplicate_collapses=len(result.problem.duplicate_collapses),
         )
     write_json(dest / "control_report.json", report)

@@ -397,16 +397,65 @@ def read_envelope_csv(grid, path):
     return dataclasses.replace(_fiber_slopes(grid, values), endpoint=endpoint)
 
 
-def loop_write_node_table_csv(path, grid, report):
+def loop_node_table(table, solution, cert, envelope):
+    """The node table as one dict per node, built one edge at a time.
+
+    Momentum: the envelope slope at each supported velocity, in ascending
+    offset order, averaged as a running sum; spread: the largest component
+    distance over every pair of those slopes; H: max over the stencil of
+    df - L, plus c0.  Off the support, momentum and spread are None.  Each
+    dict also says whether a supported velocity is a stencil endpoint.
+    """
+    grid = table.grid
+    h = grid.time_step
+    f = [float(v) for v in cert.potential]
+    c0 = float(cert.critical_constant)
+    offsets = {}
+    for node, m in sorted(solution.measure.weights):
+        offsets.setdefault(node, []).append(m)
+    rows = []
+    for x in range(grid.num_nodes):
+        ham = max(
+            (f[int(grid.neighbors[x, m])] - f[x]) / h - float(table.values[x, m])
+            for m in range(grid.num_offsets)
+        )
+        row = {"node": x, "f": f[x], "momentum": None, "momentum_spread": None,
+               "H_residual": ham + c0, "on_support": x in offsets, "any_endpoint": False}
+        if x in offsets:
+            slopes = [[float(g) for g in envelope.grad[x, m]] for m in offsets[x]]
+            total = [0.0] * grid.dim
+            for slope in slopes:
+                for c in range(grid.dim):
+                    total[c] += slope[c]
+            mean = [t / len(slopes) for t in total]
+            spread = 0.0
+            for i, j in itertools.combinations(range(len(slopes)), 2):
+                spread = max(spread, max(abs(a - b) for a, b in zip(slopes[i], slopes[j])))
+            row.update(
+                momentum=mean[0] if grid.dim == 1 else mean,
+                momentum_spread=spread,
+                any_endpoint=any(bool(envelope.endpoint[x, m]) for m in offsets[x]),
+            )
+        rows.append(row)
+    return rows
+
+
+def loop_energy_residual(rows) -> float:
+    """max over support nodes of |H(x, df_x) + c0|, from loop_node_table rows."""
+    return max((abs(r["H_residual"]) for r in rows if r["on_support"]), default=0.0)
+
+
+def loop_write_node_table_csv(path, grid, rows):
+    """The node table CSV from loop_node_table rows."""
     header = _loop_node_header(grid) + [
         "f", "momentum", "momentum_spread", "H_residual", "on_support"
     ]
-    rows = []
-    for entry in report.details["nodes"]:
+    out = []
+    for entry in rows:
         mom = entry["momentum"]
         if mom is not None and not np.isscalar(mom):
             mom = "|".join(repr(float(v)) for v in np.atleast_1d(mom))
-        rows.append(
+        out.append(
             _loop_node_cols(grid, entry["node"])
             + [
                 float(entry["f"]),
@@ -416,7 +465,7 @@ def loop_write_node_table_csv(path, grid, report):
                 int(entry["on_support"]),
             ]
         )
-    _loop_write_csv(path, header, rows)
+    _loop_write_csv(path, header, out)
 
 
 def loop_write_value_function_csv(path, vf):

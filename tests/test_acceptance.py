@@ -14,7 +14,6 @@ from actionlab import (
     build_torus_grid,
     certify_closed,
     discrete_differential,
-    check_energy_conservation,
     fiber_convex_envelope,
     full_report,
     refinement_sweep,
@@ -28,6 +27,8 @@ from oracles import (
     affine_minorant_max_2d,
     grid_edges,
     independent_karp,
+    loop_energy_residual,
+    loop_node_table,
     random_closed_instance,
     simple_cycle_min_mean,
 )
@@ -97,7 +98,9 @@ def test_criterion_3_energy_conservation():
     for table in _closed_suite(100):
         sol = solve_closed(table)
         cert = certify_closed(table, sol)
-        resid = check_energy_conservation(table, cert, sol.measure)
+        env = fiber_convex_envelope(table)
+        resid = full_report(table, sol, cert, env).hamiltonian_residual_max
+        assert resid == loop_energy_residual(loop_node_table(table, sol, cert, env))
         supp = cert.slack_on_support(sol.measure)
         assert resid <= 1e-8
         assert resid <= supp + 1e-12
@@ -113,9 +116,10 @@ def test_criterion_3_energy_conservation():
     )
     for name in scenario_names:
         run = run_scenario(name)
-        resid = check_energy_conservation(
-            run.results["table"], run.results["certificate"], run.results["solution"].measure
-        )
+        res = run.results
+        rows = loop_node_table(res["table"], res["solution"], res["certificate"], res["envelope"])
+        resid = loop_energy_residual(rows)
+        assert res["report"].hamiltonian_residual_max == resid, name
         supp = run.results["certificate"].slack_on_support(run.results["solution"].measure)
         assert resid <= 1e-8, name
         assert resid <= supp + 1e-12, name

@@ -5,7 +5,6 @@ from actionlab import (
     DiscreteMeasure,
     LagrangianTable,
     build_torus_grid,
-    envelope_fiber_derivative,
     fiber_convex_envelope,
     momentum_field,
     sample_lagrangian,
@@ -100,31 +99,25 @@ def test_derivative_parabola_interior_and_endpoint():
     grid = build_torus_grid(1, 4, 1, 0.25)  # velocities -1, 0, 1
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
     env = fiber_convex_envelope(table)
-    mid = envelope_fiber_derivative(env, 0, grid.offset_index(0))
-    # hull slopes around v=0 are -1/2 and 1/2: midpoint 0, width half the gap
-    assert mid.momentum == pytest.approx(0.0, abs=1e-15)
-    assert mid.width == pytest.approx(0.5)
-    assert not mid.is_endpoint
-    end = envelope_fiber_derivative(env, 0, grid.offset_index(1))
-    assert end.is_endpoint
-    assert end.width == pytest.approx(0.0)  # one-sided slope, reported flat
-    assert end.momentum == pytest.approx(0.5)
+    mid = grid.offset_index(0)
+    # hull slopes around v=0 are -1/2 and 1/2: midpoint 0
+    assert env.grad[0, mid, 0] == pytest.approx(0.0, abs=1e-15)
+    assert not env.endpoint[0, mid]
+    end = grid.offset_index(1)
+    assert env.endpoint[0, end]
+    assert env.grad[0, end, 0] == pytest.approx(0.5)  # the one-sided slope
 
 
 def test_derivative_flat_section_and_affine():
     grid, table = double_well_table()
     env = fiber_convex_envelope(table)
-    flat = envelope_fiber_derivative(env, 0, grid.offset_index(0))
-    assert flat.momentum == pytest.approx(0.0, abs=1e-15)
-    assert flat.width == pytest.approx(0.0, abs=1e-15)
+    assert env.grad[0, grid.offset_index(0), 0] == pytest.approx(0.0, abs=1e-15)
 
     grid2 = build_torus_grid(1, 4, 2, 0.25)
     aff = sample_lagrangian(grid2, lambda x, v: 2.0 * v + 1.0)
     env2 = fiber_convex_envelope(aff)
     for m in range(grid2.num_offsets):
-        der = envelope_fiber_derivative(env2, 1, m)
-        assert der.momentum == pytest.approx(2.0, abs=1e-12)
-        assert der.width == pytest.approx(0.0, abs=1e-12)
+        assert env2.grad[1, m, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_momentum_pendulum_rest_atom():
@@ -132,10 +125,13 @@ def test_momentum_pendulum_rest_atom():
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + np.cos(2 * np.pi * x))
     sol = solve_closed(table)
     env = fiber_convex_envelope(table)
-    field = momentum_field(env, sol.measure)
-    assert set(field) == {8}
-    assert field[8].momentum == pytest.approx(0.0, abs=1e-15)
-    assert field[8].spread == 0.0
+    momentum, spread, any_endpoint = momentum_field(env, sol.measure)
+    assert momentum.shape == (16, 1)
+    assert np.flatnonzero(~np.isnan(spread)).tolist() == [8]
+    assert np.isnan(momentum[:8]).all() and np.isnan(momentum[9:]).all()
+    assert momentum[8, 0] == pytest.approx(0.0, abs=1e-15)
+    assert spread[8] == 0.0
+    assert not any_endpoint.any()
 
 
 def test_momentum_rotation_vanishes_on_cycle():
@@ -146,10 +142,10 @@ def test_momentum_rotation_vanishes_on_cycle():
     table = sample_lagrangian(grid, lambda x, v: 0.5 * (v - v0) ** 2)
     sol = solve_closed(table)
     env = fiber_convex_envelope(table)
-    field = momentum_field(env, sol.measure)
-    assert len(field) == 8
-    for info in field.values():
-        assert abs(info.momentum) <= 1e-12
+    momentum, spread, any_endpoint = momentum_field(env, sol.measure)
+    assert not np.isnan(spread).any()  # the cycle visits all 8 nodes
+    assert np.abs(momentum).max() <= 1e-12
+    assert not any_endpoint.any()
 
 
 def test_momentum_two_velocities_reports_spread():
@@ -158,13 +154,14 @@ def test_momentum_two_velocities_reports_spread():
     minus = grid.offset_index(-1)
     mu = DiscreteMeasure(grid=grid, weights={(0, plus): 0.5, (0, minus): 0.5})
     env = fiber_convex_envelope(table)
-    info = momentum_field(env, mu)[0]
-    assert len(info.derivatives) == 2
-    assert info.spread > 0.0
-    moms = sorted(d.momentum for _m, d in info.derivatives)
     # hull slopes: (-9, 0) around v=-1 and (0, 9) around v=+1, midpoints +-4.5
-    assert moms[0] == pytest.approx(-4.5)
-    assert moms[1] == pytest.approx(4.5)
+    assert env.grad[0, minus, 0] == pytest.approx(-4.5)
+    assert env.grad[0, plus, 0] == pytest.approx(4.5)
+    momentum, spread, any_endpoint = momentum_field(env, mu)
+    assert spread[0] == pytest.approx(9.0)
+    assert momentum[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert not any_endpoint[0]
+    assert np.isnan(spread[1:]).all()
 
 
 def _adjacent_slope_variation(n):

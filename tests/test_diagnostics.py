@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,6 @@ from actionlab import (
     build_torus_grid,
     certify_boundary,
     certify_closed,
-    check_energy_conservation,
     discrete_differential,
     discrete_hamiltonian,
     estimate_momentum_lipschitz,
@@ -20,18 +20,27 @@ from actionlab import (
     solve_boundary,
     solve_closed,
 )
-from actionlab import diagnostics
+from actionlab import diagnostics, serialize
 from actionlab.diagnostics import LIPSCHITZ_BLOCK
 
-from oracles import loop_momentum_lipschitz, random_closed_instance, torus_distance
+from oracles import (
+    loop_energy_residual,
+    loop_momentum_lipschitz,
+    loop_node_table,
+    loop_write_node_table_csv,
+    random_closed_instance,
+    torus_distance,
+)
 
 
 def test_hamiltonian_examples():
     grid = build_torus_grid(1, 4, 1, 0.25)
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
-    assert discrete_hamiltonian(table, 0, np.zeros(3)) == pytest.approx(0.0)
-    p = grid.velocities.ravel()  # p(v) = v
-    assert discrete_hamiltonian(table, 0, p) == pytest.approx(0.5)
+    assert discrete_hamiltonian(table, np.zeros((4, 3))).tolist() == [0.0] * 4
+    p = np.tile(grid.velocities.ravel(), (4, 1))  # p_x(v) = v at every node
+    assert discrete_hamiltonian(table, p) == pytest.approx([0.5] * 4)
+    with pytest.raises(ValueError, match="one value per edge"):
+        discrete_hamiltonian(table, np.zeros(3))
 
 
 def test_hamiltonian_bounded_by_minus_c0_for_certificates():
@@ -41,10 +50,15 @@ def test_hamiltonian_bounded_by_minus_c0_for_certificates():
         sol = solve_closed(table)
         cert = certify_closed(table, sol)
         df = discrete_differential(cert.potential, table.grid)
-        for x in range(table.grid.num_nodes):
-            assert (
-                discrete_hamiltonian(table, x, df[x]) + cert.critical_constant <= 1e-9
-            )
+        assert (discrete_hamiltonian(table, df) + cert.critical_constant <= 1e-9).all()
+
+
+def _energy_residual(table, sol, cert):
+    """The report's energy residual, checked against the node-loop reference."""
+    env = fiber_convex_envelope(table)
+    resid = full_report(table, sol, cert, env).hamiltonian_residual_max
+    assert resid == loop_energy_residual(loop_node_table(table, sol, cert, env))
+    return resid
 
 
 def test_energy_conservation_two_node():
@@ -52,7 +66,7 @@ def test_energy_conservation_two_node():
     table = LagrangianTable(grid=grid, values=np.array([[9.0, 2.0, 3.0], [9.0, 5.0, 1.0]]))
     sol = solve_closed(table)
     cert = certify_closed(table, sol)
-    assert check_energy_conservation(table, cert, sol.measure) == pytest.approx(0.0, abs=1e-12)
+    assert _energy_residual(table, sol, cert) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_conservation_pendulum_hand_value():
@@ -62,8 +76,8 @@ def test_energy_conservation_pendulum_hand_value():
     sol = solve_closed(table)
     cert = certify_closed(table, sol)
     df = discrete_differential(cert.potential, grid)
-    assert discrete_hamiltonian(table, 8, df[8]) == pytest.approx(1.0, abs=1e-12)
-    assert check_energy_conservation(table, cert, sol.measure) <= 1e-12
+    assert discrete_hamiltonian(table, df)[8] == pytest.approx(1.0, abs=1e-12)
+    assert _energy_residual(table, sol, cert) <= 1e-12
 
 
 def test_energy_conservation_exact_form():
@@ -74,7 +88,7 @@ def test_energy_conservation_exact_form():
     )
     sol = solve_closed(table)
     cert = certify_closed(table, sol)
-    assert check_energy_conservation(table, cert, sol.measure) <= 1e-10
+    assert _energy_residual(table, sol, cert) <= 1e-10
 
 
 def test_energy_residual_bounded_by_support_slack():
@@ -83,26 +97,30 @@ def test_energy_residual_bounded_by_support_slack():
         table = random_closed_instance(rng, max_n=32)
         sol = solve_closed(table)
         cert = certify_closed(table, sol)
-        resid = check_energy_conservation(table, cert, sol.measure)
+        resid = _energy_residual(table, sol, cert)
         assert resid <= cert.slack_on_support(sol.measure) + 1e-12
+
+
+def _all(n):
+    return np.ones(n, dtype=bool)
 
 
 def test_lipschitz_estimator_constant_field_and_single_node():
     grid = build_torus_grid(1, 8, 1, 0.125)
-    const = {x: 0.7 for x in range(8)}
-    assert estimate_momentum_lipschitz(const, grid) == 0.0
-    assert estimate_momentum_lipschitz({3: 1.0}, grid) == 0.0
+    const = np.full((8, 1), 0.7)
+    assert estimate_momentum_lipschitz(const, _all(8), grid) == 0.0
+    assert estimate_momentum_lipschitz(const, np.arange(8) == 3, grid) == 0.0
 
 
 def test_lipschitz_estimator_matches_pairwise_oracle():
     grid = build_torus_grid(1, 16, 1, 1.0 / 16)
-    momenta = {x: float(np.sin(2 * np.pi * x / 16)) for x in range(16)}
-    est = estimate_momentum_lipschitz(momenta, grid)
+    momenta = np.sin(2 * np.pi * np.arange(16) / 16)[:, None]
+    est = estimate_momentum_lipschitz(momenta, _all(16), grid)
     best = 0.0
     for i in range(16):
         for j in range(i + 1, 16):
             d = min(abs(i - j), 16 - abs(i - j)) / 16
-            best = max(best, abs(momenta[i] - momenta[j]) / d)
+            best = max(best, abs(momenta[i, 0] - momenta[j, 0]) / d)
     assert est == pytest.approx(best)
     assert est <= 2 * np.pi + 1e-9
 
@@ -110,16 +128,20 @@ def test_lipschitz_estimator_matches_pairwise_oracle():
 def test_lipschitz_exclusion_monotone():
     grid = build_torus_grid(1, 12, 1, 1.0 / 12)
     rng = np.random.default_rng(57)
-    momenta = {x: float(rng.normal()) for x in range(12)}
-    base = estimate_momentum_lipschitz(momenta, grid)
+    momenta = rng.normal(size=(12, 1))
+    base = estimate_momentum_lipschitz(momenta, _all(12), grid)
     for size in (1, 3, 5):
-        excl = set(range(size))
-        assert estimate_momentum_lipschitz(momenta, grid, excl) <= base + 1e-15
+        usable = np.arange(12) >= size
+        assert estimate_momentum_lipschitz(momenta, usable, grid) <= base + 1e-15
+
+
+def _as_dict(momentum, usable):
+    return {int(x): momentum[x] for x in np.flatnonzero(usable)}
 
 
 def _pipeline_momenta(rng, d, n, k, pairs):
-    """Momenta of every support node of a seeded boundary solution (endpoint
-    velocities included) and the charged nodes, to be excluded."""
+    """Momenta and support mask of a seeded boundary solution (endpoint
+    velocities included) and the mask of the charged nodes."""
     grid = build_torus_grid(d, n, k, 1.0 / n)
     table = LagrangianTable(
         grid=grid, values=rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
@@ -129,9 +151,11 @@ def _pipeline_momenta(rng, d, n, k, pairs):
     charges.update({int(x): 1.0 for x in ends[pairs:]})
     current = BoundaryCurrent(grid=grid, charges=charges)
     sol = solve_boundary(table, current)
-    field = momentum_field(fiber_convex_envelope(table), sol.measure)
-    assert any(info.any_endpoint for info in field.values())
-    return {x: info.momentum for x, info in field.items()}, grid, current.support()
+    momentum, spread, any_endpoint = momentum_field(fiber_convex_envelope(table), sol.measure)
+    assert any_endpoint.any()
+    charged = np.zeros(grid.num_nodes, dtype=bool)
+    charged[current.support()] = True
+    return momentum, ~np.isnan(spread), grid, charged
 
 
 @pytest.mark.parametrize("block", [40, LIPSCHITZ_BLOCK])
@@ -141,21 +165,107 @@ def test_lipschitz_estimator_equals_loop_reference(monkeypatch, block):
     monkeypatch.setattr(diagnostics, "LIPSCHITZ_BLOCK", block)
     rng = np.random.default_rng(43)
     for d, n, k, pairs in ((1, 64, 2, 6), (2, 12, 1, 4), (2, 16, 2, 5)):
-        momenta, grid, charged = _pipeline_momenta(rng, d, n, k, pairs)
-        for exclusion in ((), charged):
-            est = estimate_momentum_lipschitz(momenta, grid, exclusion)
-            assert est == loop_momentum_lipschitz(momenta, grid, exclusion)
+        momentum, on, grid, charged = _pipeline_momenta(rng, d, n, k, pairs)
+        for usable in (on, on & ~charged):
+            est = estimate_momentum_lipschitz(momentum, usable, grid)
+            assert est == loop_momentum_lipschitz(_as_dict(momentum, usable), grid)
             assert est > 0.0
     # the largest quotient sits on the last pair of nodes
     grid = build_torus_grid(1, 10, 1, 0.1)
-    jump = {x: float(x == 9) for x in range(1, 10)}
-    assert estimate_momentum_lipschitz(jump, grid) == loop_momentum_lipschitz(jump, grid)
+    jump = (np.arange(10) == 9).astype(float)[:, None]
+    usable = np.arange(10) >= 1
+    est = estimate_momentum_lipschitz(jump, usable, grid)
+    assert est == loop_momentum_lipschitz(_as_dict(jump, usable), grid)
     # distance-0 pairs: positions 0 and 1 coincide on the torus, as do repeats
     for dim in (1, 2):
         grid = SimpleNamespace(positions=rng.choice([0.0, 0.25, 0.5, 1.0], size=(30, dim)))
-        momenta = {x: rng.normal(size=dim) if dim == 2 else float(rng.normal()) for x in range(30)}
-        est = estimate_momentum_lipschitz(momenta, grid, exclusion=(3, 7))
-        assert est == loop_momentum_lipschitz(momenta, grid, exclusion=(3, 7))
+        momentum = rng.normal(size=(30, dim))
+        usable = ~np.isin(np.arange(30), (3, 7))
+        est = estimate_momentum_lipschitz(momentum, usable, grid)
+        assert est == loop_momentum_lipschitz(_as_dict(momentum, usable), grid)
+
+
+def _node_table_case(case):
+    """(table, solution, certificate, envelope, current) of one node-table case."""
+    kind, d, n, k, pairs = case
+    rng = np.random.default_rng([d, n, k, pairs])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    table = LagrangianTable(
+        grid=grid, values=rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    )
+    if kind == "closed":
+        sol = solve_closed(table)
+        return table, sol, certify_closed(table, sol), fiber_convex_envelope(table), None
+    if kind == "full_fiber":
+        # every velocity of node 2 supported: nine slopes, whose pairwise
+        # (numpy) and running sums round differently
+        sol = solve_closed(table)
+        weights = {(2, m): 1.0 for m in range(grid.num_offsets)}
+        weights.update({(4, 0): 0.5, (4, 3): 0.5})
+        mu = dataclasses.replace(sol.measure, weights=weights)
+        env = fiber_convex_envelope(table)
+        slopes = env.grad[2, :, 0]
+        assert slopes.reshape(-1, 1).mean(axis=0)[0] != sum(slopes.tolist()) / len(slopes)
+        return table, dataclasses.replace(sol, measure=mu), certify_closed(table, sol), env, None
+    ends = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
+    charges = {int(x): -1.0 for x in ends[:pairs]}
+    charges.update({int(x): 1.0 for x in ends[pairs:]})
+    current = BoundaryCurrent(grid=grid, charges=charges)
+    sol = solve_boundary(table, current)
+    cert = certify_boundary(table, current, sol)
+    return table, sol, cert, fiber_convex_envelope(table), current
+
+
+NODE_TABLE_CASES = [
+    ("closed", 1, 24, 2, 0),
+    ("closed", 1, 16, 3, 0),
+    ("closed", 2, 6, 2, 0),
+    ("boundary", 1, 64, 2, 6),
+    ("boundary", 1, 40, 3, 8),
+    ("boundary", 2, 6, 1, 8),
+    ("boundary", 2, 10, 2, 15),
+    ("boundary", 2, 8, 1, 0),  # no charges: the empty measure
+    ("full_fiber", 1, 6, 4, 0),
+]
+
+
+@pytest.mark.parametrize("case", NODE_TABLE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_node_table_matches_loop_reference(tmp_path, case):
+    # the node-table columns and the residuals read from them against the
+    # per-node loop, byte for byte and bit for bit
+    table, sol, cert, env, current = _node_table_case(case)
+    grid = table.grid
+    rep = full_report(table, sol, cert, env, current=current)
+    rows = loop_node_table(table, sol, cert, env)
+    serialize.write_node_table_csv(tmp_path / "columns.csv", grid, rep)
+    loop_write_node_table_csv(tmp_path / "loop.csv", grid, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    assert rep.hamiltonian_residual_max == loop_energy_residual(rows)
+    usable = {r["node"]: r["momentum"] for r in rows if r["on_support"] and not r["any_endpoint"]}
+    charged = current.support() if current is not None else ()
+    assert rep.momentum_lipschitz_estimate == loop_momentum_lipschitz(usable, grid, charged)
+    if current is not None and not charged:
+        assert not rep.on_support.any() and rep.momentum_lipschitz_estimate == 0.0
+
+
+def test_node_table_cases_cover_every_kind_of_node():
+    # in 1-D and in 2-D, the cases above hold nodes with several supported
+    # velocities, stencil-endpoint velocities and charges on the support
+    seen = set()
+    for case in NODE_TABLE_CASES:
+        table, sol, cert, env, current = _node_table_case(case)
+        rows = loop_node_table(table, sol, cert, env)
+        d = table.grid.dim
+        support = {r["node"] for r in rows if r["on_support"]}
+        if any(r["momentum_spread"] for r in rows):
+            seen.add(("several velocities", d))
+        if any(r["any_endpoint"] for r in rows):
+            seen.add(("endpoint", d))
+        if current is not None and support & set(current.support()):
+            seen.add(("charged", d))
+    kinds = ("several velocities", "endpoint", "charged")
+    assert seen == {(kind, d) for kind in kinds for d in (1, 2)}
 
 
 def test_torus_distance_wraps():
@@ -179,7 +289,8 @@ def test_full_report_two_node_pipeline():
     assert rep.slack_on_support_max <= 1e-9
     assert rep.hamiltonian_residual_max <= 1e-9
     assert rep.boundary_residual_max <= 1e-9
-    assert len(rep.details["nodes"]) == 2
+    for column in (rep.f, rep.momentum, rep.momentum_spread, rep.H_residual, rep.on_support):
+        assert len(column) == 2
 
 
 def test_full_report_exact_form_zero_gap():

@@ -184,20 +184,30 @@ def test_measure_writers_match_loop_references(tmp_path, d, n, k):
     )
     a, b, c, e = rng.choice(grid.num_nodes, 4, replace=False).tolist()
     current = BoundaryCurrent(grid=grid, charges={a: 1e300, b: -1e300, c: 1e-300, e: -1e-300})
-    # 1-D momenta are floats, 2-D ones are "|"-joined; None off the support
-    momentum = 1e-300 if d == 1 else np.array([-0.0, 1e300])
-    nodes = [
+    # a synthetic node table: the columns, and the per-node rows holding the
+    # same values; 1-D momenta are floats, 2-D ones are "|"-joined, and both
+    # momentum and spread are empty off the support
+    on = np.arange(grid.num_nodes) % 2 == 0
+    f = np.resize(EXTREMES, grid.num_nodes)
+    spread = np.where(on, np.roll(f, -1), np.nan)
+    h_resid = -np.roll(f, -2)
+    momentum = np.full((grid.num_nodes, d), np.nan)
+    momentum[on] = [1e-300] if d == 1 else [-0.0, 1e300]
+    synthetic = SimpleNamespace(
+        f=f, momentum=momentum, momentum_spread=spread, H_residual=h_resid, on_support=on
+    )
+    synthetic_rows = [
         {
             "node": x,
-            "f": EXTREMES[x % 5],
-            "momentum": None if x % 2 else momentum,
-            "momentum_spread": None if x % 2 else EXTREMES[(x + 1) % 5],
-            "H_residual": -EXTREMES[(x + 2) % 5],
-            "on_support": x % 2 == 0,
+            "f": f[x],
+            "momentum": (mom[0] if d == 1 else mom) if on[x] else None,
+            "momentum_spread": spread[x] if on[x] else None,
+            "H_residual": h_resid[x],
+            "on_support": on[x],
         }
-        for x in range(grid.num_nodes)
+        for x, mom in enumerate(momentum.tolist())
     ]
-    synthetic = SimpleNamespace(details={"nodes": nodes})
+    rows = oracles.loop_node_table(table, result.solution, result.certificate, result.envelope)
     cases = [
         ("lagrangian", table), ("lagrangian", extreme),
         ("measure", result.solution.measure), ("measure", sparse),
@@ -207,13 +217,16 @@ def test_measure_writers_match_loop_references(tmp_path, d, n, k):
         ("slack", dataclasses.replace(result.certificate, slack=values)),
         ("envelope", table, result.envelope),
         ("envelope", extreme, fiber_convex_envelope(extreme)),
-        ("node_table", grid, result.report), ("node_table", grid, synthetic),
     ]
     for i, (kind, *args) in enumerate(cases):
         dest = tmp_path / str(i)
         dest.mkdir()
         writer = getattr(serialize, f"write_{kind}_csv")
         _same_bytes(dest, writer, getattr(oracles, f"loop_write_{kind}_csv"), *args)
+    for report, loop_rows in ((result.report, rows), (synthetic, synthetic_rows)):
+        serialize.write_node_table_csv(tmp_path / "columns.csv", grid, report)
+        oracles.loop_write_node_table_csv(tmp_path / "loop.csv", grid, loop_rows)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 @pytest.mark.parametrize("d,n,k", [(1, 5, 1), (1, 6, 2), (2, 3, 1), (2, 4, 2)])
@@ -231,7 +244,7 @@ def test_envelope_csv_rebuilds_every_envelope_array(tmp_path, d, n, k):
         path = tmp_path / f"envelope{i}.csv"
         serialize.write_envelope_csv(path, table, env)
         back = oracles.read_envelope_csv(grid, path)
-        for name in ("values", "grad_lo", "grad_hi", "grad", "endpoint"):
+        for name in ("values", "grad", "endpoint"):
             assert np.array_equal(getattr(back, name), getattr(env, name)), name
         assert back.values.tobytes() == env.values.tobytes()  # -0.0 stays -0.0
 
