@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network
+from .grid import lattice_index, lattice_points
 from .network import OPTIMAL
 
 __all__ = [
@@ -84,13 +85,8 @@ class ControlProblem:
 
     @property
     def coords(self) -> np.ndarray:
-        """(S, N) integer coordinates of every state."""
-        return _grid_coords(self.state_dim, self.nodes_per_axis)
-
-
-def _grid_coords(state_dim: int, n: int) -> np.ndarray:
-    """(S, N) integer coordinates of every state; a state's index is their row-major rank."""
-    return np.indices((n,) * state_dim).reshape(state_dim, -1).T
+        """(S, N) integer coordinates of every state; a state's index is their row-major rank."""
+        return lattice_points(self.state_dim, self.nodes_per_axis)
 
 
 def make_control_problem(
@@ -116,7 +112,7 @@ def make_control_problem(
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     controls = tuple(controls)
     n = nodes_per_axis
-    coords = _grid_coords(state_dim, n)
+    coords = lattice_points(state_dim, n)
     positions = origin + coords.astype(float) * spacing
     xs = positions[:, 0].tolist() if state_dim == 1 else list(positions)
 
@@ -141,7 +137,7 @@ def make_control_problem(
         origin=origin,
         spacing=float(spacing),
         controls=controls,
-        move=np.where(inside, target @ n ** np.arange(state_dim - 1, -1, -1), -1),
+        move=np.where(inside, lattice_index(target.transpose(2, 0, 1), n), -1),
         steps=np.where(inside[:, :, None], step, 0),
         ell=np.array(
             [[[running_cost(x, t, a) for a in controls] for t in times] for x in xs], dtype=float
@@ -179,6 +175,11 @@ def _control_problem(**fields) -> ControlProblem:
         raise ValueError(f"state {stuck[0]} has no admissible control")
     active, collapses = _collapse_duplicates(move, ell)
     return ControlProblem(active=active, duplicate_collapses=collapses, **fields)
+
+
+def _describe(p: ControlProblem) -> str:
+    S, T, A = p.ell.shape
+    return f"S={S}, T={T}, A={A} with ell in [{float(p.ell.min())!r}, {float(p.ell.max())!r}]"
 
 
 def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
@@ -229,7 +230,10 @@ def solve_value_function(p: ControlProblem) -> ValueFunction:
         policy[:, j] = np.argmin(cand, axis=1)
         ctg[:, j] = cand[np.arange(S), policy[:, j]]
     if not np.all(np.isfinite(ctg)):
-        raise RuntimeError("value function is not finite; solver bug")
+        raise RuntimeError(
+            f"value function not finite at {np.count_nonzero(~np.isfinite(ctg))} of "
+            f"{ctg.size} nodes for {_describe(p)}; solver bug"
+        )
 
     v = ctg[:, ::-1].copy()
     argmin = np.full((S, T + 1), -1, dtype=int)
@@ -445,12 +449,12 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
     hi, lo = np.minimum(td + 1, T), np.maximum(td - 1, 0)
     v_t = (v[s[:, None], hi] - v[s[:, None], lo]) / ((hi - lo) * dt)
 
-    coords = p.coords[s]  # (K, N)
-    stride = n ** np.arange(p.state_dim - 1, -1, -1)
-    up, dn = np.minimum(coords + 1, n - 1), np.maximum(coords - 1, 0)
-    s_up = s[:, None] + (up - coords) * stride
-    s_dn = s[:, None] + (dn - coords) * stride
-    span = (up - dn) * dx
+    # coordinates (first axis) of the points one step up and down each axis a
+    # (last axis) from every path node, clipped to the box
+    coords, unit = p.coords[s].T[:, :, None], np.eye(p.state_dim, dtype=int)[:, None, :]
+    up, dn = np.minimum(coords + unit, n - 1), np.maximum(coords - unit, 0)
+    span = (up - dn).sum(axis=0) * dx
+    s_up, s_dn = lattice_index(up, n), lattice_index(dn, n)  # (K, N)
     grad = np.divide(
         v[s_up, td] - v[s_dn, td], span, out=np.zeros(span.shape), where=span > 0
     )  # (K, N)
@@ -494,7 +498,10 @@ def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution
         init[s0] -= amount
         out.append((tuple(states), float(amount)))
     else:
-        raise RuntimeError("trajectory extraction failed to terminate; solver bug")
+        raise RuntimeError(
+            f"trajectory extraction did not finish in {guard} passes for {_describe(p)}, "
+            f"mass tolerance {tol!r}; solver bug"
+        )
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DiscreteMeasure, LagrangianTable, PhaseGrid
+from .grid import DiscreteMeasure, LagrangianTable, PhaseGrid, lattice_points
 
 __all__ = [
     "FiberEnvelope",
@@ -73,9 +73,7 @@ def _supports_2d(radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
     singleton / segment / triangle convex representations, integer-exact."""
     if radius in _SUPPORT_CACHE:
         return _SUPPORT_CACHE[radius]
-    pts = np.array(
-        sorted(itertools.product(range(-radius, radius + 1), repeat=2)), dtype=int
-    )
+    pts = lattice_points(2, 2 * radius + 1) - radius
     m = len(pts)
     out = []
     for t in range(m):
@@ -137,43 +135,20 @@ def fiber_convex_envelope(table: LagrangianTable) -> FiberEnvelope:
 
 
 def _fiber_slopes(grid: PhaseGrid, env: np.ndarray) -> FiberEnvelope:
-    n, m = grid.num_nodes, grid.num_offsets
-    d = grid.dim
+    n, m, d = grid.num_nodes, grid.num_offsets, grid.dim
     dv = grid.spacing / grid.time_step
     K = grid.stencil_radius
-    side = 2 * K + 1
+    cube = env.reshape((n,) + (2 * K + 1,) * d)  # (node, velocity axis 0, ...)
 
-    lo = np.empty((n, m, d))
-    hi = np.empty((n, m, d))
-    if d == 1:
-        diffs = np.diff(env, axis=1) / dv
-        lo[:, 1:, 0] = diffs
-        hi[:, :-1, 0] = diffs
-        lo[:, 0, 0] = hi[:, 0, 0]
-        hi[:, -1, 0] = lo[:, -1, 0]
-        endpoint = np.zeros((n, m), dtype=bool)
-        endpoint[:, 0] = endpoint[:, -1] = True
-    else:
-        cube = env.reshape(n, side, side)
-        for axis in range(2):
-            dif = np.diff(cube, axis=1 + axis) / dv
-            lo_a = np.empty((n, side, side))
-            hi_a = np.empty((n, side, side))
-            if axis == 0:
-                lo_a[:, 1:, :] = dif
-                hi_a[:, :-1, :] = dif
-                lo_a[:, 0, :] = hi_a[:, 0, :]
-                hi_a[:, -1, :] = lo_a[:, -1, :]
-            else:
-                lo_a[:, :, 1:] = dif
-                hi_a[:, :, :-1] = dif
-                lo_a[:, :, 0] = hi_a[:, :, 0]
-                hi_a[:, :, -1] = lo_a[:, :, -1]
-            lo[:, :, axis] = lo_a.reshape(n, m)
-            hi[:, :, axis] = hi_a.reshape(n, m)
-        endpoint = (np.abs(grid.offsets) == K).any(axis=1)[None, :].repeat(n, axis=0)
-
-    grad = 0.5 * (lo + hi)
+    grad = np.empty((n, m, d))
+    for axis in range(d):
+        # difference quotients along this velocity axis, moved to axis 1; at
+        # the two stencil ends only one of them exists
+        dif = np.moveaxis(np.diff(cube, axis=1 + axis) / dv, 1 + axis, 1)
+        lo = np.concatenate([dif[:, :1], dif], axis=1)
+        hi = np.concatenate([dif, dif[:, -1:]], axis=1)
+        grad[:, :, axis] = np.moveaxis(0.5 * (lo + hi), 1, 1 + axis).reshape(n, m)
+    endpoint = (np.abs(grid.offsets) == K).any(axis=1)[None, :].repeat(n, axis=0)
     return FiberEnvelope(grid=grid, values=env, grad=grad, endpoint=endpoint)
 
 

@@ -13,7 +13,6 @@ reads; construction is single-threaded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -26,6 +25,8 @@ __all__ = [
     "DiscreteMeasure",
     "BoundaryCurrent",
     "build_torus_grid",
+    "lattice_points",
+    "lattice_index",
     "sample_lagrangian",
     "discrete_differential",
     "boundary_of_measure",
@@ -33,6 +34,27 @@ __all__ = [
 
 # Absolute floor for the zero-total-charge check; scaled by the charge size.
 CHARGE_BALANCE_TOL = 1e-12
+
+
+def lattice_points(dim: int, side: int) -> np.ndarray:
+    """Integer coordinates of every point of {0, ..., side-1}^dim, shape
+    (side**dim, dim), in row-major order: row i holds the point of index i.
+
+    The one numbering of grid nodes, of stencil offsets (shifted by the
+    radius) and of control states.
+    """
+    return np.indices((side,) * dim).reshape(dim, -1).T
+
+
+def lattice_index(coords, side: int):
+    """Row-major index of the lattice point with coordinates ``coords[0],
+    coords[1], ...``: numbers, or equal-shape arrays of them (the first axis
+    runs over the dimensions, as in ``np.ravel_multi_index``).  The inverse of
+    ``lattice_points``; coordinates are not range-checked."""
+    index = 0
+    for c in coords:
+        index = index * side + c
+    return index
 
 
 @dataclass(frozen=True)
@@ -83,13 +105,6 @@ class PhaseGrid:
         # Offsets are sorted, so the zero vector sits exactly in the middle.
         return (self.num_offsets - 1) // 2
 
-    def coords_to_node(self, coords) -> int:
-        n = self.nodes_per_dim
-        coords = [int(c) % n for c in np.atleast_1d(coords)]
-        if self.dim == 1:
-            return coords[0]
-        return coords[0] * n + coords[1]
-
     def position(self, node: int):
         """Position of a node; a scalar for d=1, a length-2 array for d=2."""
         p = self.positions[node]
@@ -104,11 +119,8 @@ class PhaseGrid:
         k = np.atleast_1d(np.asarray(offset, dtype=int))
         K = self.stencil_radius
         if np.any(np.abs(k) > K):
-            raise ValueError(f"offset {tuple(k)} outside stencil radius {K}")
-        idx = 0
-        for c in k:
-            idx = idx * (2 * K + 1) + (int(c) + K)
-        return idx
+            raise ValueError(f"offset {tuple(k.tolist())} outside stencil radius {K}")
+        return int(lattice_index(k + K, 2 * K + 1))
 
     def same_layout(self, other: "PhaseGrid") -> bool:
         return (
@@ -136,36 +148,19 @@ def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid
         raise ValueError(f"time step must be positive, got {h}")
 
     K = stencil_radius
-    offsets = np.array(
-        sorted(itertools.product(range(-K, K + 1), repeat=d)), dtype=int
-    )
-    num_nodes = n**d
+    offsets = lattice_points(d, 2 * K + 1) - K
+    coords = lattice_points(d, n)
     dx = 1.0 / n
-
-    if d == 1:
-        base = np.arange(num_nodes)[:, None]
-        neighbors = (base + offsets[None, :, 0]) % n
-        positions = (np.arange(num_nodes) * dx)[:, None]
-    else:
-        rows = np.arange(num_nodes) // n
-        cols = np.arange(num_nodes) % n
-        nr = (rows[:, None] + offsets[None, :, 0]) % n
-        nc = (cols[:, None] + offsets[None, :, 1]) % n
-        neighbors = nr * n + nc
-        positions = np.stack([rows * dx, cols * dx], axis=1)
-
-    velocities = offsets * dx / h
-    grid = PhaseGrid(
+    return PhaseGrid(
         dim=d,
         nodes_per_dim=n,
         stencil_radius=K,
         time_step=h,
         offsets=offsets,
-        neighbors=neighbors.astype(int),
-        positions=positions.astype(float),
-        velocities=velocities.astype(float),
+        neighbors=lattice_index((coords.T[:, :, None] + offsets.T[:, None, :]) % n, n),
+        positions=coords * dx,
+        velocities=offsets * dx / h,
     )
-    return grid
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import _describe
 from .grid import BoundaryCurrent, DiscreteMeasure, LagrangianTable
 from . import network
 from .network import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -58,14 +59,18 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     # The value is shift-equivariant: solve at the data's own scale, so that
     # slack and tolerance do not depend on an added constant.
     shifted = costs - costs.min()
+    tol = network.cost_tolerance(float(shifted.max()), grid.num_nodes)
     found = network.minimum_mean_cycle(grid.num_nodes, tails, heads, shifted)
     if found is None:
-        raise RuntimeError("phase grid produced an acyclic graph; solver bug")
+        raise RuntimeError(f"no cycle in {_describe(table)}, tolerance {tol!r}; solver bug")
     lam, bias = found
     slack = shifted - lam + bias[heads] - bias[tails]
-    tight = slack <= network.cost_tolerance(float(shifted.max()), grid.num_nodes)
-
-    cycle_edges = _extract_tight_cycle(grid, tails, heads, tight)
+    cycle_edges = _extract_tight_cycle(grid, tails, heads, slack <= tol)
+    if not cycle_edges:
+        raise RuntimeError(
+            f"no tight cycle at mean {lam + float(costs.min())!r} in {_describe(table)}, "
+            f"tolerance {tol!r}; solver bug"
+        )
     weight = 1.0 / len(cycle_edges)
     measure = DiscreteMeasure(
         grid=grid, weights={edge: weight for edge in cycle_edges}
@@ -75,7 +80,8 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
 
 
 def _extract_tight_cycle(grid, tails, heads, tight) -> list[tuple[int, int]]:
-    """One minimum-mean cycle, as edges (node, offset_index).
+    """One minimum-mean cycle, as edges (node, offset_index); empty when no
+    tight edge lies on a tight cycle.
 
     ``tight`` marks the edges of zero slack under a feasible potential of the
     reduced costs L - lam.  Every cycle of tight edges has total reduced cost
@@ -91,7 +97,7 @@ def _extract_tight_cycle(grid, tails, heads, tight) -> list[tuple[int, int]]:
     # keep tight edges whose endpoints share a tight-subgraph component
     cyclic = t_idx[comp[tails[t_idx]] == comp[heads[t_idx]]]
     if len(cyclic) == 0:
-        raise RuntimeError("no tight cycle found; solver bug")
+        return []
 
     m = grid.num_offsets
     out: dict[int, list[int]] = {}

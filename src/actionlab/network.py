@@ -315,7 +315,8 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     tail_of, head_of, cost_of = memoryview(tails), memoryview(heads), memoryview(costs)
     flow_of, pot_of, b_of = memoryview(flow), memoryview(pot), memoryview(b)
     inf = float("inf")
-    for _ in range(AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)):
+    limit = AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)
+    for _ in range(limit):
         sources = np.flatnonzero(b < -zero)
         if len(sources) == 0:
             break
@@ -387,7 +388,11 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         b_of[target] -= amount
         pot += np.minimum(dist, dist[target])
     else:
-        raise RuntimeError("min_cost_flow failed to terminate; solver bug")
+        raise RuntimeError(
+            f"min_cost_flow did not finish in {limit} augmentations on {num_nodes} nodes and "
+            f"{num_edges} edges with costs in [{float(costs.min())!r}, {float(costs.max())!r}], "
+            f"mass tolerance {zero!r}; solver bug"
+        )
 
     value = float(np.dot(costs, flow))
     return FlowResult(OPTIMAL, flow, pot, value)

@@ -19,6 +19,8 @@ from .grid import (
     LagrangianTable,
     PhaseGrid,
     build_torus_grid,
+    lattice_index,
+    lattice_points,
 )
 from .control import ControlProblem, _control_problem, _num_steps
 
@@ -89,23 +91,16 @@ def _coord_columns(grid: PhaseGrid, ids, edges: bool = False) -> list[np.ndarray
     ids = np.asarray(ids, dtype=int)
     M = grid.num_offsets
     nodes = ids // M if edges else ids
-    n = grid.nodes_per_dim
-    cols = [nodes] if grid.dim == 1 else [nodes // n, nodes % n]
+    cols = list(lattice_points(grid.dim, grid.nodes_per_dim)[nodes].T)
     if edges:
         cols += list(grid.offsets[ids % M].T)
     return cols
 
 
-def _node_header(grid: PhaseGrid, base: str = "node") -> list[str]:
-    if grid.dim == 1:
-        return [base]
-    return [f"{base}_i", f"{base}_j"]
-
-
-def _offset_header(grid: PhaseGrid) -> list[str]:
-    if grid.dim == 1:
-        return ["offset"]
-    return ["offset_i", "offset_j"]
+def _coord_header(dim: int, *bases: str) -> list[str]:
+    """Column names of lattice coordinates: each base alone in 1-D, as
+    ``base_i, base_j`` in 2-D."""
+    return [base + axis for base in bases for axis in ([""] if dim == 1 else ["_i", "_j"])]
 
 
 def grid_to_json(grid: PhaseGrid) -> dict:
@@ -128,7 +123,7 @@ def grid_from_json(payload: dict) -> PhaseGrid:
 
 def write_lagrangian_csv(path, table: LagrangianTable) -> None:
     grid = table.grid
-    header = _node_header(grid) + _offset_header(grid) + ["value"]
+    header = _coord_header(grid.dim, "node", "offset") + ["value"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
     _write_csv(path, header, _rows(edges + [table.values]))
 
@@ -167,14 +162,17 @@ def _integers(path, line: int, fields) -> list[int]:
 def _read_edge_rows(grid: PhaseGrid, path):
     d = grid.dim
     for line, row in _csv_rows(path):
-        node = grid.coords_to_node(_integers(path, line, row[:d]))
-        m = grid.offset_index(_integers(path, line, row[d : 2 * d]))
+        node = _parse_point(path, line, row[:d], grid.nodes_per_dim)
+        try:
+            m = grid.offset_index(_integers(path, line, row[d : 2 * d]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from None
         yield node, m, float(row[2 * d])
 
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     grid = mu.grid
-    header = _node_header(grid) + _offset_header(grid) + ["weight"]
+    header = _coord_header(grid.dim, "node", "offset") + ["weight"]
     nodes, m = np.array(list(mu.weights), dtype=int).reshape(-1, 2).T
     ids = nodes * grid.num_offsets + m
     weights = np.fromiter(mu.weights.values(), float, len(ids))
@@ -192,7 +190,7 @@ def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
 
 def write_current_csv(path, current: BoundaryCurrent) -> None:
     grid = current.grid
-    header = _node_header(grid) + ["charge"]
+    header = _coord_header(grid.dim, "node") + ["charge"]
     nodes = np.fromiter(current.charges, int, len(current.charges))
     charges = np.fromiter(current.charges.values(), float, len(nodes))
     order = np.argsort(nodes)
@@ -203,7 +201,7 @@ def read_current_csv(grid: PhaseGrid, path) -> BoundaryCurrent:
     d = grid.dim
     charges = {}
     for line, row in _csv_rows(path):
-        charges[grid.coords_to_node(_integers(path, line, row[:d]))] = float(row[d])
+        charges[_parse_point(path, line, row[:d], grid.nodes_per_dim)] = float(row[d])
     return BoundaryCurrent(grid=grid, charges=charges)
 
 
@@ -223,7 +221,7 @@ def write_certificate_json_with_support(path, cert, mu) -> None:
 
 def write_slack_csv(path, cert) -> None:
     grid = cert.grid
-    header = _node_header(grid) + _offset_header(grid) + ["g"]
+    header = _coord_header(grid.dim, "node", "offset") + ["g"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
     _write_csv(path, header, _rows(edges + [cert.slack]))
 
@@ -232,7 +230,7 @@ def write_envelope_csv(path, table: LagrangianTable, env) -> None:
     """L_tilde and the endpoint flag per edge.  L itself is the Lagrangian
     CSV, and the one-sided slopes are differences of L_tilde (``_fiber_slopes``)."""
     grid = table.grid
-    header = _node_header(grid) + _offset_header(grid) + ["L_tilde", "endpoint"]
+    header = _coord_header(grid.dim, "node", "offset") + ["L_tilde", "endpoint"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
     _write_csv(path, header, _rows(edges + [env.values, env.endpoint.astype(int)]))
 
@@ -250,7 +248,8 @@ def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
     else:
         momentum[on] = ["|".join(map(repr, m)) for m in supported.tolist()]
     spread[on] = report.momentum_spread[on]
-    header = _node_header(grid) + ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
+    header = _coord_header(grid.dim, "node")
+    header += ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
     columns = _coord_columns(grid, np.arange(grid.num_nodes)) + [
         report.f,
         momentum,
@@ -303,7 +302,7 @@ def write_control_result(dest, result) -> None:
 
 def write_value_function_csv(path, vf) -> None:
     p = vf.problem
-    header = (["x"] if p.state_dim == 1 else ["x_i", "x_j"]) + ["t", "v", "argmin_control"]
+    header = _coord_header(p.state_dim, "x") + ["t", "v", "argmin_control"]
     layers = p.num_steps + 1
     coords = np.repeat(p.coords, layers, axis=0)
     t = np.tile(np.arange(layers) * p.time_step, p.num_states)
@@ -342,17 +341,17 @@ def read_control_problem(path) -> ControlProblem:
     for line, row in _csv_rows(dynamics_csv):
         fields = _integers(dynamics_csv, line, row[: 2 * state_dim + 1])
         coords, step = fields[:state_dim], fields[state_dim + 1 :]
-        s = _state(dynamics_csv, line, coords, n)
+        s = _parse_point(dynamics_csv, line, row[:state_dim], n)
         a = _index(dynamics_csv, line, fields[state_dim], A, "control index")
         target = [c + k for c, k in zip(coords, step)]
         if all(0 <= c < n for c in target):
             steps[s, a] = step
-            move[s, a] = _state(dynamics_csv, line, target, n)
+            move[s, a] = lattice_index(target, n)
 
     costs_csv = path.parent / desc["costs_csv"]
     for line, row in _csv_rows(costs_csv):
         fields = _integers(costs_csv, line, row[: state_dim + 2])
-        s = _state(costs_csv, line, fields[:state_dim], n)
+        s = _parse_point(costs_csv, line, row[:state_dim], n)
         j = _index(costs_csv, line, fields[state_dim], T, "time index")
         a = _index(costs_csv, line, fields[state_dim + 1], A, "control index")
         ell[s, j, a] = float(row[state_dim + 2])
@@ -379,16 +378,17 @@ def _index(path, line: int, value: int, size: int, what: str) -> int:
     return value
 
 
-def _state(path, line: int, coords, n: int) -> int:
-    """Row-major state index of coordinates, each checked to lie in [0, n)."""
-    s = 0
+def _parse_point(path, line: int, fields, n: int) -> int:
+    """Index of the node or state whose integer coordinates are ``fields``,
+    each checked to lie in [0, n)."""
+    coords = _integers(path, line, fields)
     for c in coords:
-        s = s * n + _index(path, line, c, n, "coordinate")
-    return s
+        _index(path, line, c, n, "coordinate")
+    return lattice_index(coords, n)
 
 
 def read_initial_csv(num_states: int, state_dim: int, n: int, path) -> np.ndarray:
     init = np.zeros(num_states)
     for line, row in _csv_rows(path):
-        init[_state(path, line, _integers(path, line, row[:state_dim]), n)] = float(row[state_dim])
+        init[_parse_point(path, line, row[:state_dim], n)] = float(row[state_dim])
     return init

@@ -165,6 +165,74 @@ def grid_edges(table):
     return out
 
 
+# The lattice numbering by explicit per-axis arithmetic: nodes (and control
+# states) in [0, n)^d and stencil offsets in [-K, K]^d, each in lexicographic
+# order.
+
+# the lattices the numbering is checked on: d, nodes per axis, stencil radius
+LATTICES = [(d, n, k) for d in (1, 2) for n in (2, 3, 5, 8) for k in (1, 2, 3)]
+
+
+def loop_node_index(coords, n: int) -> int:
+    """Index of the node with coordinates (i,) or (i, j): i, or i*n + j."""
+    if len(coords) == 1:
+        return int(coords[0])
+    i, j = coords
+    return int(i) * n + int(j)
+
+
+def loop_torus_grid(d: int, n: int, K: int) -> dict:
+    """Node coordinates, offsets, neighbors and positions of the d-torus grid
+    with n nodes per axis and stencil radius K, one entry at a time."""
+    axis = range(n)
+    stencil = range(-K, K + 1)
+    if d == 1:
+        coords = [(i,) for i in axis]
+        offsets = [(k,) for k in stencil]
+    else:
+        coords = [(i, j) for i in axis for j in axis]
+        offsets = [(a, b) for a in stencil for b in stencil]
+    neighbors = [
+        [loop_node_index([(c + k) % n for c, k in zip(x, o)], n) for o in offsets]
+        for x in coords
+    ]
+    dx = 1.0 / n
+    return {
+        "coords": np.array(coords),
+        "offsets": np.array(offsets),
+        "neighbors": np.array(neighbors),
+        "positions": np.array([[c * dx for c in x] for x in coords]),
+    }
+
+
+def loop_fiber_slopes(grid, env):
+    """(grad, endpoint) of an (N, M) table of envelope values, one fibre,
+    offset and velocity axis at a time.
+
+    Along axis a at offset k the backward quotient is (env(k) - env(k - e_a))
+    / dv and the forward one (env(k + e_a) - env(k)) / dv, dv = dx / h.  At a
+    stencil end only one exists and stands for both; grad is their midpoint.
+    """
+    d, K = grid.dim, grid.stencil_radius
+    dv = grid.spacing / grid.time_step
+    offsets = [tuple(o) for o in loop_torus_grid(d, grid.nodes_per_dim, K)["offsets"].tolist()]
+    where = {o: m for m, o in enumerate(offsets)}
+    grad = np.empty((grid.num_nodes, len(offsets), d))
+    endpoint = np.zeros((grid.num_nodes, len(offsets)), dtype=bool)
+    for x in range(grid.num_nodes):
+        for m, o in enumerate(offsets):
+            endpoint[x, m] = any(abs(c) == K for c in o)
+            for a in range(d):
+                down = where.get(o[:a] + (o[a] - 1,) + o[a + 1 :])
+                up = where.get(o[:a] + (o[a] + 1,) + o[a + 1 :])
+                lo = None if down is None else (env[x, m] - env[x, down]) / dv
+                hi = None if up is None else (env[x, up] - env[x, m]) / dv
+                lo = hi if lo is None else lo
+                hi = lo if hi is None else hi
+                grad[x, m, a] = 0.5 * (lo + hi)
+    return grad, endpoint
+
+
 def random_closed_instance(rng, max_n=64, max_k=2):
     """Random d=1 torus instance with costs in [-1, 1]."""
     from actionlab import LagrangianTable, build_torus_grid
@@ -389,7 +457,7 @@ def read_envelope_csv(grid, path):
         reader = csv.reader(fh)
         assert next(reader)[2 * d :] == ["L_tilde", "endpoint"]
         for row in reader:
-            node = grid.coords_to_node([int(c) for c in row[:d]])
+            node = loop_node_index([int(c) for c in row[:d]], grid.nodes_per_dim)
             m = grid.offset_index([int(c) for c in row[d : 2 * d]])
             values[node, m] = float(row[2 * d])
             endpoint[node, m] = {"0": False, "1": True}[row[2 * d + 1]]

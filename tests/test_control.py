@@ -19,6 +19,8 @@ from oracles import (
     loop_hjb_residual,
     loop_maximum_principle,
     loop_reachable,
+    loop_node_index,
+    loop_torus_grid,
     loop_u_v_residual,
 )
 
@@ -35,6 +37,34 @@ def constant_cost_problem(k=2.0, n=5, steps=4):
         horizon=steps * 0.1,
         time_step=0.1,
     )
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2) for n in (2, 3, 5, 8)])
+def test_state_numbering_matches_loop_reference(d, n):
+    # each control is an integer step; the steps are seeded and lopsided
+    rng = np.random.default_rng([d, n])
+    steps = [tuple(s) for s in rng.integers(-2, 3, size=(6, d)).tolist()] + [(0,) * d]
+    p = make_control_problem(
+        state_dim=d,
+        nodes_per_axis=n,
+        origin=[0.0] * d,
+        spacing=0.25,
+        controls=steps,
+        dynamics=lambda x, a: np.array(a, dtype=float),
+        running_cost=lambda x, t, a: 1.0,
+        horizon=0.5,
+        time_step=0.25,
+    )
+    coords = loop_torus_grid(d, n, 1)["coords"]
+    assert np.array_equal(p.coords, coords)
+    move = [
+        [
+            loop_node_index(t, n) if all(0 <= c < n for c in t) else -1
+            for t in ([c + k for c, k in zip(x, step)] for step in steps)
+        ]
+        for x in coords.tolist()
+    ]
+    assert np.array_equal(p.move, move)
 
 
 def three_state_problem(dt=0.25):
@@ -137,6 +167,19 @@ def test_dpp_monotone_in_cost():
         v1 = solve_value_function(p1).v
         v2 = solve_value_function(p2).v
         assert np.all(v1 <= v2 + 1e-12)
+
+
+def test_value_function_error_names_problem_size_and_costs():
+    import dataclasses
+
+    p = three_state_problem()
+    stuck = dataclasses.replace(p, active=np.zeros_like(p.active))  # no arc left to take
+    with pytest.raises(RuntimeError) as err:
+        solve_value_function(stuck)
+    assert str(err.value) == (
+        "value function not finite at 6 of 9 nodes for S=3, T=2, A=2 "
+        "with ell in [0.0, 0.25]; solver bug"
+    )
 
 
 def test_lp_point_mass_matches_dp():

@@ -11,7 +11,9 @@ from actionlab import (
     solve_closed,
 )
 
-from oracles import affine_minorant_max_1d, affine_minorant_max_2d
+from actionlab.convexify import _fiber_slopes
+
+from oracles import LATTICES, affine_minorant_max_1d, affine_minorant_max_2d, loop_fiber_slopes
 
 
 def double_well_table(n=4):
@@ -93,6 +95,21 @@ def test_envelope_matches_lp_oracle_2d():
                     grid.velocities, table.values[x], grid.velocities[m]
                 )
                 assert env.values[x, m] == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("d,n,k", LATTICES)
+def test_fiber_slopes_match_loop_reference(d, n, k):
+    # seeded tables with no symmetry between the velocity axes or their ends,
+    # taken raw and after convexification
+    rng = np.random.default_rng([d, n, k])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    for env in (table.values, fiber_convex_envelope(table).values):
+        got = _fiber_slopes(grid, env)
+        grad, endpoint = loop_fiber_slopes(grid, env)
+        assert np.array_equal(got.grad, grad)
+        assert np.array_equal(got.endpoint, endpoint)
 
 
 def test_derivative_parabola_interior_and_endpoint():

@@ -10,6 +10,8 @@ from actionlab import (
     sample_lagrangian,
 )
 
+from oracles import LATTICES, loop_torus_grid
+
 
 def test_counts_1d():
     grid = build_torus_grid(1, 4, 1, 0.25)
@@ -59,6 +61,16 @@ def test_offset_index_roundtrip_and_bounds():
         assert grid.offset_index(grid.offsets[m]) == m
     with pytest.raises(ValueError, match="outside stencil"):
         grid.offset_index((3, 0))
+
+
+@pytest.mark.parametrize("d,n,k", LATTICES)
+def test_grid_numbering_matches_loop_reference(d, n, k):
+    grid = build_torus_grid(d, n, k, 0.5)
+    ref = loop_torus_grid(d, n, k)
+    for name in ("offsets", "neighbors", "positions"):
+        assert np.array_equal(getattr(grid, name), ref[name]), name
+    for m, offset in enumerate(ref["offsets"].tolist()):
+        assert grid.offset_index(offset) == m
 
 
 def test_sample_lagrangian_zero_and_kinetic():

@@ -10,6 +10,7 @@ from actionlab import (
     solve_boundary,
     solve_closed,
 )
+from actionlab.grid import lattice_index
 from actionlab.measure_lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from oracles import grid_edges, random_closed_instance, scan_dijkstra, simple_cycle_min_mean
@@ -57,6 +58,21 @@ def test_closed_matches_brute_force_small():
         sol = solve_closed(table)
         oracle = simple_cycle_min_mean(table.grid.num_nodes, grid_edges(table))
         assert sol.value == pytest.approx(oracle, abs=1e-12)
+
+
+def test_closed_solver_errors_name_grid_costs_and_tolerance(monkeypatch):
+    from actionlab import measure_lp, network
+
+    table = two_node_table()
+    where = "the table on grid d=1, n=2, k=1 with L in [1.0, 9.0], tolerance 1.6e-13; solver bug"
+    monkeypatch.setattr(measure_lp, "_extract_tight_cycle", lambda *args: [])
+    with pytest.raises(RuntimeError) as err:
+        solve_closed(table)
+    assert str(err.value) == f"no tight cycle at mean 2.0 in {where}"
+    monkeypatch.setattr(network, "minimum_mean_cycle", lambda *args: None)
+    with pytest.raises(RuntimeError) as err:
+        solve_closed(table)
+    assert str(err.value) == f"no cycle in {where}"
 
 
 def test_closed_solution_is_feasible_probability_circulation():
@@ -222,7 +238,7 @@ def test_closed_2d_pendulum_rest_atom():
     table = sample_lagrangian(grid, lagrangian)
     sol = solve_closed(table)
     assert sol.value == pytest.approx(-2.0, abs=1e-12)
-    node = grid.coords_to_node((3, 3))  # both coordinates at 0.5
+    node = int(lattice_index((3, 3), grid.nodes_per_dim))  # both coordinates at 0.5
     assert sol.measure.weights == {(node, grid.zero_offset_index): 1.0}
     from actionlab import certify_closed
 
@@ -238,8 +254,8 @@ def test_boundary_2d_distance_matches_dijkstra():
         return float(np.max(np.abs(v))) + 0.05
 
     table = sample_lagrangian(grid, lagrangian)
-    src = grid.coords_to_node((0, 0))
-    dst = grid.coords_to_node((2, 3))
+    src = int(lattice_index((0, 0), grid.nodes_per_dim))
+    dst = int(lattice_index((2, 3), grid.nodes_per_dim))
     current = BoundaryCurrent(grid=grid, charges={dst: 1.0, src: -1.0})
     sol = solve_boundary(table, current)
     assert sol.status == OPTIMAL

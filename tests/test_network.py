@@ -146,6 +146,20 @@ def test_min_cost_flow_simple_transport():
     assert np.max(np.abs(rc[res.flow > 0])) <= 1e-12
 
 
+def test_min_cost_flow_names_size_costs_and_limit_when_it_does_not_finish(monkeypatch):
+    from actionlab import network
+
+    monkeypatch.setattr(network, "AUGMENTATIONS_PER_ELEMENT", 0)
+    tails, heads = np.array([0, 1, 0]), np.array([2, 2, 1])
+    b = np.array([-1.0, -1.0, 2.0])
+    with pytest.raises(RuntimeError) as err:
+        min_cost_flow(3, tails, heads, np.array([3.0, 1.0, 1.0]), b)
+    assert str(err.value) == (
+        "min_cost_flow did not finish in 0 augmentations on 3 nodes and 3 edges with costs "
+        "in [1.0, 3.0], mass tolerance 4e-13; solver bug"
+    )
+
+
 def test_min_cost_flow_infeasible_when_disconnected():
     tails = np.array([0])
     heads = np.array([1])

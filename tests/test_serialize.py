@@ -94,6 +94,28 @@ def test_csv_readers_reject_empty_file_and_fractional_coordinates(tmp_path, read
         read(grid, path)
 
 
+@pytest.mark.parametrize(
+    "read, d, rows, error",
+    [
+        (serialize.read_measure_csv, 1, "0,0,1.0\n17,0,1.0", "coordinate 17 is outside [0, 16)"),
+        (serialize.read_lagrangian_csv, 1, "0,0,1.0\n16,0,1.0", "coordinate 16 is outside [0, 16)"),
+        (serialize.read_current_csv, 1, "0,1.0\n-1,-1.0", "coordinate -1 is outside [0, 16)"),
+        (serialize.read_measure_csv, 2, "0,0,0,0,1\n3,16,0,0,1", "coordinate 16 is outside [0, 16)"),
+        (serialize.read_current_csv, 2, "0,0,1.0\n-1,3,-1.0", "coordinate -1 is outside [0, 16)"),
+        (serialize.read_measure_csv, 1, "0,0,1.0\n3,2,1.0", "offset (2,) outside stencil radius 1"),
+    ],
+    ids=["measure", "lagrangian", "current", "measure_2d", "current_2d", "offset"],
+)
+def test_csv_readers_reject_out_of_range_node(tmp_path, read, d, rows, error):
+    # the parent read node 17 of a 16-node axis as node 1, and -1 as node 15
+    grid = build_torus_grid(d, 16, 1, 1.0 / 16)
+    path = tmp_path / "in.csv"
+    path.write_text(f"header\n{rows}\n")
+    with pytest.raises(ValueError) as err:
+        read(grid, path)
+    assert str(err.value) == f"{path} line 3: {error}"
+
+
 def _certify_exit_code(tmp_path, table, measure, current=None):
     """Write the inputs of ``actionlab certify`` and return its exit code.
 
@@ -155,6 +177,20 @@ def test_cli_certify_unreadable_solution_is_a_usage_error(tmp_path, capsys):
     assert "s.csv is empty" in capsys.readouterr().err
     assert _certify_exit_code(tmp_path, table, "x,k,w\n1.7,0,1.0\n") == 2
     assert "s.csv line 2: '1.7' is not an integer" in capsys.readouterr().err
+
+
+def test_cli_certify_out_of_range_node_is_a_usage_error(tmp_path, capsys):
+    grid = build_torus_grid(1, 16, 1, 1.0 / 16)
+    table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
+    assert _certify_exit_code(tmp_path, table, "x,k,w\n17,0,1.0\n") == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 's.csv'} line 2: coordinate 17 is outside [0, 16)" in err
+    (tmp_path / "c.csv").write_text("x,charge\n-1,1.0\n0,-1.0\n")
+    argv = ["certify", "--grid", str(tmp_path / "g.json"), "--lagrangian", str(tmp_path / "l.csv")]
+    argv += ["--current", str(tmp_path / "c.csv"), "--solution", str(tmp_path / "s.csv")]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'c.csv'} line 2: coordinate -1 is outside [0, 16)" in err
 
 
 def _same_bytes(tmp_path, write, loop_write, *args):
