@@ -180,19 +180,17 @@ class WeakKamResult:
         return CONVERGED if self.converged else NON_CONVERGED
 
 
-def weak_kam_iterate(
-    table: LagrangianTable, c0: float, max_iters: int | None = None
-) -> WeakKamResult:
+def weak_kam_iterate(table: LagrangianTable, c0: float) -> WeakKamResult:
     """Fixed-point route to a dual-feasible potential: f <- min(f, T_backward[f]).
 
     Starting from f = 0, the iteration stabilizes within num_nodes sweeps iff
     the reduced costs L - c0 carry no negative-mean cycle (c0 at most the
     critical constant); a negative reduced cycle drives f to -inf, reported as
-    NON_CONVERGED via the iteration count.  The limit satisfies L >= c0 + df.
+    NON_CONVERGED after num_nodes + 1 sweeps.  ``iterations`` counts the
+    sweeps run.  The limit satisfies L >= c0 + df.
     """
     grid = table.grid
-    if max_iters is None:
-        max_iters = grid.num_nodes + 1
+    max_iters = grid.num_nodes + 1
     f = np.zeros(grid.num_nodes)
     for it in range(1, max_iters + 1):
         new = np.minimum(f, lax_oleinik_backward(f, table, c0))

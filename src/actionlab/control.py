@@ -203,8 +203,7 @@ def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
 class ValueFunction:
     """DP value table.
 
-    ``v[x, t_index]`` is indexed by duration (t_index time steps remain);
-    ``cost_to_go[x, j]`` is the same data indexed by clock time node j.
+    ``v[x, t_index]`` is indexed by duration (t_index time steps remain).
     ``argmin_control[x, t_index]`` is the control applied at x when t_index
     steps remain (-1 when nothing remains), with the lowest control index
     breaking ties.
@@ -213,7 +212,6 @@ class ValueFunction:
     problem: ControlProblem
     v: np.ndarray  # (S, T+1), duration-indexed
     argmin_control: np.ndarray  # (S, T+1)
-    cost_to_go: np.ndarray  # (S, T+1), clock-indexed
     policy: np.ndarray  # (S, T), clock-indexed
 
 
@@ -238,7 +236,7 @@ def solve_value_function(p: ControlProblem) -> ValueFunction:
     v = ctg[:, ::-1].copy()
     argmin = np.full((S, T + 1), -1, dtype=int)
     argmin[:, 1:] = policy[:, ::-1]
-    return ValueFunction(problem=p, v=v, argmin_control=argmin, cost_to_go=ctg, policy=policy)
+    return ValueFunction(problem=p, v=v, argmin_control=argmin, policy=policy)
 
 
 def _layered_arcs(p: ControlProblem):

@@ -245,12 +245,6 @@ class DiscreteMeasure:
         """Sorted projected support pi(supp mu)."""
         return sorted({node for (node, _m) in self.weights})
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.grid.num_nodes, self.grid.num_offsets))
-        for (node, m), w in self.weights.items():
-            dense[node, m] = w
-        return dense
-
 
 @dataclass(frozen=True)
 class BoundaryCurrent:

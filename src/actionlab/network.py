@@ -174,7 +174,7 @@ def minimum_mean_cycle(num_nodes, tails, heads, costs) -> tuple[float, np.ndarra
     else:
         raise RuntimeError(
             f"policy iteration did not settle on {m} nodes and {len(kept)} "
-            f"edges (cost spread {spread!r}); solver bug"
+            f"edges with cost spread {spread!r}, tolerance {tol!r}; solver bug"
         )
 
     full = np.full(num_nodes, np.nan)

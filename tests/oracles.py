@@ -233,6 +233,86 @@ def loop_fiber_slopes(grid, env):
     return grad, endpoint
 
 
+def loop_supports(dim: int, radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per stencil point, (index (C, 3), weight (C, 3)) arrays of its
+    singleton, segment and triangle convex representations, one candidate at
+    a time: segments (i, j, i) with weights (1 - lam, lam, 0) for the points
+    strictly inside them, triangles (i, j, k) with all three barycentric
+    weights positive.  A 1-D stencil lies on the first axis of the plane."""
+    pts = [
+        tuple(p) + (0,) * (2 - dim)
+        for p in itertools.product(range(-radius, radius + 1), repeat=dim)
+    ]
+    m = len(pts)
+    out = []
+    for t in range(m):
+        px, py = pts[t]
+        idx_rows = [(t, t, t)]
+        wt_rows = [(1.0, 0.0, 0.0)]
+        for i, j in itertools.combinations(range(m), 2):
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            rx, ry = px - pts[i][0], py - pts[i][1]
+            if dx * ry - dy * rx != 0:
+                continue
+            num, denom = rx * dx + ry * dy, dx * dx + dy * dy
+            if 0 < num < denom:
+                lam = num / denom
+                idx_rows.append((i, j, i))
+                wt_rows.append((1.0 - lam, lam, 0.0))
+        for i, j, k in itertools.combinations(range(m), 3):
+            ux, uy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            vx, vy = pts[k][0] - pts[i][0], pts[k][1] - pts[i][1]
+            det = ux * vy - uy * vx
+            if det == 0:
+                continue
+            rx, ry = px - pts[i][0], py - pts[i][1]
+            lj = (rx * vy - ry * vx) / det
+            lk = (ux * ry - uy * rx) / det
+            li = 1.0 - lj - lk
+            if lj > 0.0 and lk > 0.0 and li > 0.0:
+                idx_rows.append((i, j, k))
+                wt_rows.append((li, lj, lk))
+        out.append((np.array(idx_rows, dtype=int), np.array(wt_rows)))
+    return out
+
+
+def loop_convex_envelope(table, supports):
+    """Envelope values of a table, one fibre and stencil point at a time: the
+    least (y_i w_i + y_j w_j) + y_k w_k over the point's representations in
+    ``supports`` (a list like ``loop_supports``'s)."""
+    y = table.values
+    env = np.empty_like(y)
+    for x in range(y.shape[0]):
+        for t, (idx, wts) in enumerate(supports):
+            a, b, c = (y[x, idx[:, col]] * wts[:, col] for col in range(3))
+            env[x, t] = ((a + b) + c).min()
+    return env
+
+
+def loop_lower_hull_1d(y) -> np.ndarray:
+    """Lower convex hull values of the points (i, y[i]) at every integer i, by
+    Andrew's monotone chain: chord values y[p] + slope * (i - p)."""
+    m = len(y)
+    hull = [0]
+    for i in range(1, m):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # pop b when it is not strictly below the chord a -> i
+            if (b - a) * (y[i] - y[a]) - (y[b] - y[a]) * (i - a) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    env = np.empty(m)
+    for p, q in zip(hull[:-1], hull[1:]):
+        slope = (y[q] - y[p]) / (q - p)
+        for i in range(p, q + 1):
+            env[i] = y[p] + slope * (i - p)
+    env[hull[0]] = y[hull[0]]
+    env[hull[-1]] = y[hull[-1]]
+    return env
+
+
 def random_closed_instance(rng, max_n=64, max_k=2):
     """Random d=1 torus instance with costs in [-1, 1]."""
     from actionlab import LagrangianTable, build_torus_grid

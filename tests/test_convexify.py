@@ -11,9 +11,17 @@ from actionlab import (
     solve_closed,
 )
 
-from actionlab.convexify import _fiber_slopes
+from actionlab.convexify import _fiber_slopes, _supports
 
-from oracles import LATTICES, affine_minorant_max_1d, affine_minorant_max_2d, loop_fiber_slopes
+from oracles import (
+    LATTICES,
+    affine_minorant_max_1d,
+    affine_minorant_max_2d,
+    loop_convex_envelope,
+    loop_fiber_slopes,
+    loop_lower_hull_1d,
+    loop_supports,
+)
 
 
 def double_well_table(n=4):
@@ -95,6 +103,46 @@ def test_envelope_matches_lp_oracle_2d():
                     grid.velocities, table.values[x], grid.velocities[m]
                 )
                 assert env.values[x, m] == pytest.approx(oracle, abs=1e-9)
+
+
+# 2-D radius 3 is left out: there the loop visits 49 x 18,424 triangles
+@pytest.mark.parametrize("dim,radius", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_supports_match_loop_reference(dim, radius):
+    got = _supports(dim, radius)
+    want = loop_supports(dim, radius)
+    assert len(got) == len(want)
+    for (idx, wts), (ref_idx, ref_wts) in zip(got, want):
+        assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+        assert wts.dtype == ref_wts.dtype and np.array_equal(wts, ref_wts)
+
+
+@pytest.mark.parametrize("d,n,k", LATTICES)
+def test_envelope_matches_loop_reference(d, n, k):
+    rng = np.random.default_rng([d, n, k, 1])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    want = loop_convex_envelope(table, _supports(d, k))
+    assert np.array_equal(fiber_convex_envelope(table).values, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_envelope_1d_within_rounding_of_monotone_chain(k):
+    # First-order rounding, M = max |y| on the fibre: the chain's chord value
+    # y[p] + slope * (i - p) is within 3.5 eps M of the exact chord, the
+    # weighted sum y[p] (1 - lam) + y[q] lam within 2 eps M of it, and the
+    # chain's orientation test keeps or pops a vertex wrongly only when it
+    # lies within 4 eps M of the chord: 9.5 eps M in all.
+    rng = np.random.default_rng([1, k])
+    grid = build_torus_grid(1, 8, k, 1.0 / 8)
+    eps = np.finfo(float).eps
+    for a, b in ((1.0, 0.0), (1e-9, 0.0), (1e9, 0.0), (1.0, 50.0)):
+        for _ in range(20):
+            values = a * rng.uniform(-1, 1, (8, 2 * k + 1)) + b
+            env = fiber_convex_envelope(LagrangianTable(grid=grid, values=values)).values
+            for x in range(8):
+                gap = np.abs(env[x] - loop_lower_hull_1d(values[x])).max()
+                assert gap <= 10 * eps * np.abs(values[x]).max()
 
 
 @pytest.mark.parametrize("d,n,k", LATTICES)

@@ -160,6 +160,23 @@ def test_min_cost_flow_names_size_costs_and_limit_when_it_does_not_finish(monkey
     )
 
 
+def test_minimum_mean_cycle_names_size_spread_and_tolerance_when_it_does_not_settle(
+    monkeypatch,
+):
+    from actionlab import network
+
+    # a negative tolerance makes every tied edge look improving, so the
+    # policy switches until the round limit runs out
+    monkeypatch.setattr(network, "cost_tolerance", lambda spread, n: -0.5)
+    tails, heads = np.array([0, 1, 0, 1]), np.array([1, 0, 0, 1])
+    with pytest.raises(RuntimeError) as err:
+        minimum_mean_cycle(2, tails, heads, np.array([1.0, 1.0, 1.0, 1.0]))
+    assert str(err.value) == (
+        "policy iteration did not settle on 2 nodes and 4 edges with cost spread 0.0, "
+        "tolerance -0.5; solver bug"
+    )
+
+
 def test_min_cost_flow_infeasible_when_disconnected():
     tails = np.array([0])
     heads = np.array([1])
