@@ -3,12 +3,21 @@ certificate and diagnostics JSON, and the control-problem bundle.
 
 All writers are deterministic (sorted keys, repr floats), so reports are
 byte-stable across runs with identical inputs.
+
+CSV tables are written as text columns, byte for byte what ``csv.writer``
+writes.  A column is an array with one field per entry, or a lookup
+``(table, index)`` whose table rows (lattice points, stencil offsets, times,
+control names) are formatted once and then indexed, so only the values are
+formatted per row.  Rows are joined column by column and written a block of
+``_BLOCK_ROWS`` at a time, so memory stays flat.  The ``csv`` module serves
+the readers.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,30 +80,101 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """The one CSV writer: the csv module writes a float as its ``repr``,
-    None as an empty field, every other value as ``str``."""
+# Rows per write: one block's text is built and written at once, so memory
+# stays flat.  3600 is divisible by 3, 9 and 25 (stencil sizes), so the
+# block-boundary tests fill a block exactly with whole grids.
+_BLOCK_ROWS = 3600
+
+# The characters that make csv.writer (QUOTE_MINIMAL) quote a field.
+_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _quote(field: str) -> str:
+    """``field`` as csv.writer writes it: in double quotes, with its own
+    quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if _SPECIAL.search(field) is None:
+        return field
+    return '"' + field.replace('"', '""') + '"'
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """One CSV field per entry of a 1-D array, as an object array of str: a
+    float as its ``repr``, an int or bool as ``str``, None as empty, any
+    other value as its ``str``, quoted as csv.writer quotes it."""
+    kind = values.dtype.kind
+    if kind == "f":
+        out = map(repr, values.tolist())
+    elif kind in "biu":
+        out = map(str, values.tolist())
+    else:
+        out = (
+            "" if v is None else _quote(repr(v) if isinstance(v, float) else str(v))
+            for v in values.tolist()
+        )
+    return np.fromiter(out, dtype=object, count=len(values))
+
+
+def _table_fields(table) -> np.ndarray:
+    """The rows of a lookup table formatted once: one field per entry of a
+    1-D table, a 2-D row as its fields joined by ","."""
+    table = np.asarray(table)
+    fields = _fields(table.ravel())
+    if table.ndim == 1:
+        return fields
+    rows = fields.reshape(table.shape).tolist()
+    return np.fromiter(map(",".join, rows), dtype=object, count=len(rows))
+
+
+def _lines(columns: list[np.ndarray]) -> str:
+    """CSV text of rows given as one object array of str per column, each
+    line ended by "\r\n" as csv.writer ends it."""
+    line = columns[0]
+    for col in columns[1:]:
+        line = line + "," + col
+    if len(columns) == 1:
+        line = np.where(line == "", '""', line)  # csv.writer quotes a lone empty field
+    return "\r\n".join(line.tolist()) + "\r\n"
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """The one CSV writer: the bytes ``csv.writer`` writes for ``header`` and
+    the rows of ``columns``.
+
+    A column is an array with one field per entry (see ``_fields``), or a
+    lookup pair ``(table, index)``: each row of ``table`` is formatted once
+    (see ``_table_fields``) and each entry of ``index`` picks one, so a 2-D
+    table gives several fields per row.  Arrays are read flat, in C order.
+    The rows are built as object arrays of str, joined column by column, and
+    written ``_BLOCK_ROWS`` at a time.
+    """
+    cols = []
+    for col in columns:
+        if isinstance(col, tuple):
+            table, index = col
+            cols.append((_table_fields(table), np.asarray(index).ravel()))
+        else:
+            cols.append((None, np.asarray(col).ravel()))
+    sizes = {len(values) for _, values in cols}
+    if len(sizes) != 1:
+        raise ValueError(f"CSV columns of unequal lengths {sorted(sizes)}")
+    (num_rows,) = sizes
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_lines([_fields(np.array([name], dtype=object)) for name in header]))
+        for lo in range(0, num_rows, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            fields = [_fields(v[block]) if t is None else t[v[block]] for t, v in cols]
+            fh.write(_lines(fields))
 
 
-def _rows(columns):
-    """Rows of equal-length columns, each converted whole to Python scalars."""
-    return zip(*(np.asarray(c).ravel().tolist() for c in columns))
-
-
-def _coord_columns(grid: PhaseGrid, ids, edges: bool = False) -> list[np.ndarray]:
-    """Coordinate columns of node ids, or of edge ids (node * num_offsets + m)
-    when ``edges``: the node's lattice coordinates, then the offset's."""
+def _coord_columns(grid: PhaseGrid, ids, edges: bool = False) -> list[tuple]:
+    """Coordinate lookups of node ids, or of edge ids (node * num_offsets + m)
+    when ``edges``: the nodes' lattice points, then the offsets."""
     ids = np.asarray(ids, dtype=int)
+    points = lattice_points(grid.dim, grid.nodes_per_dim)
+    if not edges:
+        return [(points, ids)]
     M = grid.num_offsets
-    nodes = ids // M if edges else ids
-    cols = list(lattice_points(grid.dim, grid.nodes_per_dim)[nodes].T)
-    if edges:
-        cols += list(grid.offsets[ids % M].T)
-    return cols
+    return [(points, ids // M), (grid.offsets, ids % M)]
 
 
 def _coord_header(dim: int, *bases: str) -> list[str]:
@@ -125,7 +205,7 @@ def write_lagrangian_csv(path, table: LagrangianTable) -> None:
     grid = table.grid
     header = _coord_header(grid.dim, "node", "offset") + ["value"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, _rows(edges + [table.values]))
+    _write_csv(path, header, edges + [table.values])
 
 
 def read_lagrangian_csv(grid: PhaseGrid, path) -> LagrangianTable:
@@ -178,7 +258,7 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     weights = np.fromiter(mu.weights.values(), float, len(ids))
     order = np.argsort(ids)
     columns = _coord_columns(grid, ids[order], edges=True) + [weights[order]]
-    _write_csv(path, header, _rows(columns))
+    _write_csv(path, header, columns)
 
 
 def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
@@ -194,7 +274,7 @@ def write_current_csv(path, current: BoundaryCurrent) -> None:
     nodes = np.fromiter(current.charges, int, len(current.charges))
     charges = np.fromiter(current.charges.values(), float, len(nodes))
     order = np.argsort(nodes)
-    _write_csv(path, header, _rows(_coord_columns(grid, nodes[order]) + [charges[order]]))
+    _write_csv(path, header, _coord_columns(grid, nodes[order]) + [charges[order]])
 
 
 def read_current_csv(grid: PhaseGrid, path) -> BoundaryCurrent:
@@ -223,7 +303,7 @@ def write_slack_csv(path, cert) -> None:
     grid = cert.grid
     header = _coord_header(grid.dim, "node", "offset") + ["g"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, _rows(edges + [cert.slack]))
+    _write_csv(path, header, edges + [cert.slack])
 
 
 def write_envelope_csv(path, table: LagrangianTable, env) -> None:
@@ -232,7 +312,7 @@ def write_envelope_csv(path, table: LagrangianTable, env) -> None:
     grid = table.grid
     header = _coord_header(grid.dim, "node", "offset") + ["L_tilde", "endpoint"]
     edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, _rows(edges + [env.values, env.endpoint.astype(int)]))
+    _write_csv(path, header, edges + [env.values, env.endpoint.astype(int)])
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
@@ -257,7 +337,7 @@ def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
         report.H_residual,
         on.astype(int),
     ]
-    _write_csv(path, header, _rows(columns))
+    _write_csv(path, header, columns)
 
 
 def write_measure_result(dest, result) -> None:
@@ -304,12 +384,16 @@ def write_value_function_csv(path, vf) -> None:
     p = vf.problem
     header = _coord_header(p.state_dim, "x") + ["t", "v", "argmin_control"]
     layers = p.num_steps + 1
-    coords = np.repeat(p.coords, layers, axis=0)
-    t = np.tile(np.arange(layers) * p.time_step, p.num_states)
+    states, steps = np.divmod(np.arange(p.num_states * layers), layers)
     # argmin_control is -1 where no step remains: index 0 of the lookup, written empty
     names = np.array([""] + [repr(a) for a in p.controls], dtype=object)
-    columns = list(coords.T) + [t, vf.v, names[vf.argmin_control + 1]]
-    _write_csv(path, header, _rows(columns))
+    columns = [
+        (p.coords, states),
+        (np.arange(layers) * p.time_step, steps),
+        vf.v,
+        (names, vf.argmin_control + 1),
+    ]
+    _write_csv(path, header, columns)
 
 
 def read_control_problem(path) -> ControlProblem:

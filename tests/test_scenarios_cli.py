@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from actionlab import SCENARIOS, parse_config, refinement_sweep, run_scenario
 from actionlab.cli import main
 from actionlab.scenarios import UnknownScenarioError
@@ -183,9 +184,11 @@ def test_cli_boundary_solve_with_current(tmp_path):
 def _control_bundle(
     tmp_path, init_rows=((1, 1.0),), dynamics_extra=(), costs_extra=(), **desc_changes
 ):
-    """Three states {-1/2, 0, 1/2}, controls -1 and +1, cost x^2; returns the CLI arguments."""
+    """Three states {-1/2, 0, 1/2}, controls -1 and +1, cost x^2; returns the CLI arguments.
+
+    The input CSVs are written by the csv-module reference writer, not by the
+    package's own writer."""
     from actionlab import serialize
-    from actionlab.serialize import _write_csv
 
     desc = {
         "state_dim": 1,
@@ -204,17 +207,19 @@ def _control_bundle(
     for s in range(3):
         for a, lab in enumerate((-1, 1)):
             dyn_rows.append([s, a, lab])
-    _write_csv(tmp_path / "dynamics.csv", ["x", "control", "step"], dyn_rows + list(dynamics_extra))
+    oracles._loop_write_csv(
+        tmp_path / "dynamics.csv", ["x", "control", "step"], dyn_rows + list(dynamics_extra)
+    )
     cost_rows = []
     xs = [-0.5, 0.0, 0.5]
     for s in range(3):
         for j in range(2):
             for a in range(2):
                 cost_rows.append([s, j, a, xs[s] ** 2])
-    _write_csv(
+    oracles._loop_write_csv(
         tmp_path / "costs.csv", ["x", "t_index", "control", "ell"], cost_rows + list(costs_extra)
     )
-    _write_csv(tmp_path / "init.csv", ["x", "mass"], [list(r) for r in init_rows])
+    oracles._loop_write_csv(tmp_path / "init.csv", ["x", "mass"], [list(r) for r in init_rows])
     return [
         "control",
         "--problem",

@@ -309,3 +309,149 @@ def test_value_function_writer_matches_loop_reference(tmp_path, state_dim):
     assert (vf.argmin_control[:, 0] == -1).all()  # the final layer: nothing remains
     write = serialize.write_value_function_csv
     _same_bytes(tmp_path, write, oracles.loop_write_value_function_csv, vf)
+
+
+def _csv_module_rows(columns):
+    """The rows of ``_write_csv`` columns as Python values, each lookup
+    ``(table, index)`` spread into one value per table column."""
+    fields = []
+    for col in columns:
+        if isinstance(col, tuple):
+            table, index = (np.asarray(a) for a in col)
+            picked = table[np.asarray(index).ravel()]
+            fields += list(picked.T) if table.ndim == 2 else [picked]
+        else:
+            fields.append(np.asarray(col).ravel())
+    return [list(row) for row in zip(*(f.tolist() for f in fields))]
+
+
+def _same_bytes_as_csv_module(tmp_path, header, columns):
+    serialize._write_csv(tmp_path / "column.csv", header, columns)
+    oracles._loop_write_csv(tmp_path / "loop.csv", header, _csv_module_rows(columns))
+    assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_csv_quotes_as_csv_module(tmp_path):
+    # every field kind the column writer formats itself, against csv.writer
+    text = np.array(
+        ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", None, "plain", '",\r\n', 2.5, 7],
+        dtype=object,
+    )
+    floats = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0])
+    ints = np.arange(-5, 5)
+    flags = ints % 3 == 0
+    points = np.array([[0, 1], [-2, 3], [4, 5]])
+    names = np.array(["", repr((-1, 0)), repr(1.5)], dtype=object)
+    lookups = [(points, ints % 3), (names, ints % 3), (floats[::-1].copy(), ints + 5)]
+    header = ["text", "x,y", 'q"', "int", "flag", "p_i", "p_j", "name", "f"]
+    _same_bytes_as_csv_module(tmp_path, header, [text, floats, floats, ints, flags] + lookups)
+    # zero rows: the header alone
+    empty = [np.array([], dtype=object), np.array([]), np.array([], dtype=int)]
+    _same_bytes_as_csv_module(tmp_path, ["text", "float", "int"], empty)
+    _same_bytes_as_csv_module(tmp_path, ["text", "float", "int"], [(points, ints[:0])] + empty[1:])
+    # one column: csv.writer quotes a row that is one empty field
+    _same_bytes_as_csv_module(tmp_path, ["text"], [text])
+    _same_bytes_as_csv_module(tmp_path, [""], [(names, ints % 3)])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        serialize._write_csv(tmp_path / "bad.csv", ["a", "b"], [ints, ints[1:]])
+
+
+B = serialize._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_write_csv_block_boundaries_match_csv_module(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    points = rng.integers(-50, 50, (97, 2))
+    names = np.array([None, "", "a,b", repr((1, -1))], dtype=object)
+    columns = [
+        (points, rng.integers(0, 97, rows)),
+        rng.uniform(-1, 1, rows) * 10.0 ** rng.integers(-300, 300, rows),
+        (names, np.arange(rows) % 4),
+        rng.integers(0, 2, rows).astype(bool),
+    ]
+    _same_bytes_as_csv_module(tmp_path, ["p_i", "p_j", "v", "name", "flag"], columns)
+    _same_bytes_as_csv_module(tmp_path, ["name"], [(names, np.arange(rows) % 4)])
+
+
+# (d, n, k) grids whose edge tables fill exactly one block, one block and one
+# node's edges, and several blocks with a partial last one
+BLOCK_GRIDS = [(1, B // 3, 1), (1, B // 3 + 1, 1), (2, 64, 1)]
+
+
+@pytest.mark.parametrize("d,n,k", BLOCK_GRIDS)
+def test_edge_writers_match_loop_references_across_blocks(tmp_path, d, n, k):
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    E, M = grid.num_edges, grid.num_offsets
+    assert E == B or B < E <= B + M or (E > 2 * B and E % B)
+    rng = np.random.default_rng([d, n, k])
+    values = rng.uniform(-1, 1, (grid.num_nodes, M))
+    values.flat[rng.choice(E, len(EXTREMES), replace=False)] = EXTREMES
+    table = LagrangianTable(grid=grid, values=values)
+    cases = [
+        ("lagrangian", table),
+        ("slack", SimpleNamespace(grid=grid, slack=values[::-1].copy())),
+        ("envelope", table, fiber_convex_envelope(table)),
+    ]
+    for kind, *args in cases:
+        write = getattr(serialize, f"write_{kind}_csv")
+        _same_bytes(tmp_path, write, getattr(oracles, f"loop_write_{kind}_csv"), *args)
+
+
+def test_sparse_writers_match_loop_references_across_blocks(tmp_path):
+    # B + 1 rows: a measure's atoms, a current's charges and a 1-D node table
+    grid = build_torus_grid(1, B + 1, 1, 1.0 / (B + 1))
+    rng = np.random.default_rng(11)
+    edges = rng.choice(grid.num_edges, B + 1, replace=False).tolist()
+    weights = rng.uniform(0, 1, B + 1) * 10.0 ** rng.integers(-300, 300, B + 1)
+    mu = DiscreteMeasure(
+        grid=grid, weights={divmod(e, grid.num_offsets): w for e, w in zip(edges, weights)}
+    )
+    _same_bytes(tmp_path, serialize.write_measure_csv, oracles.loop_write_measure_csv, mu)
+    current = BoundaryCurrent(grid=grid, charges=dict(enumerate(weights - weights.mean())))
+    _same_bytes(tmp_path, serialize.write_current_csv, oracles.loop_write_current_csv, current)
+    on = rng.integers(0, 2, grid.num_nodes).astype(bool)
+    f, spread, h_resid = rng.normal(size=(3, grid.num_nodes))
+    momentum = np.where(on, rng.normal(size=grid.num_nodes), np.nan)[:, None]
+    report = SimpleNamespace(
+        f=f, momentum=momentum, momentum_spread=spread, H_residual=h_resid, on_support=on
+    )
+    rows = [
+        {
+            "node": x,
+            "f": f[x],
+            "momentum": mom if on[x] else None,
+            "momentum_spread": spread[x] if on[x] else None,
+            "H_residual": h_resid[x],
+            "on_support": on[x],
+        }
+        for x, mom in enumerate(momentum[:, 0].tolist())
+    ]
+    serialize.write_node_table_csv(tmp_path / "columns.csv", grid, report)
+    oracles.loop_write_node_table_csv(tmp_path / "loop.csv", grid, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra_layers", [0, 1])
+def test_value_function_writer_matches_loop_reference_across_blocks(tmp_path, extra_layers):
+    # 2-D states with the nine tuple controls: 400 states and B / 400 layers
+    # fill exactly one block; one more layer spills 400 rows into the next
+    n, dx = 20, 0.05
+    layers = B // n**2 + extra_layers
+    assert n**2 * (layers - extra_layers) == B
+    controls = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
+    p = make_control_problem(
+        state_dim=2,
+        nodes_per_axis=n,
+        origin=[-0.5, -0.5],
+        spacing=dx,
+        controls=controls,
+        dynamics=lambda x, a: np.asarray(a, dtype=float),
+        running_cost=lambda x, t, a: float(x @ x) + 0.5 * (a[0] ** 2 + a[1] ** 2) + t,
+        horizon=(layers - 1) * dx,
+        time_step=dx,
+    )
+    vf = solve_value_function(p)
+    assert vf.v.size == n**2 * layers
+    write = serialize.write_value_function_csv
+    _same_bytes(tmp_path, write, oracles.loop_write_value_function_csv, vf)
