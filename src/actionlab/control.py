@@ -22,6 +22,8 @@ LP and all checks are pure functions.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -116,10 +118,7 @@ def make_control_problem(
     positions = origin + coords.astype(float) * spacing
     xs = positions[:, 0].tolist() if state_dim == 1 else list(positions)
 
-    vel = np.array(
-        [[np.atleast_1d(np.asarray(dynamics(x, a), dtype=float)) for a in controls] for x in xs]
-    ).reshape(len(xs), len(controls), state_dim)
-    raw = vel * time_step / spacing
+    raw = _velocities(dynamics, xs, controls, state_dim) * time_step / spacing
     step = np.rint(raw).astype(int)
     off_grid = np.argwhere(~(np.abs(raw - step) <= 1e-9).all(axis=2))
     if len(off_grid):
@@ -139,12 +138,60 @@ def make_control_problem(
         controls=controls,
         move=np.where(inside, lattice_index(target.transpose(2, 0, 1), n), -1),
         steps=np.where(inside[:, :, None], step, 0),
-        ell=np.array(
-            [[[running_cost(x, t, a) for a in controls] for t in times] for x in xs], dtype=float
-        ),
+        ell=_running_costs(running_cost, xs, times, controls),
         horizon=float(horizon),
         time_step=float(time_step),
     )
+
+
+def _velocities(dynamics, xs, controls, state_dim: int) -> np.ndarray:
+    """(S, A, N) table of ``dynamics(x, a)``.
+
+    ValueError naming the first state and control whose velocity is not N
+    finite numbers (a scalar or a length-1 array when N=1).
+    """
+    found = [dynamics(x, a) for x in xs for a in controls]
+    try:
+        vel = np.array([np.atleast_1d(v) for v in found], dtype=float)
+    except (TypeError, ValueError):
+        vel = None
+    if vel is None or vel.shape != (len(found), state_dim) or not np.isfinite(vel).all():
+        for e, value in enumerate(found):
+            try:
+                v = np.atleast_1d(np.asarray(value, dtype=float))
+                ok = v.shape == (state_dim,) and np.isfinite(v).all()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                s, a = divmod(e, len(controls))
+                raise ValueError(
+                    f"dynamics at state {s}, control {controls[a]!r} returned {value!r}; "
+                    f"expected {state_dim} finite number{'s' if state_dim > 1 else ''}"
+                )
+    return vel.reshape(len(xs), len(controls), state_dim)
+
+
+def _running_costs(running_cost, xs, times, controls) -> np.ndarray:
+    """(S, T, A) table of ``running_cost(x, t, a)``, streamed into one array.
+
+    ValueError naming the first state, t index and control whose cost is not
+    a real number; a None cost becomes NaN, which ``_control_problem`` rejects.
+    """
+    shape = (len(xs), len(times), len(controls))
+    calls = itertools.starmap(running_cost, itertools.product(xs, times, controls))
+    try:
+        return np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
+    except (TypeError, ValueError):
+        for s, j, a in np.ndindex(*shape):
+            value = running_cost(xs[s], times[j], controls[a])
+            try:
+                np.fromiter((value,), dtype=float, count=1)
+            except (TypeError, ValueError) as err:
+                raise ValueError(
+                    f"running cost at state {s}, t index {j}, control {controls[a]!r} "
+                    f"returned {value!r}; expected a real number"
+                ) from err
+        raise
 
 
 def _num_steps(state_dim: int, nodes_per_axis: int, horizon: float, time_step: float) -> int:
@@ -185,13 +232,17 @@ def _describe(p: ControlProblem) -> str:
 def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
     """Keep the cheapest control among those with identical targets per (s, t).
 
-    Ties go to the lowest control index.  Collapses (s, j, a, kept) are listed
-    by state, then target, time node and control.
+    Ties go to the lowest control index.  One (S, T) pass per control: its
+    kept control is the argmin of the costs, with every control of another
+    target (or inadmissible) at infinity.  Collapses (s, j, a, kept) are
+    listed by state, then target, time node and control.
     """
     A = ell.shape[2]
     adm = move >= 0
-    same = (move[:, :, None] == move[:, None, :]) & adm[:, None, :]  # (S, A, A)
-    kept = np.where(same[:, None], ell[:, :, None, :], np.inf).argmin(axis=3)  # (S, T, A)
+    kept = np.empty(ell.shape, dtype=int)
+    for a in range(A):
+        same = (move == move[:, a, None]) & adm  # (S, A)
+        kept[:, :, a] = np.where(same[:, None, :], ell, np.inf).argmin(axis=2)
     own = kept == np.arange(A)
     s, j, a = np.nonzero(adm[:, None, :] & ~own)
     order = np.lexsort((a, j, move[s, a], s))

@@ -8,9 +8,13 @@ segment / triangle supports of each stencil point, with exact integer
 barycentric precomputation shared across all fibers and cached per dimension
 and stencil radius.  A 1-D stencil is placed on an axis of the plane, so one
 path serves both dimensions.  Stencils are small: (2k + 1)**d points, 49 at
-d=2, k=3.
+d=2, k=3, but a point can have thousands of representations (3,699 there).
 
-Fibers are independent; everything here is pure.
+Fibers are independent, so the envelope, its slopes and the support table
+are computed a block at a time, with the block's temporaries held within
+``_BLOCK_BYTES``: the transient memory does not grow with the grid.  Each
+weighted sum is added in the fixed order (y_i w_i + y_j w_j) + y_k w_k, so
+the values do not depend on the block size.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ __all__ = [
     "fiber_convex_envelope",
     "momentum_field",
 ]
+
+# Byte budget for the temporaries of one block of fibers (or of stencil
+# points, in ``_supports``); it bounds the layer's transient memory whatever
+# the grid size.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,20 +84,24 @@ def _supports(dim: int, radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
     idx.append(np.stack([i[s], j[s], i[s]], axis=1))
     wts.append(np.stack([1.0 - lam, lam, np.zeros_like(lam)], axis=1))
 
-    # triangles (i, j, k) against every point: all barycentric weights > 0
+    # triangles (i, j, k) against every point: all barycentric weights > 0.
+    # A block of points holds about eight (points, triangles) temporaries;
+    # blocks go in point order, so the rows come out as from one pass
     i, j, k = np.array(list(itertools.combinations(range(m), 3))).T
     ux, uy = (pts[j] - pts[i]).T
     vx, vy = (pts[k] - pts[i]).T
     det = ux * vy - uy * vx
     safe = np.where(det == 0, 1, det)
-    rx, ry = np.moveaxis(pts[:, None] - pts[i], 2, 0)
-    lj = (rx * vy - ry * vx) / safe
-    lk = (ux * ry - uy * rx) / safe
-    li = 1.0 - lj - lk
-    p, t = np.nonzero((det != 0) & (lj > 0.0) & (lk > 0.0) & (li > 0.0))
-    at.append(p)
-    idx.append(np.stack([i[t], j[t], k[t]], axis=1))
-    wts.append(np.stack([li[p, t], lj[p, t], lk[p, t]], axis=1))
+    rows = _block_rows(8 * det.nbytes)
+    for start in range(0, m, rows):
+        rx, ry = np.moveaxis(pts[start : start + rows, None] - pts[i], 2, 0)
+        lj = (rx * vy - ry * vx) / safe
+        lk = (ux * ry - uy * rx) / safe
+        li = 1.0 - lj - lk
+        p, t = np.nonzero((det != 0) & (lj > 0.0) & (lk > 0.0) & (li > 0.0))
+        at.append(start + p)
+        idx.append(np.stack([i[t], j[t], k[t]], axis=1))
+        wts.append(np.stack([li[p, t], lj[p, t], lk[p, t]], axis=1))
 
     at = np.concatenate(at)
     order = np.argsort(at, kind="stable")
@@ -103,32 +116,54 @@ def fiber_convex_envelope(table: LagrangianTable) -> FiberEnvelope:
     """Lower convex envelope of each fiber's sampled points.
 
     At each stencil point, the minimum over its cached convex representations
-    (``_supports``) of the weighted sample values, for every fiber at once.
-    The result dominates every affine minorant of the samples and is
-    idempotent.
+    (``_supports``) of the weighted sample values
+    ``(y_i w_i + y_j w_j) + y_k w_k``, summed in that order, for a block of
+    fibers at a time: a block's (fibers, representations) temporaries stay
+    within ``_BLOCK_BYTES``.  The result dominates every affine minorant
+    of the samples and is idempotent.
     """
     grid = table.grid
     y = table.values
     env = np.empty_like(y)
     for t, (idx, wts) in enumerate(_supports(grid.dim, grid.stencil_radius)):
-        env[:, t] = np.einsum("nck,ck->nc", y[:, idx], wts).min(axis=1)
+        (i, j, k), (wi, wj, wk) = idx.T, wts.T
+        # a block holds the running sum, one gathered column and its product
+        rows = _block_rows(3 * len(idx) * y.itemsize)
+        for start in range(0, len(y), rows):
+            block = y[start : start + rows]
+            total = block[:, i] * wi
+            total += block[:, j] * wj
+            total += block[:, k] * wk
+            # + 0.0 maps -0.0 (all three terms -0.0) to 0.0, as a sum started
+            # from zero does, and leaves every other value as it is
+            env[start : start + rows, t] = total.min(axis=1) + 0.0
     return _fiber_slopes(grid, env)
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when one row's temporaries take ``row_bytes``."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _fiber_slopes(grid: PhaseGrid, env: np.ndarray) -> FiberEnvelope:
     n, m, d = grid.num_nodes, grid.num_offsets, grid.dim
     dv = grid.spacing / grid.time_step
     K = grid.stencil_radius
-    cube = env.reshape((n,) + (2 * K + 1,) * d)  # (node, velocity axis 0, ...)
 
     grad = np.empty((n, m, d))
-    for axis in range(d):
-        # difference quotients along this velocity axis, moved to axis 1; at
-        # the two stencil ends only one of them exists
-        dif = np.moveaxis(np.diff(cube, axis=1 + axis) / dv, 1 + axis, 1)
-        lo = np.concatenate([dif[:, :1], dif], axis=1)
-        hi = np.concatenate([dif, dif[:, -1:]], axis=1)
-        grad[:, :, axis] = np.moveaxis(0.5 * (lo + hi), 1, 1 + axis).reshape(n, m)
+    # a node's temporaries: about six fiber-sized float arrays per axis
+    rows = _block_rows(6 * m * env.itemsize)
+    for start in range(0, n, rows):
+        # (node, velocity axis 0, ...)
+        cube = env[start : start + rows].reshape((-1,) + (2 * K + 1,) * d)
+        for axis in range(d):
+            # difference quotients along this velocity axis, moved to axis 1; at
+            # the two stencil ends only one of them exists
+            dif = np.moveaxis(np.diff(cube, axis=1 + axis) / dv, 1 + axis, 1)
+            lo = np.concatenate([dif[:, :1], dif], axis=1)
+            hi = np.concatenate([dif, dif[:, -1:]], axis=1)
+            slope = np.moveaxis(0.5 * (lo + hi), 1, 1 + axis)
+            grad[start : start + rows, :, axis] = slope.reshape(len(cube), m)
     endpoint = (np.abs(grid.offsets) == K).any(axis=1)[None, :].repeat(n, axis=0)
     return FiberEnvelope(grid=grid, values=env, grad=grad, endpoint=endpoint)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from actionlab import (
     solve_relaxed_lp,
     solve_value_function,
 )
+
+from actionlab.control import _collapse_duplicates
 
 from oracles import (
     enumerate_control_cost,
@@ -435,6 +439,108 @@ def test_rejects_state_without_controls():
             horizon=1.0,
             time_step=1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "dynamics,running_cost,state_dim,message",
+    [
+        (
+            lambda x, a: 0.0,
+            lambda x, t, a: np.array([1.0, 2.0]) if (x, t, a) == (3.0, 1.0, "b") else 1.0,
+            1,
+            "running cost at state 3, t index 1, control 'b' returned array([1., 2.]); "
+            "expected a real number",
+        ),
+        (
+            lambda x, a: 0.0,
+            lambda x, t, a: np.array([1.0]),
+            1,
+            "running cost at state 0, t index 0, control 'a' returned array([1.]); "
+            "expected a real number",
+        ),
+        (
+            lambda x, a: 0.0,
+            lambda x, t, a: None if (t, a) == (1.0, "c") else 1.0,
+            1,
+            "running cost non-finite at state 0, t index 1, control 'c'",
+        ),
+        (
+            lambda x, a: np.array([0.0, 0.0]) if x == 2.0 else 0.0,
+            lambda x, t, a: 1.0,
+            1,
+            "dynamics at state 2, control 'a' returned array([0., 0.]); expected 1 finite number",
+        ),
+        (
+            lambda x, a: None if (x, a) == (4.0, "c") else 0.0,
+            lambda x, t, a: 1.0,
+            1,
+            "dynamics at state 4, control 'c' returned None; expected 1 finite number",
+        ),
+        (
+            lambda x, a: 0.0,
+            lambda x, t, a: 1.0,
+            2,
+            "dynamics at state 0, control 'a' returned 0.0; expected 2 finite numbers",
+        ),
+    ],
+    ids=["cost-array", "cost-size-1-array", "cost-none", "velocity-length-2", "velocity-none",
+         "velocity-scalar-in-2d"],
+)
+def test_rejects_callback_values_of_the_wrong_kind(dynamics, running_cost, state_dim, message):
+    with pytest.raises(ValueError) as info:
+        make_control_problem(
+            state_dim=state_dim,
+            nodes_per_axis=5,
+            origin=[0.0] * state_dim,
+            spacing=1.0,
+            controls=("a", "b", "c"),
+            dynamics=dynamics,
+            running_cost=running_cost,
+            horizon=2.0,
+            time_step=1.0,
+        )
+    assert str(info.value) == message
+
+
+def test_collapse_duplicates_ties_and_inadmissible_match_loop_reference():
+    # few targets and costs in {0, 1, 2}: most groups hold several controls,
+    # many with exactly equal costs, and about one control in four is
+    # inadmissible (-1)
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        S, T, A = (int(v) for v in rng.integers(1, 7, size=3))
+        move = rng.integers(-1, 3, size=(S, A))
+        ell = rng.integers(0, 3, size=(S, T, A)).astype(float)
+        active, collapses = _collapse_duplicates(move, ell)
+        want_active, want_collapses = loop_collapse_duplicates(move, ell)
+        assert np.array_equal(active, want_active)
+        assert list(collapses) == want_collapses
+
+
+def test_make_control_problem_transient_memory_is_bounded():
+    # The build keeps (S, T, A) tables: the costs, and in the duplicate
+    # collapse the kept control, one where-table and two masks.  An
+    # (S, T, A, A) float table alone would be A / 4 of the bound.  The box is
+    # the benchmark's largest: half-width 16, 16 steps, 9 controls.
+    tracemalloc.start()
+    try:
+        p = make_control_problem(
+            state_dim=2,
+            nodes_per_axis=33,
+            origin=[-0.5, -0.5],
+            spacing=1 / 32,
+            controls=tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)),
+            dynamics=lambda x, a: a,
+            running_cost=lambda x, t, a: 1.0,
+            horizon=0.5,
+            time_step=1 / 32,
+        )
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    S, T, A = p.ell.shape
+    assert (S, T, A) == (33 * 33, 16, 9)
+    assert peak - current < 4 * S * T * A * 8
 
 
 def test_random_suite_dp_equals_lp_and_checks_hold():

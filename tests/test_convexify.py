@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from actionlab import (
     solve_closed,
 )
 
+from actionlab import convexify
 from actionlab.convexify import _fiber_slopes, _supports
 
 from oracles import (
@@ -124,6 +128,89 @@ def test_envelope_matches_loop_reference(d, n, k):
     table = LagrangianTable(grid=grid, values=values)
     want = loop_convex_envelope(table, _supports(d, k))
     assert np.array_equal(fiber_convex_envelope(table).values, want)
+
+
+@pytest.mark.parametrize("rows", ["one", "partial"])
+@pytest.mark.parametrize("d,n,k", LATTICES)
+def test_envelope_blocks_match_loop_reference(d, n, k, rows, monkeypatch):
+    # A block of fibres holds three (rows, C) float temporaries for a stencil
+    # point with C representations.  A one-byte budget makes every block one
+    # fibre; the other budget gives the largest support blocks of N // 2 + 1
+    # fibres, so its last block is partial wherever N >= 3.
+    rng = np.random.default_rng([d, n, k, 2])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    want = loop_convex_envelope(table, _supports(d, k))
+    grad, endpoint = loop_fiber_slopes(grid, want)
+    c_max = max(len(idx) for idx, _ in _supports(d, k))
+    n_fibres = grid.num_nodes
+    budget = 1 if rows == "one" else 3 * 8 * c_max * (n_fibres // 2 + 1)
+    monkeypatch.setattr(convexify, "_BLOCK_BYTES", budget)
+    if rows == "partial" and n_fibres >= 3:
+        assert n_fibres % convexify._block_rows(3 * 8 * c_max) != 0
+    got = fiber_convex_envelope(table)
+    assert np.array_equal(got.values, want)
+    assert np.array_equal(got.grad, grad)
+    assert np.array_equal(got.endpoint, endpoint)
+
+
+def test_envelope_zero_is_positive_zero():
+    # a -0.0 sample on a convex fibre: the envelope holds 0.0 there, so the
+    # envelope CSV never writes "-0.0"
+    grid = build_torus_grid(1, 2, 1, 0.5)
+    table = LagrangianTable(grid=grid, values=np.array([[1.0, -0.0, 1.0], [1.0, 0.0, 1.0]]))
+    env = fiber_convex_envelope(table)
+    assert env.values.tolist() == [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
+    assert not np.signbit(env.values).any()
+
+
+def test_envelope_2d_radius_3_many_blocks_matches_loop_reference():
+    # at the real budget the largest 2-D radius-3 support (3,699
+    # representations) takes blocks of 11 fibres: 24 blocks here
+    rng = np.random.default_rng(53)
+    grid = build_torus_grid(2, 16, 3, 1.0 / 16)
+    values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    assert grid.num_nodes > convexify._block_rows(3 * 8 * 3699) > 1
+    want = loop_convex_envelope(table, _supports(2, 3))
+    assert np.array_equal(fiber_convex_envelope(table).values, want)
+
+
+def test_supports_2d_radius_3_pinned():
+    # too slow for the loop reference; the digest is that of the unblocked
+    # triangle pass, which the loop reference matched at radii 1 and 2
+    sup = _supports(2, 3)
+    h = hashlib.sha256(np.array([len(idx) for idx, _ in sup], "<i8").tobytes())
+    for idx, wts in sup:
+        h.update(np.ascontiguousarray(idx, "<i8").tobytes())
+        h.update(np.ascontiguousarray(wts, "<f8").tobytes())
+    assert h.hexdigest() == "1f129d654af1c7dbc4394559099cd03e5b6c6f270a0dd6dd5454817dbfc4d5ea"
+
+
+def _envelope_transient_bytes(n):
+    """tracemalloc peak of fiber_convex_envelope above what it returns, 2-D k=2."""
+    grid = build_torus_grid(2, n, 2, 1.0 / n)
+    values = np.random.default_rng(n).uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    _supports(2, 2)  # the cached table is not part of the envelope's transient
+    tracemalloc.start()
+    try:
+        env = fiber_convex_envelope(table)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current >= env.values.nbytes + env.grad.nbytes + env.endpoint.nbytes
+    return peak - current
+
+
+def test_envelope_transient_memory_is_bounded():
+    # Blocks keep the temporaries of the sums and of the slopes within one
+    # budget each, and the two never coexist.  A per-stencil-point
+    # (N, C, 3) gather would take 41 MB at n=64 and grow with N.
+    at_64 = _envelope_transient_bytes(64)
+    assert at_64 < 2 * convexify._BLOCK_BYTES
+    assert _envelope_transient_bytes(128) <= at_64
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
