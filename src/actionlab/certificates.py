@@ -50,9 +50,8 @@ class DualCertificate:
         return float(self.slack.min())
 
     def slack_on_support(self, mu: DiscreteMeasure) -> float:
-        if not mu.weights:
-            return 0.0
-        return float(max(self.slack[edge] for edge in mu.weights))
+        ids = mu.edge_ids()
+        return float(self.slack.ravel()[ids].max()) if len(ids) else 0.0
 
 
 def _finish_certificate(table, pot, c0, normalization_node, pairing=0.0):
@@ -120,28 +119,33 @@ def certify_boundary(
     L >= df everywhere with equality on the support.  A negative residual
     cycle means the input was not optimal and is reported as a fault.  Also
     records the pairing <c, f>, which equals the optimal value exactly.
+
+    A solution from ``solve_boundary`` carries the flow's dual for the costs
+    h*L as ``solution.potential``.  The dual holds the rounding of every
+    augmentation, so it is not the start itself: it orders one Dijkstra that
+    finds the fixpoint the relaxation would reach from zero, summing costs
+    along the search tree, and the relaxation starts there and settles in
+    one round.  A supplied solution (potential None) starts from zero.  The
+    start changes the rounds, not the test: from any finite start the
+    relaxation converges only without a negative cycle.
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
     grid = table.grid
     n = grid.num_nodes
-    h = grid.time_step
+    start = _checked_start(solution.potential, n)
 
     fwd_tails, fwd_heads = grid.edge_endpoints
-    fwd_costs = h * table.values.ravel()
-    back_tails = []
-    back_heads = []
-    back_costs = []
-    for (node, k), _w in sorted(solution.measure.weights.items()):
-        back_tails.append(int(grid.neighbors[node, k]))
-        back_heads.append(node)
-        back_costs.append(-h * table.values[node, k])
-    tails = np.concatenate([fwd_tails, np.array(back_tails, dtype=int)])
-    heads = np.concatenate([fwd_heads, np.array(back_heads, dtype=int)])
-    costs = np.concatenate([fwd_costs, np.array(back_costs, dtype=float)])
+    fwd_costs = grid.time_step * table.values.ravel()
+    back = solution.measure.edge_ids()
+    tails = np.concatenate([fwd_tails, fwd_heads[back]])
+    heads = np.concatenate([fwd_heads, fwd_tails[back]])
+    costs = np.concatenate([fwd_costs, -fwd_costs[back]])
 
+    if start is not None:
+        start = network.dijkstra_fixpoint(n, tails, heads, costs, start)
     tol = network.cost_tolerance(float(costs.max() - costs.min()), n)
-    pot, ok = network.relax_to_fixpoint(n, tails, heads, costs, tol=tol)
+    pot, ok = network.relax_to_fixpoint(n, tails, heads, costs, tol=tol, start=start)
     if not ok:
         raise RuntimeError(
             "residual graph has a negative cycle: the supplied solution is not optimal "
@@ -152,6 +156,23 @@ def certify_boundary(
     f = pot - pot[norm_node]
     pairing = current.pairing(f)
     return _finish_certificate(table, pot, 0.0, norm_node, pairing=pairing)
+
+
+def _checked_start(potential, num_nodes: int):
+    """The solver's potential as a relaxation start, or None; never a silent zero."""
+    if potential is None:
+        return None
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != (num_nodes,):
+        raise ValueError(
+            f"solution potential must have one value per node ({num_nodes}), "
+            f"got shape {potential.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(potential))
+    if len(bad):
+        node = int(bad[0])
+        raise ValueError(f"solution potential is not finite at node {node}: {float(potential[node])!r}")
+    return potential
 
 
 def lax_oleinik_backward(f0, table: LagrangianTable, c0: float) -> np.ndarray:

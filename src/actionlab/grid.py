@@ -245,6 +245,11 @@ class DiscreteMeasure:
         """Sorted projected support pi(supp mu)."""
         return sorted({node for (node, _m) in self.weights})
 
+    def edge_ids(self) -> np.ndarray:
+        """Ascending edge ids node * M + offset_index of supp mu."""
+        keys = np.array(list(self.weights), dtype=int).reshape(-1, 2)
+        return np.sort(keys[:, 0] * self.grid.num_offsets + keys[:, 1])
+
 
 @dataclass(frozen=True)
 class BoundaryCurrent:

@@ -15,7 +15,7 @@ Solvers are pure functions of immutable inputs and safe to run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class OptimalSolution:
     measure: DiscreteMeasure
     value: float
     status: str
+    # the solver's node potential for the costs h*L, dual-feasible and tight
+    # on the support up to rounding; None for the closed problem and for
+    # solutions read from a file
+    potential: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def summary(self) -> dict:
         return {"value": self.value, "status": self.status, "mass": self.measure.mass}
@@ -124,7 +128,8 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     UNBOUNDED whenever any negative-cost directed cycle exists (adding that
     circulation preserves the boundary and lowers the cost without limit);
     INFEASIBLE when supply cannot reach demand; otherwise the min-cost flow
-    with node imbalances h*c(x).
+    with node imbalances h*c(x).  The flow's node potentials, scaled by h to
+    the certificate's costs h*L, ride along as ``potential``.
     """
     grid = table.grid
     if not grid.same_layout(current.grid):
@@ -144,4 +149,6 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     edges = zip(*(c.tolist() for c in np.divmod(support, grid.num_offsets)))
     measure = DiscreteMeasure(grid=grid, weights=dict(zip(edges, flow)))
     value = float(sum(c * w for c, w in zip(costs[support].tolist(), flow)))
-    return OptimalSolution(measure=measure, value=value, status=OPTIMAL)
+    return OptimalSolution(
+        measure=measure, value=value, status=OPTIMAL, potential=grid.time_step * result.potentials
+    )

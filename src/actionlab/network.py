@@ -19,6 +19,7 @@ __all__ = [
     "cost_tolerance",
     "minimum_mean_cycle",
     "relax_to_fixpoint",
+    "dijkstra_fixpoint",
     "min_cost_flow",
     "FlowResult",
 ]
@@ -237,18 +238,21 @@ def _evaluate_policy(succ, weight):
     return eta, bias
 
 
-def relax_to_fixpoint(num_nodes, tails, heads, costs, tol: float = 0.0):
-    """Virtual-source Bellman-Ford: smallest walk cost into each node, from 0.
+def relax_to_fixpoint(num_nodes, tails, heads, costs, tol: float = 0.0, start=None):
+    """Virtual-source Bellman-Ford: smallest walk cost into each node, from ``start``.
 
-    Starting from the all-zero potential, relaxes every edge until stable.
-    Returns (potential, converged); converged is False when improvements keep
+    The virtual source reaches node v at cost ``start[v]`` (zero when
+    ``start`` is None); every edge is relaxed until stable.  Returns
+    (potential, converged); converged is False when improvements keep
     exceeding ``tol`` after num_nodes rounds, which certifies a negative cycle
-    (up to the tolerance).
+    (up to the tolerance) whatever the finite start.  A start that is already
+    feasible, costs + start[tails] - start[heads] >= 0 on every edge, comes
+    back unchanged after one round.
     """
     tails = np.asarray(tails, dtype=int)
     heads = np.asarray(heads, dtype=int)
     costs = np.asarray(costs, dtype=float)
-    pot = np.zeros(num_nodes)
+    pot = np.zeros(num_nodes) if start is None else np.array(start, dtype=float)
     for _ in range(num_nodes + 1):
         new = pot.copy()
         np.minimum.at(new, heads, pot[tails] + costs)
@@ -259,11 +263,65 @@ def relax_to_fixpoint(num_nodes, tails, heads, costs, tol: float = 0.0):
     return pot, False
 
 
+def dijkstra_fixpoint(num_nodes, tails, heads, costs, guide) -> np.ndarray:
+    """The potential ``relax_to_fixpoint`` reaches from zero, by one Dijkstra.
+
+    Smallest walk cost into each node from a virtual source that reaches
+    every node at cost 0.  ``guide`` is a potential under which the reduced
+    costs costs + guide[tails] - guide[heads] are nonnegative up to rounding,
+    such as the node potentials of ``min_cost_flow``, and it only orders the
+    search: each node settles once, in order of its value minus its guide,
+    at 0 or at its search-tree parent's value plus the edge cost.  Tree edges
+    are therefore tight up to one rounding, whatever rounding ``guide``
+    carries.  Nothing is checked here: the result is meant as the start of
+    ``relax_to_fixpoint``, which settles in one round when the guide was
+    right and in at most num_nodes rounds from any finite start.
+    """
+    heads = np.asarray(heads, dtype=int)
+    costs = np.asarray(costs, dtype=float)
+    guide = np.ascontiguousarray(guide, dtype=float)
+    order, first = _csr(num_nodes, np.asarray(tails, dtype=int))
+    # memoryviews hand out Python scalars without building lists of them
+    succ, step, shift = memoryview(heads[order]), memoryview(costs[order]), memoryview(guide)
+    first = first.tolist()
+    # every node starts at 0 and waits in the order of that value's key,
+    # -guide, ties by index; the heap holds only the values improved since
+    waiting = memoryview(np.argsort(-guide, kind="stable"))
+    walk = [0.0] * num_nodes
+    done = bytearray(num_nodes)
+    heap: list[tuple[float, int]] = []
+    k = 0
+    while True:
+        while k < num_nodes and done[waiting[k]]:
+            k += 1
+        if heap and (k == num_nodes or heap[0] < (-shift[waiting[k]], waiting[k])):
+            v = heapq.heappop(heap)[1]
+            if done[v]:
+                continue
+        elif k < num_nodes:
+            v = waiting[k]
+        else:
+            break
+        done[v] = 1
+        fv = walk[v]
+        for i in range(first[v], first[v + 1]):
+            w = succ[i]
+            nd = fv + step[i]
+            if nd < walk[w] and not done[w]:
+                walk[w] = nd
+                heapq.heappush(heap, (nd - shift[w], w))
+    return np.array(walk)
+
+
 @dataclass
 class FlowResult:
     status: str
     flow: np.ndarray  # per edge
-    potentials: np.ndarray  # per node; dual-feasible, tight on flow arcs
+    # per node, in the units of ``costs`` (L for solve_boundary, not the
+    # certificate's h*L): costs + potentials[tails] - potentials[heads] >= 0
+    # on every edge and = 0 on the edges with flow, up to the rounding of one
+    # Dijkstra distance vector added per augmentation
+    potentials: np.ndarray
     value: float
 
 

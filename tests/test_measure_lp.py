@@ -132,6 +132,26 @@ def test_boundary_distance_equals_dijkstra():
     assert bm.charge(src) == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_boundary_solution_keeps_the_flow_dual_for_h_times_L():
+    # seeded 2-D n=12 table with a non-unit step h = 1/12: the potential is
+    # the flow's, scaled to the certificate's costs h*L, so it is feasible
+    # for h*L everywhere and tight on the support
+    rng = np.random.default_rng(61)
+    grid = build_torus_grid(2, 12, 1, 1.0 / 12)
+    table = LagrangianTable(
+        grid=grid, values=rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    )
+    ends = rng.choice(grid.num_nodes, size=10, replace=False)
+    charges = {int(x): -1.0 for x in ends[:5]}
+    charges.update({int(x): 1.0 for x in ends[5:]})
+    sol = solve_boundary(table, BoundaryCurrent(grid=grid, charges=charges))
+    tails, heads = grid.edge_endpoints
+    reduced = grid.time_step * table.values.ravel() + sol.potential[tails] - sol.potential[heads]
+    assert reduced.min() >= -1e-12
+    assert np.abs(reduced[sol.measure.edge_ids()]).max() <= 1e-12
+    assert solve_closed(table).potential is None
+
+
 @pytest.mark.parametrize("a", [1e6, 1.0, 1e-6, 1e-12, 1e-15])
 def test_boundary_negative_cycle_unbounded_at_every_scale(a):
     # d=1, n=8 pendulum 0.5 v^2 + cos 2 pi x times a: the rest loops over the

@@ -11,6 +11,7 @@ from actionlab.network import (
     min_cost_flow,
     minimum_mean_cycle,
     relax_to_fixpoint,
+    dijkstra_fixpoint,
     strongly_connected_components,
 )
 
@@ -127,6 +128,93 @@ def test_relax_to_fixpoint_detects_negative_cycle():
     # zero-mean cycle: potentials are finite and feasible
     assert pot[1] <= pot[0] + 1.0 + 1e-12
     assert pot[0] <= pot[1] - 1.0 + 1e-12
+
+
+def _no_negative_cycle_graph(rng, n):
+    """Random graph on n nodes, costs = nonnegative part + a potential
+    difference: single arcs go negative, every cycle costs >= 0."""
+    m = 4 * n
+    tails = np.r_[np.arange(n), rng.integers(0, n, size=m)]
+    heads = np.r_[np.roll(np.arange(n), -1), rng.integers(0, n, size=m)]
+    phi = rng.uniform(-5.0, 5.0, size=n)
+    costs = rng.uniform(0.0, 1.0, size=len(tails)) + phi[tails] - phi[heads]
+    return tails, heads, costs
+
+
+def test_relax_to_fixpoint_exact_fixpoint_start_comes_back_unchanged():
+    rng = np.random.default_rng(41)
+    tails, heads, costs = _no_negative_cycle_graph(rng, 30)
+    pot, ok = relax_to_fixpoint(30, tails, heads, costs)
+    assert ok
+    again, ok2 = relax_to_fixpoint(30, tails, heads, costs, start=pot)
+    assert ok2
+    assert np.array_equal(again, pot)
+    # a hand-made feasible start above the shortest walks is a fixpoint too:
+    # on a path 0 -> 1 -> 2 of cost 1 per arc, start = (0, 1, 2)
+    start = np.array([0.0, 1.0, 2.0])
+    out, ok3 = relax_to_fixpoint(3, [0, 1], [1, 2], [1.0, 1.0], start=start)
+    assert ok3 and np.array_equal(out, start)
+
+
+def test_relax_to_fixpoint_negative_cycle_from_any_start():
+    rng = np.random.default_rng(43)
+    tails, heads, costs = _no_negative_cycle_graph(rng, 20)
+    # arc 0 -> 1 and a reverse arc one unit cheaper than free: a 2-cycle of cost -1
+    tails, heads = np.r_[tails, heads[0]], np.r_[heads, tails[0]]
+    costs = np.r_[costs, -costs[0] - 1.0]
+    tol = cost_tolerance(float(np.ptp(costs)), 20)
+    _pot, ok = relax_to_fixpoint(20, tails, heads, costs, tol=tol)
+    assert not ok
+    for _ in range(5):
+        start = rng.uniform(-1e3, 1e3, size=20)
+        _pot, ok = relax_to_fixpoint(20, tails, heads, costs, tol=tol, start=start)
+        assert not ok
+
+
+def test_relax_to_fixpoint_random_starts_end_feasible():
+    rng = np.random.default_rng(47)
+    for trial in range(20):
+        n = int(rng.integers(1, 40))
+        tails, heads, costs = _no_negative_cycle_graph(rng, n)
+        tol = cost_tolerance(float(np.ptp(costs)), n)
+        start = rng.uniform(-100.0, 100.0, size=n) * (trial % 3)
+        pot, ok = relax_to_fixpoint(n, tails, heads, costs, tol=tol, start=start)
+        assert ok
+        assert np.all(pot <= start)
+        assert (costs + pot[tails] - pot[heads]).min() >= -tol
+
+
+def test_dijkstra_fixpoint_is_the_relaxation_fixpoint_under_a_feasible_guide():
+    # single arcs are negative, so Dijkstra needs the guide: the fixpoint of
+    # the costs before the tilt by phi, moved by -phi, is feasible for the
+    # tilted costs but is not their fixpoint, which one Dijkstra must reach
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        tails, heads, costs = _no_negative_cycle_graph(rng, n)
+        phi = rng.uniform(-1.0, 1.0, size=n)
+        costs = costs + phi[tails] - phi[heads]
+        fixpoint, ok = relax_to_fixpoint(n, tails, heads, costs)
+        assert ok
+        guide, ok = relax_to_fixpoint(n, tails, heads, costs + phi[heads] - phi[tails])
+        found = dijkstra_fixpoint(n, tails, heads, costs, guide - phi)
+        assert np.allclose(found, fixpoint, rtol=0, atol=1e-9)
+        # a start the relaxation confirms in one round
+        tol = cost_tolerance(float(np.ptp(costs)), n)
+        pot, ok = relax_to_fixpoint(n, tails, heads, costs, tol=tol, start=found)
+        assert ok and np.max(found - pot) <= tol
+
+
+def test_dijkstra_fixpoint_from_any_guide_is_a_start_that_reaches_the_fixpoint():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        tails, heads, costs = _no_negative_cycle_graph(rng, n)
+        fixpoint, _ = relax_to_fixpoint(n, tails, heads, costs)
+        found = dijkstra_fixpoint(n, tails, heads, costs, rng.uniform(-50.0, 50.0, size=n))
+        assert np.all(np.isfinite(found)) and np.all(found <= 0.0)
+        pot, ok = relax_to_fixpoint(n, tails, heads, costs, start=found)
+        assert ok and np.allclose(pot, fixpoint, rtol=0, atol=1e-9)
 
 
 def test_min_cost_flow_simple_transport():

@@ -180,6 +180,26 @@ def test_cli_boundary_solve_with_current(tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert abs(summary["value"] - 0.5) <= 1e-9  # five unit steps of cost 1/10
 
+    # the written solution carries no solver dual: certify starts from zero
+    rc = main(
+        [
+            "certify",
+            "--grid",
+            str(gpath),
+            "--lagrangian",
+            str(lpath),
+            "--current",
+            str(cpath),
+            "--solution",
+            str(outdir / "solution.csv"),
+            "--outdir",
+            str(tmp_path / "cert"),
+        ]
+    )
+    assert rc == 0
+    certificate = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    assert abs(certificate["current_pairing"] - 0.5) <= 1e-9
+
 
 def _control_bundle(
     tmp_path, init_rows=((1, 1.0),), dynamics_extra=(), costs_extra=(), **desc_changes
