@@ -28,11 +28,8 @@ from .measure_lp import (
 )
 from .certificates import (
     DualCertificate,
-    WeakKamResult,
     certify_boundary,
     certify_closed,
-    lax_oleinik_backward,
-    weak_kam_iterate,
 )
 from .convexify import (
     FiberEnvelope,

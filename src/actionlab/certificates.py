@@ -6,9 +6,9 @@ g >= 0 everywhere; complementary slackness forces g = 0 on the support of any
 optimal measure.  In this finite setting the decomposition is exact, with no
 limiting sequence.
 
-The same potential can be reached as a fixed point of the backward value
-update (one-step inf-convolution with the reduced cost), which is what
-``weak_kam_iterate`` does.
+The closed potential is the Bellman-Ford fixpoint of the reduced costs
+h*(L - c0), which is also the fixed point of the backward value update
+f <- min(f, T[f]) (the weak-KAM route).
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ from .network import OPTIMAL
 
 __all__ = [
     "DualCertificate",
-    "WeakKamResult",
     "certify_closed",
     "certify_boundary",
-    "lax_oleinik_backward",
-    "weak_kam_iterate",
 ]
-
-CONVERGED = "CONVERGED"
-NON_CONVERGED = "NON_CONVERGED"
 
 
 @dataclass(frozen=True)
@@ -173,49 +167,3 @@ def _checked_start(potential, num_nodes: int):
         node = int(bad[0])
         raise ValueError(f"solution potential is not finite at node {node}: {float(potential[node])!r}")
     return potential
-
-
-def lax_oleinik_backward(f0, table: LagrangianTable, c0: float) -> np.ndarray:
-    """One backward value-update step: T[f](x) = min over in-edges (y -> x) of
-    f(y) + h*(L - c0).
-
-    Order preserving and min-plus linear: T[f + a] = T[f] + a.
-    """
-    grid = table.grid
-    f0 = np.asarray(f0, dtype=float)
-    step = grid.time_step * (table.values - c0)
-    out = np.full(grid.num_nodes, np.inf)
-    cand = f0[:, None] + step
-    np.minimum.at(out, grid.neighbors.ravel(), cand.ravel())
-    return out
-
-
-@dataclass
-class WeakKamResult:
-    potential: np.ndarray
-    converged: bool
-    iterations: int
-
-    @property
-    def status(self) -> str:
-        return CONVERGED if self.converged else NON_CONVERGED
-
-
-def weak_kam_iterate(table: LagrangianTable, c0: float) -> WeakKamResult:
-    """Fixed-point route to a dual-feasible potential: f <- min(f, T_backward[f]).
-
-    Starting from f = 0, the iteration stabilizes within num_nodes sweeps iff
-    the reduced costs L - c0 carry no negative-mean cycle (c0 at most the
-    critical constant); a negative reduced cycle drives f to -inf, reported as
-    NON_CONVERGED after num_nodes + 1 sweeps.  ``iterations`` counts the
-    sweeps run.  The limit satisfies L >= c0 + df.
-    """
-    grid = table.grid
-    max_iters = grid.num_nodes + 1
-    f = np.zeros(grid.num_nodes)
-    for it in range(1, max_iters + 1):
-        new = np.minimum(f, lax_oleinik_backward(f, table, c0))
-        if np.array_equal(new, f):
-            return WeakKamResult(potential=f, converged=True, iterations=it)
-        f = new
-    return WeakKamResult(potential=f, converged=False, iterations=max_iters)

@@ -9,8 +9,11 @@ writes.  A column is an array with one field per entry, or a lookup
 ``(table, index)`` whose table rows (lattice points, stencil offsets, times,
 control names) are formatted once and then indexed, so only the values are
 formatted per row.  Rows are joined column by column and written a block of
-``_BLOCK_ROWS`` at a time, so memory stays flat.  The ``csv`` module serves
-the readers.
+``_BLOCK_ROWS`` at a time, so memory stays flat.
+
+Every CSV input is read by ``_read_csv``: ``np.loadtxt`` parses the rows and
+array masks check them; only a bad file is reread with the ``csv`` module, to
+name the line of its first bad row.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +72,8 @@ def _clean(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
@@ -193,61 +195,101 @@ def grid_to_json(grid: PhaseGrid) -> dict:
 
 
 def grid_from_json(payload: dict) -> PhaseGrid:
-    return build_torus_grid(
-        int(payload["dim"]),
-        int(payload["n"]),
-        int(payload["stencil_radius"]),
-        float(payload["h"]),
-    )
+    dim, n, radius = (int(payload[key]) for key in ("dim", "n", "stencil_radius"))
+    return build_torus_grid(dim, n, radius, float(payload["h"]))
+
+
+def _write_edge_csv(path, grid: PhaseGrid, names: list[str], columns: list) -> None:
+    """One row per edge: its node and offset coordinates, then ``columns``."""
+    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
+    _write_csv(path, _coord_header(grid.dim, "node", "offset") + names, edges + columns)
 
 
 def write_lagrangian_csv(path, table: LagrangianTable) -> None:
-    grid = table.grid
-    header = _coord_header(grid.dim, "node", "offset") + ["value"]
-    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, edges + [table.values])
+    _write_edge_csv(path, table.grid, ["value"], [table.values])
 
 
 def read_lagrangian_csv(grid: PhaseGrid, path) -> LagrangianTable:
-    values = np.full((grid.num_nodes, grid.num_offsets), np.nan)
-    for node, m, val in _read_edge_rows(grid, path):
-        values[node, m] = val
+    ids, rows = _read_edges(grid, path)
+    values = np.full(grid.num_edges, np.nan)
+    values[ids] = rows[:, -1]
     if np.isnan(values).any():
         raise ValueError(f"Lagrangian CSV {path} does not cover every edge")
-    return LagrangianTable(grid=grid, values=values)
+    return LagrangianTable(grid=grid, values=values.reshape(grid.num_nodes, grid.num_offsets))
 
 
-def _csv_rows(path):
-    """(line number, row) for each non-blank row after the header line."""
+def _read_csv(path, width: int, checks: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The one CSV reader, the mirror of ``_write_csv``: a table keyed by
+    integer columns, as (keys, rows) with one (width,) float row per key.
+
+    The first line is the header; blank lines are skipped and fields past
+    ``width`` ignored.  ``checks`` is an ordered list of ``(columns, bounds,
+    message)``: the fields of a column slice are integers, and with ``bounds
+    = (lo, hi)`` lie in [lo, hi), ``message`` taking the first value outside
+    and the tuple of them all.  A key numbers a row's bounded columns
+    row-major; the last row of a key wins, in the place of its first row.
+    """
+    if Path(path).stat().st_size == 0:
+        raise ValueError(f"CSV file {path} is empty")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            rows = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, skiprows=1,
+                usecols=range(width), ndmin=2,
+            )
+    except ValueError as exc:
+        raise ValueError(_first_error(path, width, checks) or f"{path}: {exc}") from None
+    keys = np.zeros(len(rows), dtype=int)
+    for columns, bounds, _ in checks:
+        x = rows[:, columns]
+        lo, hi = bounds or (-np.inf, np.inf)
+        if (~np.isfinite(x) | (np.trunc(x) != x) | (x < lo) | (x >= hi)).any():
+            raise ValueError(_first_error(path, width, checks) or f"{path}: a row fails a check")
+        if bounds:
+            keys = keys * (hi - lo) ** x.shape[1] + lattice_index((x - lo).T.astype(int), hi - lo)
+    _, first = np.unique(keys, return_index=True)
+    _, last = np.unique(keys[::-1], return_index=True)
+    keep = (len(keys) - 1 - last)[np.argsort(first)]
+    return keys[keep], rows[keep]
+
+
+def _first_error(path, width: int, checks: list[tuple]) -> str | None:
+    """``"<path> line <k>: ..."`` for the first data row that is short, holds
+    a field that is not a number, or fails a check, in this order within a
+    row; None when the ``csv`` module reads every row as valid."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ValueError(f"CSV file {path} is empty")
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        next(reader)
+        for row in filter(None, reader):  # the error path only
+            where = f"{path} line {reader.line_num}: "
+            if len(row) < width:
+                return where + f"{len(row)} fields, expected {width}"
+            try:
+                numbers = [float(v) for v in row[:width]]
+            except ValueError as exc:  # names the field: could not convert string to float: 'x'
+                return where + str(exc)
+            for columns, bounds, message in checks:
+                fractional = [f for v, f in zip(numbers[columns], row[columns]) if not v.is_integer()]
+                if fractional:
+                    return where + f"{fractional[0]!r} is not an integer"
+                ints = tuple(map(int, numbers[columns]))
+                outside = [v for v in ints if bounds and not bounds[0] <= v < bounds[1]]
+                if outside:
+                    return where + message.format(outside[0], ints)
 
 
-def _integers(path, line: int, fields) -> list[int]:
-    """Integer coordinates or indices, written as 3 or 3.0; 1.7 is an error."""
-    out = []
-    for v in fields:
-        x = float(v)
-        if not x.is_integer():
-            raise ValueError(f"{path} line {line}: {v!r} is not an integer")
-        out.append(int(x))
-    return out
+def _bounded(columns: slice, size: int, what: str) -> tuple:
+    """The check that the fields in ``columns`` are integers in [0, size)."""
+    return columns, (0, size), f"{what} {{0}} is outside [0, {size})"
 
 
-def _read_edge_rows(grid: PhaseGrid, path):
-    d = grid.dim
-    for line, row in _csv_rows(path):
-        node = _parse_point(path, line, row[:d], grid.nodes_per_dim)
-        try:
-            m = grid.offset_index(_integers(path, line, row[d : 2 * d]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {line}: {exc}") from None
-        yield node, m, float(row[2 * d])
+def _read_edges(grid: PhaseGrid, path) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids and rows of a CSV of rows ``(node..., offset..., value)``."""
+    d, K = grid.dim, grid.stencil_radius
+    stencil = (slice(d, 2 * d), (-K, K + 1), f"offset {{1}} outside stencil radius {K}")
+    nodes = _bounded(slice(0, d), grid.nodes_per_dim, "coordinate")
+    return _read_csv(path, 2 * d + 1, [nodes, stencil])
 
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
@@ -262,9 +304,9 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
 
 
 def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
-    weights = {}
-    for node, m, w in _read_edge_rows(grid, path):
-        weights[(node, m)] = w
+    ids, rows = _read_edges(grid, path)
+    nodes, m = divmod(ids, grid.num_offsets)
+    weights = dict(zip(zip(nodes.tolist(), m.tolist()), rows[:, -1].tolist()))
     return DiscreteMeasure(grid=grid, weights=weights)
 
 
@@ -279,10 +321,8 @@ def write_current_csv(path, current: BoundaryCurrent) -> None:
 
 def read_current_csv(grid: PhaseGrid, path) -> BoundaryCurrent:
     d = grid.dim
-    charges = {}
-    for line, row in _csv_rows(path):
-        charges[_parse_point(path, line, row[:d], grid.nodes_per_dim)] = float(row[d])
-    return BoundaryCurrent(grid=grid, charges=charges)
+    nodes, rows = _read_csv(path, d + 1, [_bounded(slice(0, d), grid.nodes_per_dim, "coordinate")])
+    return BoundaryCurrent(grid=grid, charges=dict(zip(nodes.tolist(), rows[:, d].tolist())))
 
 
 def write_certificate_json_with_support(path, cert, mu) -> None:
@@ -300,19 +340,14 @@ def write_certificate_json_with_support(path, cert, mu) -> None:
 
 
 def write_slack_csv(path, cert) -> None:
-    grid = cert.grid
-    header = _coord_header(grid.dim, "node", "offset") + ["g"]
-    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, edges + [cert.slack])
+    _write_edge_csv(path, cert.grid, ["g"], [cert.slack])
 
 
 def write_envelope_csv(path, table: LagrangianTable, env) -> None:
     """L_tilde and the endpoint flag per edge.  L itself is the Lagrangian
     CSV, and the one-sided slopes are differences of L_tilde (``_fiber_slopes``)."""
-    grid = table.grid
-    header = _coord_header(grid.dim, "node", "offset") + ["L_tilde", "endpoint"]
-    edges = _coord_columns(grid, np.arange(grid.num_edges), edges=True)
-    _write_csv(path, header, edges + [env.values, env.endpoint.astype(int)])
+    columns = [env.values, env.endpoint.astype(int)]
+    _write_edge_csv(path, table.grid, ["L_tilde", "endpoint"], columns)
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
@@ -330,14 +365,8 @@ def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
     spread[on] = report.momentum_spread[on]
     header = _coord_header(grid.dim, "node")
     header += ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
-    columns = _coord_columns(grid, np.arange(grid.num_nodes)) + [
-        report.f,
-        momentum,
-        spread,
-        report.H_residual,
-        on.astype(int),
-    ]
-    _write_csv(path, header, columns)
+    columns = [report.f, momentum, spread, report.H_residual, on.astype(int)]
+    _write_csv(path, header, _coord_columns(grid, np.arange(grid.num_nodes)) + columns)
 
 
 def write_measure_result(dest, result) -> None:
@@ -397,82 +426,51 @@ def write_value_function_csv(path, vf) -> None:
 
 
 def read_control_problem(path) -> ControlProblem:
-    """Control problem bundle: JSON description plus dynamics and cost CSVs.
-
-    The JSON holds {state_dim, n, origin, spacing, controls, t0, dt,
-    dynamics_csv, costs_csv}; CSV paths are relative to the JSON file.
+    """Control problem bundle: JSON {state_dim, n, origin, spacing, controls,
+    t0, dt, dynamics_csv, costs_csv}, CSV paths relative to the JSON file.
     Dynamics rows are (state..., control_index, step...) integer steps; cost
-    rows are (state..., t_index, control_index, ell).
-    """
+    rows are (state..., t_index, control_index, ell)."""
     path = Path(path)
     desc = json.loads(path.read_text())
-    state_dim = int(desc["state_dim"])
-    n = int(desc["n"])
-    origin = np.atleast_1d(np.asarray(desc["origin"], dtype=float))
-    spacing = float(desc["spacing"])
-    controls = tuple(desc["controls"])
-    t0 = float(desc["t0"])
-    dt = float(desc["dt"])
-    T = _num_steps(state_dim, n, t0, dt)
-    S = n**state_dim
-    A = len(controls)
+    s, n, controls = int(desc["state_dim"]), int(desc["n"]), tuple(desc["controls"])
+    t0, dt = float(desc["t0"]), float(desc["dt"])
+    S, T, A = n**s, _num_steps(s, n, t0, dt), len(controls)
+    states = _bounded(slice(0, s), n, "coordinate")
+    control = _bounded(slice(s, s + 1), A, "control index")
 
-    move = np.full((S, A), -1, dtype=int)
-    steps = np.zeros((S, A, state_dim), dtype=int)
-    ell = np.full((S, T, A), np.nan)
+    integers = (slice(0, 2 * s + 1), None, None)
+    keys, rows = _read_csv(path.parent / desc["dynamics_csv"], 2 * s + 1, [integers, states, control])
+    target = rows[:, :s] + rows[:, s + 1 :]
+    inside = ((target >= 0) & (target < n)).all(axis=1)
+    move = np.full(S * A, -1)
+    move[keys[inside]] = lattice_index(target[inside].T.astype(int), n)
+    steps = np.zeros((S * A, s), dtype=int)
+    steps[keys[inside]] = rows[inside, s + 1 :].astype(int)
 
-    dynamics_csv = path.parent / desc["dynamics_csv"]
-    for line, row in _csv_rows(dynamics_csv):
-        fields = _integers(dynamics_csv, line, row[: 2 * state_dim + 1])
-        coords, step = fields[:state_dim], fields[state_dim + 1 :]
-        s = _parse_point(dynamics_csv, line, row[:state_dim], n)
-        a = _index(dynamics_csv, line, fields[state_dim], A, "control index")
-        target = [c + k for c, k in zip(coords, step)]
-        if all(0 <= c < n for c in target):
-            steps[s, a] = step
-            move[s, a] = lattice_index(target, n)
-
-    costs_csv = path.parent / desc["costs_csv"]
-    for line, row in _csv_rows(costs_csv):
-        fields = _integers(costs_csv, line, row[: state_dim + 2])
-        s = _parse_point(costs_csv, line, row[:state_dim], n)
-        j = _index(costs_csv, line, fields[state_dim], T, "time index")
-        a = _index(costs_csv, line, fields[state_dim + 1], A, "control index")
-        ell[s, j, a] = float(row[state_dim + 2])
-
+    integers = (slice(0, s + 2), None, None)
+    time = _bounded(slice(s, s + 1), T, "time index")
+    control = _bounded(slice(s + 1, s + 2), A, "control index")
+    keys, rows = _read_csv(path.parent / desc["costs_csv"], s + 3, [integers, states, time, control])
+    ell = np.full(S * T * A, np.nan)
+    ell[keys] = rows[:, -1]
     if np.isnan(ell).any():
         raise ValueError("cost CSV does not cover every (state, time, control)")
     return _control_problem(
-        state_dim=state_dim,
+        state_dim=s,
         nodes_per_axis=n,
-        origin=origin,
-        spacing=spacing,
+        origin=np.atleast_1d(np.asarray(desc["origin"], dtype=float)),
+        spacing=float(desc["spacing"]),
         controls=controls,
-        move=move,
-        steps=steps,
-        ell=ell,
+        move=move.reshape(S, A),
+        steps=steps.reshape(S, A, s),
+        ell=ell.reshape(S, T, A),
         horizon=t0,
         time_step=dt,
     )
 
 
-def _index(path, line: int, value: int, size: int, what: str) -> int:
-    if not 0 <= value < size:
-        raise ValueError(f"{path} line {line}: {what} {value} is outside [0, {size})")
-    return value
-
-
-def _parse_point(path, line: int, fields, n: int) -> int:
-    """Index of the node or state whose integer coordinates are ``fields``,
-    each checked to lie in [0, n)."""
-    coords = _integers(path, line, fields)
-    for c in coords:
-        _index(path, line, c, n, "coordinate")
-    return lattice_index(coords, n)
-
-
 def read_initial_csv(num_states: int, state_dim: int, n: int, path) -> np.ndarray:
+    states, rows = _read_csv(path, state_dim + 1, [_bounded(slice(0, state_dim), n, "coordinate")])
     init = np.zeros(num_states)
-    for line, row in _csv_rows(path):
-        init[_parse_point(path, line, row[:state_dim], n)] = float(row[state_dim])
+    init[states] = rows[:, state_dim]
     return init

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -780,3 +782,172 @@ def loop_momentum_lipschitz(momenta: dict, grid, exclusion=()) -> float:
             diff = float(np.max(np.abs(vals[i] - vals[j])))
             best = max(best, diff / dist)
     return best
+
+
+# The weak-KAM route to the closed potential: the backward value update,
+# iterated from zero.  It computes what network.relax_to_fixpoint computes on
+# the reduced costs h*(L - c0) with tol=0, and is kept here as the reference
+# for that identity and for the fixed-point tests.
+
+CONVERGED = "CONVERGED"
+NON_CONVERGED = "NON_CONVERGED"
+
+
+def lax_oleinik_backward(f0, table, c0: float) -> np.ndarray:
+    """One backward value-update step: T[f](x) = min over in-edges (y -> x) of
+    f(y) + h*(L - c0).
+
+    Order preserving and min-plus linear: T[f + a] = T[f] + a.
+    """
+    grid = table.grid
+    f0 = np.asarray(f0, dtype=float)
+    step = grid.time_step * (table.values - c0)
+    out = np.full(grid.num_nodes, np.inf)
+    cand = f0[:, None] + step
+    np.minimum.at(out, grid.neighbors.ravel(), cand.ravel())
+    return out
+
+
+@dataclasses.dataclass
+class WeakKamResult:
+    potential: np.ndarray
+    converged: bool
+    iterations: int
+
+    @property
+    def status(self) -> str:
+        return CONVERGED if self.converged else NON_CONVERGED
+
+
+def weak_kam_iterate(table, c0: float) -> WeakKamResult:
+    """Fixed-point route to a dual-feasible potential: f <- min(f, T_backward[f]).
+
+    Starting from f = 0, the iteration stabilizes within num_nodes sweeps iff
+    the reduced costs L - c0 carry no negative-mean cycle (c0 at most the
+    critical constant); a negative reduced cycle drives f to -inf, reported as
+    NON_CONVERGED after num_nodes + 1 sweeps.  ``iterations`` counts the
+    sweeps run.  The limit satisfies L >= c0 + df.
+    """
+    grid = table.grid
+    max_iters = grid.num_nodes + 1
+    f = np.zeros(grid.num_nodes)
+    for it in range(1, max_iters + 1):
+        new = np.minimum(f, lax_oleinik_backward(f, table, c0))
+        if np.array_equal(new, f):
+            return WeakKamResult(potential=f, converged=True, iterations=it)
+        f = new
+    return WeakKamResult(potential=f, converged=False, iterations=max_iters)
+
+
+# Row-loop CSV readers: the row-by-row form of the serialize readers (one csv
+# row, float() and int() per field, the checks in order), kept as the value
+# and message reference for the column reader.
+
+
+def _loop_csv_rows(path):
+    """(line number, row) for each non-blank row after the header line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise ValueError(f"CSV file {path} is empty")
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def _loop_integers(path, line: int, fields) -> list[int]:
+    """Integer coordinates or indices, written as 3 or 3.0; 1.7 is an error."""
+    out = []
+    for v in fields:
+        x = float(v)
+        if not x.is_integer():
+            raise ValueError(f"{path} line {line}: {v!r} is not an integer")
+        out.append(int(x))
+    return out
+
+
+def _loop_index(path, line: int, value: int, size: int, what: str) -> int:
+    if not 0 <= value < size:
+        raise ValueError(f"{path} line {line}: {what} {value} is outside [0, {size})")
+    return value
+
+
+def _loop_point(path, line: int, fields, n: int) -> int:
+    coords = _loop_integers(path, line, fields)
+    for c in coords:
+        _loop_index(path, line, c, n, "coordinate")
+    return loop_node_index(coords, n)
+
+
+def _loop_edge_rows(grid, path):
+    d = grid.dim
+    for line, row in _loop_csv_rows(path):
+        node = _loop_point(path, line, row[:d], grid.nodes_per_dim)
+        try:
+            m = grid.offset_index(_loop_integers(path, line, row[d : 2 * d]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from None
+        yield node, m, float(row[2 * d])
+
+
+def loop_read_lagrangian_csv(grid, path):
+    values = np.full((grid.num_nodes, grid.num_offsets), np.nan)
+    for node, m, val in _loop_edge_rows(grid, path):
+        values[node, m] = val
+    if np.isnan(values).any():
+        raise ValueError(f"Lagrangian CSV {path} does not cover every edge")
+    return values
+
+
+def loop_read_measure_csv(grid, path) -> dict:
+    weights = {}
+    for node, m, w in _loop_edge_rows(grid, path):
+        weights[(node, m)] = w
+    return weights
+
+
+def loop_read_current_csv(grid, path) -> dict:
+    d = grid.dim
+    charges = {}
+    for line, row in _loop_csv_rows(path):
+        charges[_loop_point(path, line, row[:d], grid.nodes_per_dim)] = float(row[d])
+    return charges
+
+
+def loop_read_initial_csv(num_states: int, state_dim: int, n: int, path) -> np.ndarray:
+    init = np.zeros(num_states)
+    for line, row in _loop_csv_rows(path):
+        init[_loop_point(path, line, row[:state_dim], n)] = float(row[state_dim])
+    return init
+
+
+def loop_read_control_tables(path, state_dim: int, n: int, num_steps: int, num_controls: int):
+    """(move, steps, ell) of a control bundle's dynamics and cost CSVs, ``path``
+    being the bundle JSON; a dynamics row whose target leaves the box is
+    skipped."""
+    path = Path(path)
+    desc = json.loads(path.read_text())
+    S, T, A = n**state_dim, num_steps, num_controls
+    move = np.full((S, A), -1, dtype=int)
+    steps = np.zeros((S, A, state_dim), dtype=int)
+    ell = np.full((S, T, A), np.nan)
+    dynamics_csv = path.parent / desc["dynamics_csv"]
+    for line, row in _loop_csv_rows(dynamics_csv):
+        fields = _loop_integers(dynamics_csv, line, row[: 2 * state_dim + 1])
+        coords, step = fields[:state_dim], fields[state_dim + 1 :]
+        s = _loop_point(dynamics_csv, line, row[:state_dim], n)
+        a = _loop_index(dynamics_csv, line, fields[state_dim], A, "control index")
+        target = [c + k for c, k in zip(coords, step)]
+        if all(0 <= c < n for c in target):
+            steps[s, a] = step
+            move[s, a] = loop_node_index(target, n)
+    costs_csv = path.parent / desc["costs_csv"]
+    for line, row in _loop_csv_rows(costs_csv):
+        fields = _loop_integers(costs_csv, line, row[: state_dim + 2])
+        s = _loop_point(costs_csv, line, row[:state_dim], n)
+        j = _loop_index(costs_csv, line, fields[state_dim], T, "time index")
+        a = _loop_index(costs_csv, line, fields[state_dim + 1], A, "control index")
+        ell[s, j, a] = float(row[state_dim + 2])
+    if np.isnan(ell).any():
+        raise ValueError("cost CSV does not cover every (state, time, control)")
+    return move, steps, ell

@@ -19,7 +19,6 @@ from actionlab import (
     refinement_sweep,
     run_scenario,
     solve_closed,
-    weak_kam_iterate,
 )
 
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     loop_node_table,
     random_closed_instance,
     simple_cycle_min_mean,
+    weak_kam_iterate,
 )
 
 SEED = 20240811

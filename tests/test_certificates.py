@@ -9,17 +9,16 @@ from actionlab import (
     certify_boundary,
     certify_closed,
     discrete_differential,
-    lax_oleinik_backward,
     run_measure,
     sample_lagrangian,
     solve_boundary,
     solve_closed,
     verify_measure,
-    weak_kam_iterate,
 )
+from actionlab import network
 from actionlab.measure_lp import OptimalSolution, OPTIMAL
 
-from oracles import random_closed_instance
+from oracles import lax_oleinik_backward, random_closed_instance, weak_kam_iterate
 
 
 def two_node_table():
@@ -324,6 +323,28 @@ def test_fixed_point_consistency_random():
         assert np.min(out - cert.potential) >= -1e-9
         for x in sol.measure.support_nodes():
             assert abs(out[x] - cert.potential[x]) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weak_kam_oracle_is_the_bellman_ford_fixpoint(d, n, k):
+    # the backward value update iterated from zero is the virtual-source
+    # Bellman-Ford relaxation of h*(L - c0) with tol=0: the same potential bit
+    # for bit and the same converged flag, at the critical constant and one
+    # unit below and above it
+    rng = np.random.default_rng(100 * d + 10 * n + k)
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    values = rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    table = LagrangianTable(grid=grid, values=values)
+    critical = solve_closed(table).value
+    tails, heads = grid.edge_endpoints
+    for c0 in (critical - 1.0, critical, critical + 1.0):
+        oracle = weak_kam_iterate(table, c0)
+        reduced = grid.time_step * (values.ravel() - c0)
+        pot, ok = network.relax_to_fixpoint(grid.num_nodes, tails, heads, reduced, tol=0.0)
+        assert ok == oracle.converged
+        assert pot.tobytes() == oracle.potential.tobytes()
 
 
 def test_weak_kam_output_dual_feasible():

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -455,3 +457,247 @@ def test_value_function_writer_matches_loop_reference_across_blocks(tmp_path, ex
     assert vf.v.size == n**2 * layers
     write = serialize.write_value_function_csv
     _same_bytes(tmp_path, write, oracles.loop_write_value_function_csv, vf)
+
+
+# The column reader against the row-loop readers of tests/oracles.py, on
+# files written in every accepted syntax.
+
+_INT_FORMS = [str, "{}.0".format, "{}e0".format, " {} ".format]
+_FLOAT_FORMS = [repr, "{:.17g}".format, "{:.25e}".format, "{:.3f}".format, "{:.6g}".format]
+_EXTRA_FIELDS = ["abc", '"x,y"', "", "7"]
+_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 1e-310, 1e308, -2.5, 0.1]
+
+
+def _write_messy_csv(path, header, rows, rng, num_ints, newline="\n"):
+    """``rows`` as text in the accepted syntaxes: the first ``num_ints``
+    fields as 3, 3.0, 3e0 or padded, floats in several precisions, some fields
+    quoted, some rows with extra trailing fields, some blank lines."""
+    lines = [",".join(header)]
+    for row in rows:
+        fields = []
+        for c, v in enumerate(row):
+            forms = _INT_FORMS if c < num_ints else _FLOAT_FORMS
+            field = forms[rng.integers(len(forms))](int(v) if c < num_ints else float(v))
+            fields.append(f'"{field}"' if rng.random() < 0.2 else field)
+        if rng.random() < 0.2:
+            fields.append(_EXTRA_FIELDS[rng.integers(len(_EXTRA_FIELDS))])
+        lines.append(",".join(fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    path.write_text(newline.join(lines) + newline)
+
+
+def _with_duplicates(rows, rng, count, key_width):
+    """``rows`` shuffled, with ``count`` of them repeated earlier in the file
+    with another value: the later row wins, in the place of the earlier one."""
+    rows = [list(rows[i]) for i in rng.permutation(len(rows))]
+    chosen = rng.choice(len(rows), size=min(count, len(rows)), replace=False)
+    for i in sorted(chosen.tolist(), reverse=True):
+        dup = rows[i][:key_width] + [float(rng.uniform(0.0, 5.0))] * (len(rows[i]) - key_width)
+        rows.insert(int(rng.integers(i + 1)), dup)
+    return rows
+
+
+def _edge_rows(grid, ids, values):
+    """Rows (node..., offset..., value) of edge ids."""
+    M, n = grid.num_offsets, grid.nodes_per_dim
+    rows = []
+    for e, v in zip(ids, values):
+        node, m = divmod(int(e), M)
+        coords = [node] if grid.dim == 1 else [node // n, node % n]
+        rows.append(coords + [int(k) for k in grid.offsets[m]] + [float(v)])
+    return rows
+
+
+def _floats(rng, size):
+    values = rng.normal(scale=10.0, size=size)
+    values[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES[:size]
+    return rng.permutation(values)
+
+
+def _hex_items(mapping):
+    return [(k, float(v).hex()) for k, v in mapping.items()]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_edge_and_node_readers_match_loop_references(tmp_path, d, k):
+    rng = np.random.default_rng(10 * d + k)
+    n = 7 if d == 1 else 4
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    newline = "\r\n" if k == 2 else "\n"
+    path = tmp_path / "in.csv"
+    header = ["h"] * (2 * d + 1)
+
+    rows = _edge_rows(grid, range(grid.num_edges), _floats(rng, grid.num_edges))
+    _write_messy_csv(path, header, _with_duplicates(rows, rng, 9, 2 * d), rng, 2 * d, newline)
+    table = serialize.read_lagrangian_csv(grid, path)
+    assert table.values.tobytes() == oracles.loop_read_lagrangian_csv(grid, path).tobytes()
+
+    ids = rng.choice(grid.num_edges, size=min(12, grid.num_edges), replace=False)
+    rows = _edge_rows(grid, ids, np.abs(_floats(rng, len(ids))))
+    _write_messy_csv(path, header, _with_duplicates(rows, rng, 4, 2 * d), rng, 2 * d, newline)
+    mu = serialize.read_measure_csv(grid, path)
+    loop_mu = DiscreteMeasure(grid=grid, weights=oracles.loop_read_measure_csv(grid, path))
+    assert _hex_items(mu.weights) == _hex_items(loop_mu.weights)
+
+    nodes = rng.choice(grid.num_nodes, size=6, replace=False)
+    charges = rng.integers(-8, 9, size=6) / 4.0  # every written form stays balanced
+    charges[-1] = -charges[:-1].sum()
+    rows = [r[:d] + [r[-1]] for r in _edge_rows(grid, nodes * grid.num_offsets, charges)]
+    _write_messy_csv(path, header[: d + 1], _with_duplicates(rows, rng, 3, d), rng, d, newline)
+    current = serialize.read_current_csv(grid, path)
+    loop_current = BoundaryCurrent(grid=grid, charges=oracles.loop_read_current_csv(grid, path))
+    assert _hex_items(current.charges) == _hex_items(loop_current.charges)
+    init = serialize.read_initial_csv(grid.num_nodes, d, n, path)
+    loop_init = oracles.loop_read_initial_csv(grid.num_nodes, d, n, path)
+    assert init.tobytes() == loop_init.tobytes()
+
+
+@pytest.mark.parametrize("state_dim", [1, 2])
+def test_control_bundle_reader_matches_loop_reference(tmp_path, state_dim):
+    rng = np.random.default_rng(40 + state_dim)
+    n, controls, T = 4, [-1, 0, 1], 3
+    desc = {"state_dim": state_dim, "n": n, "origin": [0.0] * state_dim, "spacing": 0.25}
+    desc.update(controls=controls, t0=0.75, dt=0.25, dynamics_csv="d.csv", costs_csv="c.csv")
+    serialize.write_json(tmp_path / "p.json", desc)
+    states = list(itertools.product(range(n), repeat=state_dim))
+    # control 1 rests everywhere, so every state keeps an admissible control;
+    # the others step by -1, 0 or +1 per axis and may leave the box
+    dynamics = [
+        list(x) + [a] + ([0] * state_dim if a == 1 else list(rng.integers(-1, 2, size=state_dim)))
+        for x in states
+        for a in range(len(controls))
+    ]
+    inside = [r for r in dynamics if all(0 <= c + s < n for c, s in zip(r[:state_dim], r[-state_dim:]))]
+    for r in [inside[i] for i in rng.choice(len(inside), size=4, replace=False)]:
+        dup = r[: state_dim + 1] + list(rng.integers(-1, 2, size=state_dim))
+        if all(0 <= c + s < n for c, s in zip(dup[:state_dim], dup[-state_dim:])):
+            dynamics.insert(int(rng.integers(len(dynamics) + 1)), dup)
+    dynamics = [dynamics[i] for i in rng.permutation(len(dynamics))]
+    costs = [list(x) + [j, a, float(rng.normal())] for x in states for j in range(T) for a in range(3)]
+    width = 2 * state_dim + 1
+    _write_messy_csv(tmp_path / "d.csv", ["h"] * width, dynamics, rng, width)
+    costs = _with_duplicates(costs, rng, 5, state_dim + 2)
+    _write_messy_csv(tmp_path / "c.csv", ["h"] * (state_dim + 3), costs, rng, state_dim + 2)
+
+    problem = serialize.read_control_problem(tmp_path / "p.json")
+    move, steps, ell = oracles.loop_read_control_tables(tmp_path / "p.json", state_dim, n, T, 3)
+    assert np.array_equal(problem.move, move)
+    assert np.array_equal(problem.steps, steps)
+    assert problem.ell.tobytes() == ell.tobytes()
+
+
+def test_dynamics_last_row_wins_even_when_it_leaves_the_box(tmp_path):
+    # the last row of a (state, control) wins even when its step leaves the
+    # box, which makes the control inadmissible there; the row-loop reference
+    # skips such a row and keeps the earlier one
+    bundle = {"state_dim": 1, "n": 3, "origin": [0.0], "spacing": 0.5, "controls": [-1, 1]}
+    bundle.update(t0=0.5, dt=0.25, dynamics_csv="d.csv", costs_csv="c.csv")
+    serialize.write_json(tmp_path / "p.json", bundle)
+    (tmp_path / "d.csv").write_text("x,a,k\n0,0,0\n0,1,1\n1,1,1\n2,0,-1\n1,0,-1\n0,1,-1\n")
+    costs = "".join(f"{s},{j},{a},1.0\n" for s in range(3) for j in range(2) for a in range(2))
+    (tmp_path / "c.csv").write_text("x,j,a,ell\n" + costs)
+    problem = serialize.read_control_problem(tmp_path / "p.json")
+    assert problem.move.tolist() == [[0, -1], [0, 2], [1, -1]]
+    loop_move = oracles.loop_read_control_tables(tmp_path / "p.json", 1, 3, 2, 2)[0]
+    assert loop_move.tolist() == [[0, 1], [0, 2], [1, -1]]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_header_only_files(tmp_path, d):
+    grid = build_torus_grid(d, 4, 1, 0.25)
+    path = tmp_path / "in.csv"
+    path.write_text("node,offset,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert serialize.read_measure_csv(grid, path).weights == {}
+        assert serialize.read_current_csv(grid, path).charges == {}
+        assert not serialize.read_initial_csv(grid.num_nodes, d, 4, path).any()
+        with pytest.raises(ValueError, match="in.csv does not cover every edge"):
+            serialize.read_lagrangian_csv(grid, path)
+
+
+_READERS = {
+    "measure": lambda grid, path: serialize.read_measure_csv(grid, path),
+    "lagrangian": lambda grid, path: serialize.read_lagrangian_csv(grid, path),
+    "current": lambda grid, path: serialize.read_current_csv(grid, path),
+    "initial": lambda grid, path: serialize.read_initial_csv(grid.num_nodes, grid.dim, 4, path),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_csv_readers_name_short_rows_and_non_numbers(tmp_path, reader, d):
+    # a short row or a non-number is bad input that names its file and line,
+    # not an IndexError (exit 1, a failed check) or a bare float() message
+    grid = build_torus_grid(d, 4, 1, 0.25)
+    width = d + 1 if reader in ("current", "initial") else 2 * d + 1
+    path = tmp_path / "in.csv"
+    good = ",".join(["0"] * width)
+    path.write_text(f"h\n{good}\n\n{','.join(['1'] * (width - 1))}\n")
+    with pytest.raises(ValueError) as err:
+        _READERS[reader](grid, path)
+    assert str(err.value) == f"{path} line 4: {width - 1} fields, expected {width}"
+    path.write_text(f"h\n{good}\n{good[:-1]}abc,1\n")
+    with pytest.raises(ValueError) as err:
+        _READERS[reader](grid, path)
+    assert str(err.value) == f"{path} line 3: could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize(
+    "file, row, error",
+    [
+        ("d.csv", "0,1", "2 fields, expected 3"),
+        ("d.csv", "0,x,1", "could not convert string to float: 'x'"),
+        ("c.csv", "0,0,0", "3 fields, expected 4"),
+        ("c.csv", "0,0,0,-", "could not convert string to float: '-'"),
+    ],
+)
+def test_control_readers_name_short_rows_and_non_numbers(tmp_path, file, row, error):
+    bundle = {"state_dim": 1, "n": 2, "origin": [0.0], "spacing": 1.0, "controls": [0]}
+    bundle.update(t0=1.0, dt=1.0, dynamics_csv="d.csv", costs_csv="c.csv")
+    serialize.write_json(tmp_path / "p.json", bundle)
+    (tmp_path / "d.csv").write_text("x,a,k\n0,0,0\n1,0,0\n")
+    (tmp_path / "c.csv").write_text("x,j,a,ell\n0,0,0,1\n1,0,0,1\n")
+    header, good = (tmp_path / file).read_text().splitlines()[:2]
+    (tmp_path / file).write_text(f"{header}\n{good}\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        serialize.read_control_problem(tmp_path / "p.json")
+    assert str(err.value) == f"{tmp_path / file} line 3: {error}"
+
+
+def test_cli_short_row_is_a_usage_error(tmp_path, capsys):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    serialize.write_json(tmp_path / "g.json", serialize.grid_to_json(grid))
+    (tmp_path / "l.csv").write_text("node,offset,value\n0,0,1.0\n1,0\n")
+    argv = ["solve", "--grid", str(tmp_path / "g.json"), "--lagrangian", str(tmp_path / "l.csv")]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert f"{tmp_path / 'l.csv'} line 3: 2 fields, expected 3" in capsys.readouterr().err
+
+
+_CORRUPTIONS = ["fractional", "outside", "stencil", "negative"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_edge_reader_messages_match_loop_reference(tmp_path, d):
+    # one to three corrupt fields, some in the same row: the first bad row and
+    # the first failed check within it are those the row loop names
+    rng = np.random.default_rng(70 + d)
+    n, k = 5, 2
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    path = tmp_path / "in.csv"
+    for trial in range(40):
+        rows = _edge_rows(grid, range(grid.num_edges), _floats(rng, grid.num_edges))
+        for _ in range(int(rng.integers(1, 4))):
+            r = int(rng.integers(len(rows)))
+            kind = _CORRUPTIONS[rng.integers(len(_CORRUPTIONS))]
+            col = int(rng.integers(d)) + (d if kind == "stencil" else 0)
+            rows[r][col] = {"fractional": 1.5, "outside": n, "stencil": k + 1, "negative": -1}[kind]
+        lines = ["h"] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in r) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as new:
+            serialize.read_lagrangian_csv(grid, path)
+        with pytest.raises(ValueError) as loop:
+            oracles.loop_read_lagrangian_csv(grid, path)
+        assert str(new.value) == str(loop.value), trial
