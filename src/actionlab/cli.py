@@ -30,7 +30,7 @@ def _default_label(args) -> str:
 def _load_problem(args):
     import json
 
-    grid = serialize.grid_from_json(json.loads(Path(args.grid).read_text()))
+    grid = serialize.grid_from_json(json.loads(Path(args.grid).read_text()), source=args.grid)
     table = serialize.read_lagrangian_csv(grid, args.lagrangian)
     current = None
     if args.current:

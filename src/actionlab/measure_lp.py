@@ -8,7 +8,8 @@ Two exact combinatorial solvers, per the two feasible sets:
   walking tight edges of the reduced costs under its bias potential.
 * measures with a prescribed boundary current: uncapacitated min-cost flow
   with node imbalances h*c(x), solved by successive shortest paths after a
-  Bellman-Ford negative-cycle pre-check.
+  Bellman-Ford negative-cycle pre-check; each phase runs one Dijkstra from
+  every charge of supply and augments every demand charge it settles.
 
 Solvers are pure functions of immutable inputs and safe to run concurrently.
 """

@@ -3,7 +3,11 @@
 Graphs are given as parallel arrays (tails, heads, costs); parallel edges and
 self-loops are allowed.  These routines back both the phase-space LP solvers
 and the time-layered optimal-control LP; all desk-scale sizes, exact
-combinatorial algorithms instead of general-purpose LP.
+combinatorial algorithms instead of general-purpose LP: Tarjan's strongly
+connected components, Howard's policy iteration for the minimum mean cycle,
+Bellman-Ford and Dijkstra for potentials, and the uncapacitated min-cost flow
+by successive shortest paths, run in phases that augment every deficit node
+one multi-source Dijkstra settles.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ INFEASIBLE = "INFEASIBLE"
 
 # Imbalances below MASS_TOL * max(1, total |imbalance|) count as settled.
 MASS_TOL = 1e-13
-# Successive shortest paths stop with an error after this many augmentations
-# per node and edge.
+# Successive shortest paths stop with an error after this many phases per node
+# and edge; every phase augments at least once, so at least as many
+# augmentations were made.
 AUGMENTATIONS_PER_ELEMENT = 50
 
 
@@ -320,13 +325,13 @@ class FlowResult:
     # per node, in the units of ``costs`` (L for solve_boundary, not the
     # certificate's h*L): costs + potentials[tails] - potentials[heads] >= 0
     # on every edge and = 0 on the edges with flow, up to the rounding of one
-    # Dijkstra distance vector added per augmentation
+    # capped Dijkstra distance vector added per phase
     potentials: np.ndarray
     value: float
 
 
 def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
-    """Uncapacitated min-cost flow by successive shortest paths.
+    """Uncapacitated min-cost flow by successive shortest paths in phases.
 
     ``imbalance[v]`` is the required net inflow at v (negative = supply);
     entries must sum to ~0.  Any negative-cost directed cycle makes the
@@ -334,6 +339,19 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     and demand make it INFEASIBLE.  Dijkstra runs on reduced costs, with
     initial potentials from the virtual-source Bellman-Ford pass, so all
     reduced costs stay nonnegative throughout.
+
+    Each phase is the primal-dual step of Ahuja, Magnanti & Orlin (Network
+    Flows, 1993, ch. 9): one Dijkstra starts from every supply node at
+    distance 0, and each deficit node, as it settles, takes flow along its
+    search-tree path from the supply node at the root, as much as the
+    root's supply, its demand and the flow on the path's reverse arcs allow
+    (none when that is not above the mass tolerance).  The phase ends once
+    min(#supply, #deficit) deficit nodes have settled, or the search runs
+    out of nodes, and adds the distances, capped at the last one settled, to
+    the potentials.  The cap keeps every reduced cost nonnegative, and the
+    augmented paths, all within it, tight.  A phase that settles no deficit
+    node means INFEASIBLE; the first one settled always takes flow.  With a
+    single supply or deficit node a phase is one classic augmentation.
 
     No tolerance depends on the costs' absolute size, so the status and the
     support do not change under costs -> a * costs (a > 0): the negative-cycle
@@ -375,26 +393,64 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     inf = float("inf")
     limit = AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)
     for _ in range(limit):
-        sources = np.flatnonzero(b < -zero)
-        if len(sources) == 0:
+        sources = np.flatnonzero(b < -zero).tolist()
+        if not sources:
             break
-        s = int(sources[0])
+        wanted = min(len(sources), int(np.count_nonzero(b > zero)))
 
-        # Dijkstra on the residual graph with reduced costs.
+        # One Dijkstra on the residual graph with reduced costs, from every
+        # supply node at distance 0; the heap pops equal distances by index.
         dist = [inf] * num_nodes
-        dist[s] = 0.0
-        pred: dict[int, tuple[int, int]] = {}  # node -> (edge, direction)
+        for s in sources:
+            dist[s] = 0.0
+        heap = [(0.0, s) for s in sources]  # ascending, hence a heap
+        # node -> edge id of its tree arc, ~id for a reverse arc; None at
+        # the supply nodes, the roots of the search tree
+        pred: list[int | None] = [None] * num_nodes
         done = bytearray(num_nodes)
-        heap = [(0.0, s)]
-        target = -1
+        settled = 0  # deficit nodes settled in this phase
+        last = 0.0
         while heap:
             dv, v = heapq.heappop(heap)
             if done[v] or dv > dist[v]:
                 continue
             done[v] = 1
+            last = dv
             if b_of[v] > zero:
-                target = v
-                break
+                # Augment along v's tree path from its root at once: every
+                # node on it is settled, so the changes to ``carrying``
+                # cannot reach the rest of the search.
+                path: list[tuple[int, int]] = []
+                amount = b_of[v]
+                u = v
+                while pred[u] is not None:
+                    e = pred[u]
+                    if e < 0:
+                        e = ~e
+                        path.append((e, -1))
+                        amount = min(amount, flow_of[e])
+                        u = head_of[e]
+                    else:
+                        path.append((e, 1))
+                        u = tail_of[e]
+                amount = min(amount, -b_of[u])
+                if amount > zero:
+                    for e, direction in path:
+                        flow_of[e] += direction * amount
+                        if flow_of[e] < 0.0:
+                            flow_of[e] = 0.0
+                        into = carrying.setdefault(head_of[e], [])
+                        i = bisect.bisect_left(into, e)
+                        listed = i < len(into) and into[i] == e
+                        if flow_of[e] > zero and not listed:
+                            into.insert(i, e)
+                        elif flow_of[e] <= zero and listed:
+                            del into[i]
+                    b_of[u] += amount
+                    b_of[v] -= amount
+                settled += 1
+                if settled == wanted:
+                    break
             pv = pot_of[v]
             for e in out_order[out_first[v] : out_first[v + 1]]:
                 w = head_of[e]
@@ -404,7 +460,7 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
                 nd = dv + rc
                 if nd < dist[w]:
                     dist[w] = nd
-                    pred[w] = (e, +1)
+                    pred[w] = e
                     heapq.heappush(heap, (nd, w))
             for e in carrying.get(v, ()):
                 w = tail_of[e]
@@ -414,37 +470,11 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
                 nd = dv + rc
                 if nd < dist[w]:
                     dist[w] = nd
-                    pred[w] = (e, -1)
+                    pred[w] = ~e
                     heapq.heappush(heap, (nd, w))
-        if target < 0:
+        if not settled:
             return FlowResult(INFEASIBLE, flow, pot, float("inf"))
-
-        # Trace the augmenting path and the amount it can carry.
-        path: list[tuple[int, int]] = []
-        v = target
-        amount = min(-b_of[s], b_of[target])
-        while v != s:
-            e, direction = pred[v]
-            path.append((e, direction))
-            if direction < 0:
-                amount = min(amount, flow_of[e])
-                v = head_of[e]
-            else:
-                v = tail_of[e]
-        for e, direction in path:
-            flow_of[e] += direction * amount
-            if flow_of[e] < 0.0:
-                flow_of[e] = 0.0
-            into = carrying.setdefault(head_of[e], [])
-            i = bisect.bisect_left(into, e)
-            listed = i < len(into) and into[i] == e
-            if flow_of[e] > zero and not listed:
-                into.insert(i, e)
-            elif flow_of[e] <= zero and listed:
-                del into[i]
-        b_of[s] += amount
-        b_of[target] -= amount
-        pot += np.minimum(dist, dist[target])
+        pot += np.minimum(dist, last)
     else:
         raise RuntimeError(
             f"min_cost_flow did not finish in {limit} augmentations on {num_nodes} nodes and "

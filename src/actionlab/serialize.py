@@ -194,9 +194,22 @@ def grid_to_json(grid: PhaseGrid) -> dict:
     }
 
 
-def grid_from_json(payload: dict) -> PhaseGrid:
-    dim, n, radius = (int(payload[key]) for key in ("dim", "n", "stencil_radius"))
-    return build_torus_grid(dim, n, radius, float(payload["h"]))
+def grid_from_json(payload: dict, source: str = "grid JSON") -> PhaseGrid:
+    """The grid of a ``grid_to_json`` payload; ``source`` names where the
+    payload was read in the error raised when it lacks a key."""
+    dim, n, radius, h = _json_fields(payload, ("dim", "n", "stencil_radius", "h"), source)
+    return build_torus_grid(int(dim), int(n), int(radius), float(h))
+
+
+def _json_fields(desc, keys, source) -> list:
+    """The values of ``keys`` in a JSON object, in order; a ValueError names
+    ``source`` and the first key the object lacks."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(desc).__name__}")
+    missing = [key for key in keys if key not in desc]
+    if missing:
+        raise ValueError(f"{source}: missing key {missing[0]!r}")
+    return [desc[key] for key in keys]
 
 
 def _write_edge_csv(path, grid: PhaseGrid, names: list[str], columns: list) -> None:
@@ -429,17 +442,21 @@ def read_control_problem(path) -> ControlProblem:
     """Control problem bundle: JSON {state_dim, n, origin, spacing, controls,
     t0, dt, dynamics_csv, costs_csv}, CSV paths relative to the JSON file.
     Dynamics rows are (state..., control_index, step...) integer steps; cost
-    rows are (state..., t_index, control_index, ell)."""
+    rows are (state..., t_index, control_index, ell).  A missing key raises a
+    ValueError that names the file and the key."""
     path = Path(path)
-    desc = json.loads(path.read_text())
-    s, n, controls = int(desc["state_dim"]), int(desc["n"]), tuple(desc["controls"])
-    t0, dt = float(desc["t0"]), float(desc["dt"])
+    s, n, origin, spacing, controls, t0, dt, dynamics_csv, costs_csv = _json_fields(
+        json.loads(path.read_text()),
+        ("state_dim", "n", "origin", "spacing", "controls", "t0", "dt", "dynamics_csv", "costs_csv"),
+        path,
+    )
+    s, n, controls, t0, dt = int(s), int(n), tuple(controls), float(t0), float(dt)
     S, T, A = n**s, _num_steps(s, n, t0, dt), len(controls)
     states = _bounded(slice(0, s), n, "coordinate")
     control = _bounded(slice(s, s + 1), A, "control index")
 
     integers = (slice(0, 2 * s + 1), None, None)
-    keys, rows = _read_csv(path.parent / desc["dynamics_csv"], 2 * s + 1, [integers, states, control])
+    keys, rows = _read_csv(path.parent / dynamics_csv, 2 * s + 1, [integers, states, control])
     target = rows[:, :s] + rows[:, s + 1 :]
     inside = ((target >= 0) & (target < n)).all(axis=1)
     move = np.full(S * A, -1)
@@ -450,7 +467,7 @@ def read_control_problem(path) -> ControlProblem:
     integers = (slice(0, s + 2), None, None)
     time = _bounded(slice(s, s + 1), T, "time index")
     control = _bounded(slice(s + 1, s + 2), A, "control index")
-    keys, rows = _read_csv(path.parent / desc["costs_csv"], s + 3, [integers, states, time, control])
+    keys, rows = _read_csv(path.parent / costs_csv, s + 3, [integers, states, time, control])
     ell = np.full(S * T * A, np.nan)
     ell[keys] = rows[:, -1]
     if np.isnan(ell).any():
@@ -458,8 +475,8 @@ def read_control_problem(path) -> ControlProblem:
     return _control_problem(
         state_dim=s,
         nodes_per_axis=n,
-        origin=np.atleast_1d(np.asarray(desc["origin"], dtype=float)),
-        spacing=float(desc["spacing"]),
+        origin=np.atleast_1d(np.asarray(origin, dtype=float)),
+        spacing=float(spacing),
         controls=controls,
         move=move.reshape(S, A),
         steps=steps.reshape(S, A, s),

@@ -640,7 +640,9 @@ def loop_write_value_function_csv(path, vf):
 # Loop forms of the boundary hot paths: per-node edge lists and numpy-scalar
 # reads for the min-cost flow, a Python pair loop for the Lipschitz estimate.
 # The package's CSR and array code must match them bit for bit: the float
-# operations and their order are the same.
+# operations and their order are the same.  ``loop_ssp_min_cost_flow``, one
+# augmenting path per Dijkstra, is the exception: it checks the status and
+# the optimal value only.
 
 
 def _loop_adjacency(num_nodes, tails):
@@ -652,11 +654,133 @@ def _loop_adjacency(num_nodes, tails):
 
 
 def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
-    """Successive shortest paths, one numpy scalar per arc read.
+    """Successive shortest paths in phases, one numpy scalar per arc read.
 
-    Same algorithm and tolerances as ``network.min_cost_flow``: the
-    negative-cycle test allows ``cost_tolerance`` of the cost spread, and
-    Dijkstra compares distances exactly.
+    Same algorithm, tie-breaks and float operations as
+    ``network.min_cost_flow``: each phase runs one Dijkstra from every supply
+    node at distance 0, each node remembering the supply node its tree path
+    starts at (``root``), and augments the tree path of every deficit node
+    as it settles; it stops after min(#supply, #deficit) deficit nodes have
+    settled and raises the potential by the distances capped at the last
+    one settled.
+    """
+    import heapq
+
+    from actionlab.network import (
+        AUGMENTATIONS_PER_ELEMENT,
+        INFEASIBLE,
+        MASS_TOL,
+        OPTIMAL,
+        UNBOUNDED,
+        FlowResult,
+        cost_tolerance,
+        relax_to_fixpoint,
+    )
+
+    tails = np.asarray(tails, dtype=int)
+    heads = np.asarray(heads, dtype=int)
+    costs = np.asarray(costs, dtype=float)
+    b = np.asarray(imbalance, dtype=float).copy()
+    num_edges = len(tails)
+    flow = np.zeros(num_edges)
+
+    spread = float(costs.max() - costs.min()) if num_edges else 0.0
+    neg_tol = cost_tolerance(spread, num_nodes)
+    pot, ok = relax_to_fixpoint(num_nodes, tails, heads, costs, tol=neg_tol)
+    if not ok:
+        return FlowResult(UNBOUNDED, flow, pot, float("-inf"))
+
+    supply_scale = float(np.sum(np.abs(b)))
+    if supply_scale == 0.0:
+        return FlowResult(OPTIMAL, flow, pot, 0.0)
+    zero = MASS_TOL * max(1.0, supply_scale)
+
+    out_edges = _loop_adjacency(num_nodes, tails)
+    in_edges = _loop_adjacency(num_nodes, heads)
+    for _ in range(AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)):
+        sources = [v for v in range(num_nodes) if b[v] < -zero]
+        if not sources:
+            break
+        deficits = [v for v in range(num_nodes) if b[v] > zero]
+        wanted = min(len(sources), len(deficits))
+
+        dist = np.full(num_nodes, np.inf)
+        root = np.full(num_nodes, -1)
+        pred = {}
+        done = np.zeros(num_nodes, dtype=bool)
+        heap = []
+        for s in sources:
+            dist[s] = 0.0
+            root[s] = s
+            heapq.heappush(heap, (0.0, s))
+        settled = 0
+        last = 0.0
+        while heap:
+            dv, v = heapq.heappop(heap)
+            if done[v] or dv > dist[v]:
+                continue
+            done[v] = True
+            last = dv
+            if b[v] > zero:
+                s = int(root[v])
+                path = []
+                amount = min(-b[s], b[v])
+                u = v
+                while u != s:
+                    e, direction = pred[u]
+                    path.append((e, direction))
+                    if direction < 0:
+                        amount = min(amount, flow[e])
+                        u = int(heads[e])
+                    else:
+                        u = int(tails[e])
+                if amount > zero:
+                    for e, direction in path:
+                        flow[e] += direction * amount
+                        if flow[e] < 0.0:
+                            flow[e] = 0.0
+                    b[s] += amount
+                    b[v] -= amount
+                settled += 1
+                if settled == wanted:
+                    break
+            for e in out_edges[v]:
+                rc = costs[e] + pot[v] - pot[heads[e]]
+                nd = dv + max(rc, 0.0)
+                w = int(heads[e])
+                if nd < dist[w]:
+                    dist[w] = nd
+                    root[w] = root[v]
+                    pred[w] = (e, +1)
+                    heapq.heappush(heap, (nd, w))
+            for e in in_edges[v]:
+                if flow[e] <= zero:
+                    continue
+                rc = -costs[e] + pot[v] - pot[tails[e]]
+                nd = dv + max(rc, 0.0)
+                w = int(tails[e])
+                if nd < dist[w]:
+                    dist[w] = nd
+                    root[w] = root[v]
+                    pred[w] = (e, -1)
+                    heapq.heappush(heap, (nd, w))
+        if settled == 0:
+            return FlowResult(INFEASIBLE, flow, pot, float("inf"))
+        pot += np.minimum(dist, last)
+    else:
+        raise RuntimeError("loop_min_cost_flow failed to terminate")
+
+    value = float(np.dot(costs, flow))
+    return FlowResult(OPTIMAL, flow, pot, value)
+
+
+def loop_ssp_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
+    """Successive shortest paths, one Dijkstra from the smallest-index supply
+    node per augmentation, one numpy scalar per arc read.
+
+    The textbook form that ``network.min_cost_flow`` ran before its phases:
+    same tolerances and statuses, so it is the reference for the optimal
+    value and the status, not for the flow or the potentials.
     """
     import heapq
 
@@ -751,7 +875,7 @@ def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
         b[target] -= amount
         pot += np.minimum(dist, dist[target])
     else:
-        raise RuntimeError("loop_min_cost_flow failed to terminate")
+        raise RuntimeError("loop_ssp_min_cost_flow failed to terminate")
 
     value = float(np.dot(costs, flow))
     return FlowResult(OPTIMAL, flow, pot, value)

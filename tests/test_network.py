@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import independent_karp, loop_min_cost_flow
+from oracles import independent_karp, loop_min_cost_flow, loop_ssp_min_cost_flow
 
 from actionlab.network import (
     INFEASIBLE,
@@ -415,3 +417,138 @@ def test_min_cost_flow_equals_loop_reference():
         assert np.array_equal(res.potentials, ref.potentials)
         assert res.value == ref.value
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def _torus_flow_case(rng, d, n, k, pairs):
+    """A boundary problem's flow on the d-dimensional torus: a seeded
+    kinetic-plus-cosine table shifted to minimum 0, and ``pairs`` unit
+    charges h of each sign at distinct random nodes."""
+    from actionlab import build_torus_grid, sample_lagrangian
+
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    amps, waves = rng.uniform(0.5, 1.5, size=2), rng.integers(1, 3, size=2)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+
+    def lagrangian(x, v):
+        v = np.atleast_1d(v)
+        x0 = float(np.atleast_1d(x)[0])
+        return 0.5 * float(v @ v) + sum(
+            a * math.cos(2.0 * math.pi * w * x0 + p) for a, w, p in zip(amps, waves, phases)
+        )
+
+    values = sample_lagrangian(grid, lagrangian).values
+    tails, heads = grid.edge_endpoints
+    nodes = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
+    b = np.zeros(grid.num_nodes)
+    b[nodes[:pairs]] = -grid.time_step
+    b[nodes[pairs:]] = grid.time_step
+    return grid.num_nodes, tails, heads, (values - values.min()).ravel(), b
+
+
+def _linprog_flow(num_nodes, tails, heads, costs, b):
+    """scipy's LP optimum of the same uncapacitated min-cost flow."""
+    from scipy.optimize import linprog
+
+    A_eq = np.zeros((num_nodes, len(tails)))
+    np.add.at(A_eq, (heads, np.arange(len(tails))), 1.0)
+    np.add.at(A_eq, (tails, np.arange(len(tails))), -1.0)
+    return linprog(costs, A_eq=A_eq, b_eq=b, bounds=[(0, None)] * len(tails), method="highs")
+
+
+def test_phased_min_cost_flow_matches_one_path_per_dijkstra_ssp():
+    # the phases augment other paths, in another order, than the textbook
+    # one-source-per-augmentation loop; the status and the optimal value
+    # must not change beyond the round-off of the costs
+    rng = np.random.default_rng(67)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(4, 10))
+        cases.append(_random_flow_case(rng, n))
+        cases.append(_random_flow_case(rng, n, integer=True))
+        cases.append(_random_flow_case(rng, n, negative_cycle=True))
+        cases.append(_random_flow_case(rng, n, split=True))
+        cases.append(_random_layered_case(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5))))
+    for d, n, k, pairs in ((1, 48, 1, 10), (1, 32, 2, 8), (2, 8, 1, 12), (2, 6, 2, 6)):
+        cases.append(_torus_flow_case(rng, d, n, k, pairs))
+    statuses = set()
+    for case in cases:
+        res = min_cost_flow(*case)
+        ref = loop_ssp_min_cost_flow(*case)
+        statuses.add(res.status)
+        assert res.status == ref.status
+        if res.status == OPTIMAL:
+            costs = case[3]
+            tol = cost_tolerance(float(costs.max() - costs.min()), case[0])
+            assert abs(res.value - ref.value) <= tol
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_min_cost_flow_potentials_are_optimal_duals():
+    # reduced costs nonnegative everywhere and zero on the flow, and the
+    # dual objective b . potentials equal to the primal value and to scipy's
+    rng = np.random.default_rng(71)
+    cases = [_random_flow_case(rng, int(rng.integers(4, 10))) for _ in range(4)]
+    cases += [_random_flow_case(rng, int(rng.integers(4, 10)), integer=True) for _ in range(4)]
+    for d, n, k, pairs in ((1, 40, 1, 9), (1, 24, 2, 6), (2, 6, 1, 8), (2, 5, 2, 5)):
+        cases.append(_torus_flow_case(rng, d, n, k, pairs))
+    for num_nodes, tails, heads, costs, b in cases:
+        res = min_cost_flow(num_nodes, tails, heads, costs, b)
+        assert res.status == OPTIMAL
+        rc = costs + res.potentials[tails] - res.potentials[heads]
+        assert rc.min() >= -1e-12
+        assert np.abs(rc[res.flow > 0]).max() <= 1e-12
+        lp = _linprog_flow(num_nodes, tails, heads, costs, b)
+        assert lp.success
+        assert res.value == pytest.approx(lp.fun, abs=1e-9)
+        assert float(b @ res.potentials) == pytest.approx(res.value, abs=1e-9)
+
+
+def test_min_cost_flow_one_source_feeds_two_sinks():
+    # a charge -2h meets two +h charges on the ring: the source outlasts
+    # its first sink, so its supply is split over two phases
+    from actionlab import build_torus_grid, sample_lagrangian
+
+    grid = build_torus_grid(1, 16, 1, 1.0 / 16)
+    values = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + 0.3 * math.cos(2 * math.pi * x)).values
+    tails, heads = grid.edge_endpoints
+    costs = (values - values.min()).ravel()
+    h = grid.time_step
+    b = np.zeros(16)
+    b[[2, 7, 12]] = [-2.0 * h, h, h]
+    res = min_cost_flow(16, tails, heads, costs, b)
+    assert res.status == OPTIMAL
+    net = np.bincount(heads, res.flow, 16) - np.bincount(tails, res.flow, 16)
+    assert np.abs(net - b).max() <= 1e-15
+    assert res.flow[tails == 2].sum() == pytest.approx(2.0 * h, abs=1e-15)
+    lp = _linprog_flow(16, tails, heads, costs, b)
+    assert res.value == pytest.approx(lp.fun, abs=1e-12)
+
+
+def test_min_cost_flow_skips_a_path_whose_reverse_arc_emptied_in_the_same_phase():
+    # Nodes a=0, b=1, S1=2, S2=3, d1=4, d2=5, d3=6.  Phase 1 sends a's unit
+    # to b over the free arc a->b, and d1 and d2 settle with a's supply
+    # spent.  In phase 2 S1 reaches d1 and d2 through b and the reverse of
+    # a->b: d1 takes that arc's one unit and empties it, so d2, settling at
+    # the same distance on the same tree path, must take nothing; phase 3
+    # feeds d2 over S1->a.
+    tails = np.array([0, 0, 0, 2, 2, 3])
+    heads = np.array([1, 4, 5, 1, 0, 6])
+    costs = np.array([0.0, 1.0, 1.0, 3.0, 5.0, 10.0])
+    b = np.array([-1.0, 1.0, -2.0, -1.0, 1.0, 1.0, 1.0])
+    res = min_cost_flow(7, tails, heads, costs, b)
+    assert res.status == OPTIMAL
+    assert res.flow.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert res.value == 20.0
+    lp = _linprog_flow(7, tails, heads, costs, b)
+    assert lp.fun == pytest.approx(20.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("isolated", [0, 1], ids=["smallest_source", "other_source"])
+def test_min_cost_flow_infeasible_when_one_source_is_isolated(isolated):
+    # sources 0 and 1, sinks 3 and 4 behind node 2; one source has no arc
+    tails = np.array([1 - isolated, 2, 2, 3, 4])
+    heads = np.array([2, 3, 4, 4, 3])
+    b = np.array([-1.0, -1.0, 0.0, 1.0, 1.0])
+    res = min_cost_flow(5, tails, heads, np.ones(5), b)
+    assert res.status == INFEASIBLE
+    assert _linprog_flow(5, tails, heads, np.ones(5), b).status == 2  # infeasible

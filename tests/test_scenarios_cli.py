@@ -201,6 +201,27 @@ def test_cli_boundary_solve_with_current(tmp_path):
     assert abs(certificate["current_pairing"] - 0.5) <= 1e-9
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_cli_grid_without_a_key_is_a_usage_error(tmp_path, capsys, command):
+    from actionlab import DiscreteMeasure, build_torus_grid, sample_lagrangian
+    from actionlab import serialize
+
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
+    gpath, lpath = tmp_path / "grid.json", tmp_path / "lagrangian.csv"
+    desc = serialize.grid_to_json(grid)
+    del desc["stencil_radius"]
+    serialize.write_json(gpath, desc)
+    serialize.write_lagrangian_csv(lpath, table)
+    measure = DiscreteMeasure(grid=grid, weights={(0, 1): 1.0})
+    serialize.write_measure_csv(tmp_path / "solution.csv", measure)
+    argv = [command, "--grid", str(gpath), "--lagrangian", str(lpath)]
+    if command == "certify":
+        argv += ["--solution", str(tmp_path / "solution.csv")]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert f"error: {gpath}: missing key 'stencil_radius'" in capsys.readouterr().err
+
+
 def _control_bundle(
     tmp_path, init_rows=((1, 1.0),), dynamics_extra=(), costs_extra=(), **desc_changes
 ):
@@ -290,6 +311,17 @@ def test_cli_control_roundtrip(tmp_path, capsys):
 def test_cli_control_rejects_out_of_range_input(tmp_path, capsys, bad, message):
     assert main(_control_bundle(tmp_path, **bad)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dt", "costs_csv"])
+def test_cli_control_problem_without_a_key_is_a_usage_error(tmp_path, capsys, key):
+    argv = _control_bundle(tmp_path)
+    path = tmp_path / "problem.json"
+    desc = json.loads(path.read_text())
+    del desc[key]
+    path.write_text(json.dumps(desc))
+    assert main(argv) == 2
+    assert f"error: {path}: missing key {key!r}" in capsys.readouterr().err
 
 
 def test_legendre_control_scenario_hjb_refines():

@@ -31,6 +31,21 @@ def test_grid_json_roundtrip(tmp_path, d, n, k):
     assert back.same_layout(grid)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"dim": 1, "n": 5, "h": 0.5}, "g.json: missing key 'stencil_radius'"),
+        ({"n": 5}, "g.json: missing key 'dim'"),
+        ([1, 5, 1, 0.5], "g.json: expected a JSON object, got list"),
+    ],
+    ids=["no_radius", "first_of_several", "not_an_object"],
+)
+def test_grid_from_json_names_the_source_and_the_missing_key(payload, message):
+    with pytest.raises(ValueError) as err:
+        serialize.grid_from_json(payload, source="g.json")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("d,n,k", [(1, 5, 1), (2, 3, 1)])
 def test_lagrangian_csv_roundtrip(tmp_path, d, n, k):
     rng = np.random.default_rng(2)
