@@ -272,9 +272,6 @@ class BoundaryCurrent:
             )
         object.__setattr__(self, "charges", clean)
 
-    def charge(self, node: int) -> float:
-        return self.charges.get(node, 0.0)
-
     def support(self) -> list[int]:
         return sorted(self.charges)
 

@@ -4,8 +4,9 @@ Two exact combinatorial solvers, per the two feasible sets:
 
 * closed probability measures (circulations of mass one): the optimal value is
   the minimum mean cycle weight of the edge-cost graph, computed by Howard's
-  policy iteration; one achieving cycle is extracted deterministically by
-  walking tight edges of the reduced costs under its bias potential.
+  policy iteration on the grid's own (V, M) tables of neighbors and costs;
+  one achieving cycle is extracted deterministically by walking tight edges
+  of the reduced costs under its bias potential.
 * measures with a prescribed boundary current: uncapacitated min-cost flow
   with node imbalances h*c(x), solved by successive shortest paths after a
   Bellman-Ford negative-cycle pre-check; each phase runs one Dijkstra from
@@ -59,21 +60,16 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     deterministic.
     """
     grid = table.grid
-    tails, heads = grid.edge_endpoints
-    costs = table.values.ravel()
     # The value is shift-equivariant: solve at the data's own scale, so that
     # slack and tolerance do not depend on an added constant.
-    shifted = costs - costs.min()
+    shifted = table.values - table.values.min()
     tol = network.cost_tolerance(float(shifted.max()), grid.num_nodes)
-    found = network.minimum_mean_cycle(grid.num_nodes, tails, heads, shifted)
-    if found is None:
-        raise RuntimeError(f"no cycle in {_describe(table)}, tolerance {tol!r}; solver bug")
-    lam, bias = found
-    slack = shifted - lam + bias[heads] - bias[tails]
-    cycle_edges = _extract_tight_cycle(grid, tails, heads, slack <= tol)
+    lam, bias = network.minimum_mean_cycle(grid.neighbors, shifted)
+    slack = shifted - lam + bias[grid.neighbors] - bias[:, None]
+    cycle_edges = _extract_tight_cycle(grid.neighbors, slack <= tol)
     if not cycle_edges:
         raise RuntimeError(
-            f"no tight cycle at mean {lam + float(costs.min())!r} in {_describe(table)}, "
+            f"no tight cycle at mean {lam + float(table.values.min())!r} in {_describe(table)}, "
             f"tolerance {tol!r}; solver bug"
         )
     weight = 1.0 / len(cycle_edges)
@@ -84,43 +80,33 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     return OptimalSolution(measure=measure, value=value, status=OPTIMAL)
 
 
-def _extract_tight_cycle(grid, tails, heads, tight) -> list[tuple[int, int]]:
+def _extract_tight_cycle(heads, tight) -> list[tuple[int, int]]:
     """One minimum-mean cycle, as edges (node, offset_index); empty when no
     tight edge lies on a tight cycle.
 
-    ``tight`` marks the edges of zero slack under a feasible potential of the
-    reduced costs L - lam.  Every cycle of tight edges has total reduced cost
-    zero, hence mean cost lam, and the tight edges that lie on a tight cycle
-    are the same for every feasible potential; walking them greedily from the
-    smallest one therefore lands on the same optimal cycle after at most
-    num_nodes steps.
+    ``tight`` masks the grid's (V, M) ``heads`` table at the edges of zero
+    slack under a feasible potential of the reduced costs L - lam.  Every
+    cycle of tight edges has total reduced cost zero, hence mean cost lam, and
+    the cyclic tight edges (both ends in one component of the tight subgraph)
+    are the same for every feasible potential; walking each node's first
+    cyclic offset from the smallest node with one therefore lands on the same
+    optimal cycle after at most V steps.
     """
-    t_idx = np.flatnonzero(tight)
-    comp = network.strongly_connected_components(
-        grid.num_nodes, tails[t_idx], heads[t_idx]
-    )
-    # keep tight edges whose endpoints share a tight-subgraph component
-    cyclic = t_idx[comp[tails[t_idx]] == comp[heads[t_idx]]]
-    if len(cyclic) == 0:
+    nodes, offsets = np.nonzero(tight)  # ascending edge ids
+    comp = network.strongly_connected_components(len(heads), nodes, heads[nodes, offsets])
+    cyclic = tight & (comp[:, None] == comp[heads])
+    if not cyclic.any():
         return []
 
-    m = grid.num_offsets
-    out: dict[int, list[int]] = {}
-    for e in cyclic:  # ascending edge ids = (node, offset) lexicographic order
-        out.setdefault(int(tails[e]), []).append(int(e))
-
-    e0 = int(cyclic[0])
-    want_comp = comp[tails[e0]]
-    v = int(tails[e0])
+    first = cyclic.argmax(axis=1).tolist()
+    v = int(cyclic.any(axis=1).argmax())
     seen: dict[int, int] = {}
-    walk: list[int] = []
+    walk: list[tuple[int, int]] = []
     while v not in seen:
         seen[v] = len(walk)
-        e = next(ei for ei in out[v] if comp[heads[ei]] == want_comp)
-        walk.append(e)
-        v = int(heads[e])
-    cycle = walk[seen[v]:]
-    return [(int(e) // m, int(e) % m) for e in cycle]
+        walk.append((v, first[v]))
+        v = int(heads[v, first[v]])
+    return walk[seen[v]:]
 
 
 def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalSolution:

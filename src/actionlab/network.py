@@ -1,7 +1,8 @@
 """Combinatorial solvers on directed graphs with real edge costs.
 
-Graphs are given as parallel arrays (tails, heads, costs); parallel edges and
-self-loops are allowed.  These routines back both the phase-space LP solvers
+Graphs are given as parallel arrays (tails, heads, costs), or as (V, M) head
+and cost tables for the minimum mean cycle; parallel edges and self-loops are
+allowed.  These routines back both the phase-space LP solvers
 and the time-layered optimal-control LP; all desk-scale sizes, exact
 combinatorial algorithms instead of general-purpose LP: Tarjan's strongly
 connected components, Howard's policy iteration for the minimum mean cycle,
@@ -119,98 +120,53 @@ def cost_tolerance(spread: float, num_nodes: int) -> float:
     return 1e-14 * spread * max(1, num_nodes)
 
 
-def minimum_mean_cycle(num_nodes, tails, heads, costs) -> tuple[float, np.ndarray] | None:
-    """Minimum mean cycle weight and a bias potential, or None if the graph is acyclic.
+def minimum_mean_cycle(heads, costs) -> tuple[float, np.ndarray]:
+    """Minimum mean cycle weight and a bias potential of a graph whose nodes
+    all have M out-edges: node v's m-th out-edge goes to ``heads[v, m]`` at
+    cost ``costs[v, m]``, both (V, M) tables.
 
     Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick &
-    Quadrat 1998) in O(V + E) memory.  Nodes from which no cycle can be
-    reached are stripped first; every remaining node keeps one out-edge (its
+    Quadrat 1998) in O(V * M) memory.  Every node keeps one out-edge (its
     policy).  Each round evaluates the policy, giving per node the mean eta of
     the policy cycle it reaches and the bias x (the policy path's cost of
     c - eta down to that cycle's smallest node, where x = 0), then improves
     it: every node with an out-edge into a node of smaller eta switches to
-    the out-edge of smallest eta; when no node has one, nodes switch to an
-    out-edge e = (u, w) of equal eta with c(e) - eta + x(w) below x(u) by
-    more than ``cost_tolerance``.  Costs are shifted by their minimum first;
-    the value is shift-equivariant, so this is exact and keeps the tolerance
-    relative to the cost spread.
+    its first out-edge of smallest eta; when no node has one, nodes switch to
+    their first out-edge e = (u, w) of equal eta minimizing c(e) - eta + x(w),
+    if that is below x(u) by more than ``cost_tolerance`` of the cost spread.
 
-    Returns ``(value, bias)``.  ``bias`` is nan at nodes that reach no cycle;
-    costs - value + bias[heads] - bias[tails] >= -cost_tolerance on every
+    Returns ``(value, bias)``, the bias finite at every node.
+    costs - value + bias[heads] - bias[:, None] >= -cost_tolerance on every
     edge whose head reaches a cycle of mean ``value``, which on a strongly
-    connected graph is every edge.
+    connected graph, such as a torus grid, is every edge.
     """
-    tails = np.asarray(tails, dtype=int)
     heads = np.asarray(heads, dtype=int)
     costs = np.asarray(costs, dtype=float)
-    live = _nodes_reaching_cycles(num_nodes, tails, heads)
-    nodes = np.flatnonzero(live)
-    m = len(nodes)
-    if m == 0:
-        return None
+    num_nodes = len(heads)
+    node = np.arange(num_nodes)
+    spread = float(costs.max() - costs.min())
+    tol = cost_tolerance(spread, num_nodes)
 
-    # Live edges as CSR rows of the m live nodes, in edge-id order per row;
-    # every live node has at least one live out-edge.
-    local = np.full(num_nodes, -1)
-    local[nodes] = np.arange(m)
-    kept = np.flatnonzero(live[tails] & live[heads])
-    kept = kept[np.argsort(tails[kept], kind="stable")]
-    et = local[tails[kept]]
-    eh = local[heads[kept]]
-    shift = float(costs[kept].min())
-    ec = costs[kept] - shift
-    starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-    spread = float(ec.max())
-    tol = cost_tolerance(spread, m)
-
-    _, policy = _row_min(ec, starts, et)
-    for _ in range(m + len(kept)):
-        eta, bias = _evaluate_policy(eh[policy], ec[policy])
-        best, choice = _row_min(eta[eh], starts, et)
-        better = best < eta
+    policy = costs.argmin(axis=1)
+    for _ in range(num_nodes + heads.size):
+        eta, bias = _evaluate_policy(heads[node, policy], costs[node, policy])
+        # argmin keeps the first of equal minima, as edge order breaks ties
+        ahead = eta[heads]
+        choice = ahead.argmin(axis=1)
+        better = ahead[node, choice] < eta
         if not better.any():
-            same = eta[eh] == eta[et]
-            best, choice = _row_min(
-                np.where(same, ec - eta[et] + bias[eh], np.inf), starts, et
-            )
-            better = best < bias - tol
+            candidate = np.where(ahead == eta[:, None], costs - eta[:, None] + bias[heads], np.inf)
+            choice = candidate.argmin(axis=1)
+            better = candidate[node, choice] < bias - tol
             if not better.any():
                 break
         policy[better] = choice[better]
     else:
         raise RuntimeError(
-            f"policy iteration did not settle on {m} nodes and {len(kept)} "
+            f"policy iteration did not settle on {num_nodes} nodes and {heads.size} "
             f"edges with cost spread {spread!r}, tolerance {tol!r}; solver bug"
         )
-
-    full = np.full(num_nodes, np.nan)
-    full[nodes] = bias
-    return float(eta.min()) + shift, full
-
-
-def _nodes_reaching_cycles(num_nodes, tails, heads) -> np.ndarray:
-    """Mask of nodes with a walk to some cycle: strip nodes with no out-edge
-    left, one at a time, through the in-edges of each stripped node."""
-    out_degree = np.bincount(tails, minlength=num_nodes)
-    by_head, first_in = _csr(num_nodes, heads)
-    live = np.ones(num_nodes, dtype=bool)
-    stack = np.flatnonzero(out_degree == 0).tolist()
-    while stack:
-        v = stack.pop()
-        live[v] = False
-        for t in tails[by_head[first_in[v] : first_in[v + 1]]]:
-            out_degree[t] -= 1
-            if out_degree[t] == 0:
-                stack.append(int(t))
-    return live
-
-
-def _row_min(values, starts, rows):
-    """Per CSR row: the smallest value and the position of its first occurrence."""
-    best = np.minimum.reduceat(values, starts)
-    hit = np.flatnonzero(values == best[rows])
-    first = np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]
-    return best, hit[first]
+    return float(eta.min()), bias
 
 
 def _evaluate_policy(succ, weight):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import re
 import warnings
 from pathlib import Path
@@ -196,20 +197,46 @@ def grid_to_json(grid: PhaseGrid) -> dict:
 
 def grid_from_json(payload: dict, source: str = "grid JSON") -> PhaseGrid:
     """The grid of a ``grid_to_json`` payload; ``source`` names where the
-    payload was read in the error raised when it lacks a key."""
-    dim, n, radius, h = _json_fields(payload, ("dim", "n", "stencil_radius", "h"), source)
-    return build_torus_grid(int(dim), int(n), int(radius), float(h))
+    payload was read in the error raised for a missing or wrong-typed key."""
+    kinds = {"dim": int, "n": int, "stencil_radius": int, "h": float}
+    return build_torus_grid(*_json_fields(payload, kinds, source))
 
 
-def _json_fields(desc, keys, source) -> list:
-    """The values of ``keys`` in a JSON object, in order; a ValueError names
-    ``source`` and the first key the object lacks."""
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _floats(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+# What a JSON value must be to convert to each kind of key.
+_JSON_KINDS = {
+    int: ("an integer", lambda v: _is_number(v) and v % 1 == 0),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list", lambda v: isinstance(v, list)),
+    _floats: (
+        "a number or a list of numbers",
+        lambda v: _is_number(v) or isinstance(v, list) and all(map(_is_number, v)),
+    ),
+}
+
+
+def _json_fields(desc, kinds: dict, source) -> list:
+    """The values of the keys of ``kinds`` in a JSON object, in order, each
+    converted to its kind; a ValueError names ``source`` and the first key the
+    object lacks or holds with a value of another kind (see ``_JSON_KINDS``)."""
     if not isinstance(desc, dict):
         raise ValueError(f"{source}: expected a JSON object, got {type(desc).__name__}")
-    missing = [key for key in keys if key not in desc]
-    if missing:
-        raise ValueError(f"{source}: missing key {missing[0]!r}")
-    return [desc[key] for key in keys]
+    for key, kind in kinds.items():
+        if key not in desc:
+            raise ValueError(f"{source}: missing key {key!r}")
+        what, test = _JSON_KINDS[kind]
+        if not test(desc[key]):
+            got = json.dumps(desc[key], default=repr)
+            raise ValueError(f"{source}: key {key!r} must be {what}, got {got}")
+    return [kind(desc[key]) for key, kind in kinds.items()]
 
 
 def _write_edge_csv(path, grid: PhaseGrid, names: list[str], columns: list) -> None:
@@ -442,15 +469,14 @@ def read_control_problem(path) -> ControlProblem:
     """Control problem bundle: JSON {state_dim, n, origin, spacing, controls,
     t0, dt, dynamics_csv, costs_csv}, CSV paths relative to the JSON file.
     Dynamics rows are (state..., control_index, step...) integer steps; cost
-    rows are (state..., t_index, control_index, ell).  A missing key raises a
-    ValueError that names the file and the key."""
+    rows are (state..., t_index, control_index, ell).  A missing or
+    wrong-typed key raises a ValueError that names the file and the key."""
     path = Path(path)
+    kinds = {"state_dim": int, "n": int, "origin": _floats, "spacing": float, "controls": tuple}
+    kinds.update(t0=float, dt=float, dynamics_csv=str, costs_csv=str)
     s, n, origin, spacing, controls, t0, dt, dynamics_csv, costs_csv = _json_fields(
-        json.loads(path.read_text()),
-        ("state_dim", "n", "origin", "spacing", "controls", "t0", "dt", "dynamics_csv", "costs_csv"),
-        path,
+        json.loads(path.read_text()), kinds, path
     )
-    s, n, controls, t0, dt = int(s), int(n), tuple(controls), float(t0), float(dt)
     S, T, A = n**s, _num_steps(s, n, t0, dt), len(controls)
     states = _bounded(slice(0, s), n, "coordinate")
     control = _bounded(slice(s, s + 1), A, "control index")
@@ -475,8 +501,8 @@ def read_control_problem(path) -> ControlProblem:
     return _control_problem(
         state_dim=s,
         nodes_per_axis=n,
-        origin=np.atleast_1d(np.asarray(origin, dtype=float)),
-        spacing=float(spacing),
+        origin=origin,
+        spacing=spacing,
         controls=controls,
         move=move.reshape(S, A),
         steps=steps.reshape(S, A, s),

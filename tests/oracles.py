@@ -58,7 +58,8 @@ def simple_cycle_min_mean(num_nodes: int, edges) -> float | None:
 
 
 def independent_karp(num_nodes: int, edges) -> float:
-    """Karp's formula written plainly, assuming the graph is strongly connected."""
+    """Karp's formula written plainly, from node 0, assuming every node is
+    reachable from it (a strongly connected graph, for one)."""
     INF = float("inf")
     d = [[INF] * num_nodes for _ in range(num_nodes + 1)]
     d[0][0] = 0.0

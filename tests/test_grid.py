@@ -165,8 +165,8 @@ def test_boundary_of_atom_is_dipole():
     grid = build_torus_grid(1, 4, 1, 0.25)
     mu = DiscreteMeasure(grid=grid, weights={(1, grid.offset_index(1)): 1.0})
     bm = boundary_of_measure(mu)
-    assert bm.charge(2) == pytest.approx(1.0 / 0.25)
-    assert bm.charge(1) == pytest.approx(-1.0 / 0.25)
+    assert bm.charges.get(2, 0.0) == pytest.approx(1.0 / 0.25)
+    assert bm.charges.get(1, 0.0) == pytest.approx(-1.0 / 0.25)
 
 
 def test_boundary_of_two_cycles_is_zero():

@@ -61,7 +61,7 @@ def test_closed_matches_brute_force_small():
 
 
 def test_closed_solver_errors_name_grid_costs_and_tolerance(monkeypatch):
-    from actionlab import measure_lp, network
+    from actionlab import measure_lp
 
     table = two_node_table()
     where = "the table on grid d=1, n=2, k=1 with L in [1.0, 9.0], tolerance 1.6e-13; solver bug"
@@ -69,10 +69,6 @@ def test_closed_solver_errors_name_grid_costs_and_tolerance(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         solve_closed(table)
     assert str(err.value) == f"no tight cycle at mean 2.0 in {where}"
-    monkeypatch.setattr(network, "minimum_mean_cycle", lambda *args: None)
-    with pytest.raises(RuntimeError) as err:
-        solve_closed(table)
-    assert str(err.value) == f"no cycle in {where}"
 
 
 def test_closed_solution_is_feasible_probability_circulation():
@@ -128,8 +124,8 @@ def test_boundary_distance_equals_dijkstra():
     dist = scan_dijkstra(grid.num_nodes, grid_edges(table), src)
     assert sol.value == pytest.approx(dist[dst], abs=1e-9)
     bm = boundary_of_measure(sol.measure)
-    assert bm.charge(dst) == pytest.approx(1.0, abs=1e-9)
-    assert bm.charge(src) == pytest.approx(-1.0, abs=1e-9)
+    assert bm.charges.get(dst, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert bm.charges.get(src, 0.0) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_boundary_solution_keeps_the_flow_dual_for_h_times_L():
@@ -198,7 +194,7 @@ def test_boundary_zero_lagrangian_any_path_optimal():
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     bm = boundary_of_measure(sol.measure)
-    assert bm.charge(5) == pytest.approx(1.0, abs=1e-9)
+    assert bm.charges.get(5, 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_boundary_nonzero_current_with_remote_negative_cycle_unbounded():

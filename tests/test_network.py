@@ -28,90 +28,77 @@ def test_scc_two_components_with_bridge():
     assert comp[0] != comp[2]
 
 
-def _slack(tails, heads, costs, found):
+def _slack(heads, costs, found):
     value, bias = found
-    return np.asarray(costs) - value + bias[heads] - bias[tails]
+    return np.asarray(costs) - value + bias[heads] - bias[:, None]
 
 
 def test_minimum_mean_cycle_two_cycle_graph():
-    # cycle 0->1->0 of mean 1.5, self-loop at 2 of mean 1.0, bridge 1->2
-    tails = np.array([0, 1, 1, 2])
-    heads = np.array([1, 0, 2, 2])
-    costs = np.array([1.0, 2.0, 0.0, 1.0])
-    found = minimum_mean_cycle(3, tails, heads, costs)
+    # cycle 0->1->0 of mean 1.5, self-loop at 2 of mean 1.0, bridge 1->2;
+    # nodes 0 and 2 have one out-edge each, padded with a parallel copy
+    heads = np.array([[1, 1], [0, 2], [2, 2]])
+    costs = np.array([[1.0, 1.0], [2.0, 0.0], [1.0, 1.0]])
+    found = minimum_mean_cycle(heads, costs)
     assert found[0] == pytest.approx(1.0)
     # every node reaches the self-loop, so the bias is feasible on every edge
-    assert _slack(tails, heads, costs, found).min() >= -1e-12
+    assert _slack(heads, costs, found).min() >= -1e-12
 
 
-def test_minimum_mean_cycle_acyclic_returns_none():
-    tails = np.array([0, 1])
-    heads = np.array([1, 2])
-    costs = np.array([1.0, -5.0])
-    assert minimum_mean_cycle(3, tails, heads, costs) is None
+def _karp_with_virtual_source(heads, costs) -> float:
+    """independent_karp from a node 0 joined to every node at cost 0, so that
+    every node is reachable whatever the table."""
+    n = len(heads)
+    edges = [(0, v + 1, 0.0) for v in range(n)]
+    edges += [(v + 1, int(w) + 1, float(c)) for v in range(n) for w, c in zip(heads[v], costs[v])]
+    return independent_karp(n + 1, edges)
 
 
 def test_minimum_mean_cycle_matches_independent_karp():
-    # strongly connected through a random Hamiltonian cycle, plus random
-    # extra edges, self-loops and parallel copies; integer costs force ties
+    # random (V, M) head tables with self-loops and parallel copies; in half
+    # of them one column is a random Hamiltonian cycle, which makes the graph
+    # strongly connected; integer costs force ties
     rng = np.random.default_rng(29)
-    for trial in range(50):
-        n = int(rng.integers(1, 10))
-        ring = rng.permutation(n)
-        tails = list(ring)
-        heads = list(np.roll(ring, -1))
-        extra = int(rng.integers(0, 3 * n + 1))
-        tails += list(rng.integers(0, n, size=extra))
-        heads += list(rng.integers(0, n, size=extra))
-        for _ in range(int(rng.integers(1, 4))):
-            v = int(rng.integers(0, n))
-            tails.append(v)
-            heads.append(v)
-        for e in rng.integers(0, len(tails), size=3):
-            tails.append(tails[e])
-            heads.append(heads[e])
-        tails, heads = np.array(tails), np.array(heads)
-        if trial % 2:
-            costs = rng.integers(-3, 4, size=len(tails)).astype(float)
+    for trial in range(80):
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        heads = rng.integers(0, n, size=(n, m))
+        for v in rng.integers(0, n, size=int(rng.integers(1, 4))):
+            heads[v, rng.integers(0, m)] = v
+        for v in rng.integers(0, n, size=3):
+            heads[v, rng.integers(0, m)] = heads[v, rng.integers(0, m)]
+        connected = trial % 2 == 0
+        if connected:
+            ring = rng.permutation(n)
+            heads[ring, rng.integers(0, m)] = np.roll(ring, -1)
+        if trial % 4 < 2:
+            costs = rng.integers(-3, 4, size=(n, m)).astype(float)
         else:
-            costs = rng.uniform(-1.0, 1.0, size=len(tails))
-        found = minimum_mean_cycle(n, tails, heads, costs)
-        karp = independent_karp(n, list(zip(tails, heads, costs)))
-        assert found[0] == pytest.approx(karp, abs=1e-12)
-        tol = cost_tolerance(float(np.ptp(costs)), n)
-        slack = _slack(tails, heads, costs, found)
-        assert slack.min() >= -tol
-        # every node keeps a tight out-edge, so the tight edges hold a cycle
-        assert set(tails[slack <= tol]) == set(range(n))
-
-
-def test_minimum_mean_cycle_with_sink_node():
-    # 3 -> 0, cycle 0 <-> 1 of mean 2, and 1 -> 2 into a sink with no out-edge
-    tails = np.array([3, 0, 1, 1])
-    heads = np.array([0, 1, 0, 2])
-    costs = np.array([7.0, 1.0, 3.0, -5.0])
-    found = minimum_mean_cycle(4, tails, heads, costs)
-    assert found[0] == pytest.approx(2.0)
-    bias = found[1]
-    assert np.isnan(bias[2]) and np.isfinite(bias[[0, 1, 3]]).all()
-    slack = _slack(tails, heads, costs, found)
-    assert slack[:3].min() >= -1e-12
+            costs = rng.uniform(-1.0, 1.0, size=(n, m))
+        found = minimum_mean_cycle(heads, costs)
+        assert found[0] == pytest.approx(_karp_with_virtual_source(heads, costs), abs=1e-12)
+        assert np.isfinite(found[1]).all()
+        if connected:
+            tol = cost_tolerance(float(np.ptp(costs)), n)
+            slack = _slack(heads, costs, found)
+            assert slack.min() >= -tol
+            # every node keeps a tight out-edge, so the tight edges hold a cycle
+            assert (slack <= tol).any(axis=1).all()
 
 
 @pytest.mark.parametrize("upstream_mean", [1.0, 3.0])
 def test_minimum_mean_cycle_two_components_of_different_means(upstream_mean):
     # component {0, 1} feeds component {2, 3} through the bridge 1 -> 2; the
-    # other component has mean 4 - upstream_mean, and the answer is 1 either way
+    # other component has mean 4 - upstream_mean, and the answer is 1 either
+    # way; nodes 0 and 2 have one out-edge each, padded with a parallel copy
     downstream_mean = 4.0 - upstream_mean
-    tails = np.array([0, 1, 1, 2, 3, 3])
-    heads = np.array([1, 0, 2, 3, 2, 3])
+    heads = np.array([[1, 1], [0, 2], [3, 3], [2, 3]])
     costs = np.array(
-        [upstream_mean - 0.5, upstream_mean + 0.5, 10.0,
-         downstream_mean + 1.0, downstream_mean - 1.0, 9.0]
+        [[upstream_mean - 0.5] * 2, [upstream_mean + 0.5, 10.0],
+         [downstream_mean + 1.0] * 2, [downstream_mean - 1.0, 9.0]]
     )
-    found = minimum_mean_cycle(4, tails, heads, costs)
+    found = minimum_mean_cycle(heads, costs)
     assert found[0] == pytest.approx(1.0)
-    slack = _slack(tails, heads, costs, found)
+    assert np.isfinite(found[1]).all()
+    slack = _slack(heads, costs, found)
     # feasible on every edge whose head reaches a mean-1 cycle
     reaches = [0, 1, 2, 3] if downstream_mean == 1.0 else [0, 1]
     into = np.isin(heads, reaches)
@@ -258,9 +245,9 @@ def test_minimum_mean_cycle_names_size_spread_and_tolerance_when_it_does_not_set
     # a negative tolerance makes every tied edge look improving, so the
     # policy switches until the round limit runs out
     monkeypatch.setattr(network, "cost_tolerance", lambda spread, n: -0.5)
-    tails, heads = np.array([0, 1, 0, 1]), np.array([1, 0, 0, 1])
+    heads = np.array([[1, 0], [0, 1]])
     with pytest.raises(RuntimeError) as err:
-        minimum_mean_cycle(2, tails, heads, np.array([1.0, 1.0, 1.0, 1.0]))
+        minimum_mean_cycle(heads, np.ones((2, 2)))
     assert str(err.value) == (
         "policy iteration did not settle on 2 nodes and 4 edges with cost spread 0.0, "
         "tolerance -0.5; solver bug"

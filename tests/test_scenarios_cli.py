@@ -222,6 +222,26 @@ def test_cli_grid_without_a_key_is_a_usage_error(tmp_path, capsys, command):
     assert f"error: {gpath}: missing key 'stencil_radius'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [(None, "null"), ([1], "[1]"), ("abc", '"abc"'), (2.7, "2.7")],
+    ids=["null", "list", "string", "fraction"],
+)
+def test_cli_grid_key_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, value, shown):
+    # a wrong-typed value is bad input named by file and key, not a TypeError
+    # (exit 1, a failed check), a bare int() message, or a silent truncation
+    from actionlab import build_torus_grid, sample_lagrangian
+    from actionlab import serialize
+
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    gpath, lpath = tmp_path / "grid.json", tmp_path / "lagrangian.csv"
+    gpath.write_text(json.dumps({**serialize.grid_to_json(grid), "n": value}))
+    serialize.write_lagrangian_csv(lpath, sample_lagrangian(grid, lambda x, v: 0.5 * v * v))
+    argv = ["solve", "--grid", str(gpath), "--lagrangian", str(lpath)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert f"error: {gpath}: key 'n' must be an integer, got {shown}" in capsys.readouterr().err
+
+
 def _control_bundle(
     tmp_path, init_rows=((1, 1.0),), dynamics_extra=(), costs_extra=(), **desc_changes
 ):
@@ -322,6 +342,23 @@ def test_cli_control_problem_without_a_key_is_a_usage_error(tmp_path, capsys, ke
     path.write_text(json.dumps(desc))
     assert main(argv) == 2
     assert f"error: {path}: missing key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("controls", 5, "key 'controls' must be a list, got 5"),
+        ("origin", "abc", 'key \'origin\' must be a number or a list of numbers, got "abc"'),
+        ("costs_csv", 5, "key 'costs_csv' must be a string, got 5"),
+    ],
+    ids=["controls", "origin", "costs_csv"],
+)
+def test_cli_control_problem_key_of_the_wrong_type_is_a_usage_error(
+    tmp_path, capsys, key, value, message
+):
+    argv = _control_bundle(tmp_path, **{key: value})
+    assert main(argv) == 2
+    assert f"error: {tmp_path / 'problem.json'}: {message}" in capsys.readouterr().err
 
 
 def test_legendre_control_scenario_hjb_refines():

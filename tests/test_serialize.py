@@ -46,6 +46,28 @@ def test_grid_from_json_names_the_source_and_the_missing_key(payload, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n": True}, "g.json: key 'n' must be an integer, got true"),
+        ({"dim": 1.5, "h": None}, "g.json: key 'dim' must be an integer, got 1.5"),
+        ({"h": "0.5"}, 'g.json: key \'h\' must be a number, got "0.5"'),
+    ],
+    ids=["boolean", "first_of_several", "string_number"],
+)
+def test_grid_from_json_names_the_source_and_a_wrong_typed_key(changes, message):
+    payload = {"dim": 1, "n": 5, "stencil_radius": 1, "h": 0.5, **changes}
+    with pytest.raises(ValueError) as err:
+        serialize.grid_from_json(payload, source="g.json")
+    assert str(err.value) == message
+
+
+def test_grid_from_json_takes_integral_numbers_as_integers():
+    grid = serialize.grid_from_json({"dim": 1.0, "n": 5.0, "stencil_radius": 1, "h": 1})
+    assert (grid.dim, grid.nodes_per_dim, grid.time_step) == (1, 5, 1.0)
+    assert type(grid.nodes_per_dim) is int and type(grid.time_step) is float
+
+
 @pytest.mark.parametrize("d,n,k", [(1, 5, 1), (2, 3, 1)])
 def test_lagrangian_csv_roundtrip(tmp_path, d, n, k):
     rng = np.random.default_rng(2)
@@ -617,6 +639,20 @@ def test_dynamics_last_row_wins_even_when_it_leaves_the_box(tmp_path):
     assert problem.move.tolist() == [[0, -1], [0, 2], [1, -1]]
     loop_move = oracles.loop_read_control_tables(tmp_path / "p.json", 1, 3, 2, 2)[0]
     assert loop_move.tolist() == [[0, 1], [0, 2], [1, -1]]
+
+
+def test_control_bundle_takes_a_number_as_a_one_axis_origin(tmp_path):
+    bundle = {"state_dim": 1, "n": 2, "spacing": 1, "controls": [0], "t0": 1, "dt": 1.0}
+    bundle.update(dynamics_csv="d.csv", costs_csv="c.csv")
+    (tmp_path / "d.csv").write_text("x,a,k\n0,0,0\n1,0,0\n")
+    (tmp_path / "c.csv").write_text("x,j,a,ell\n0,0,0,1\n1,0,0,1\n")
+    origins = []
+    for origin in (-1, [-1.0]):
+        serialize.write_json(tmp_path / "p.json", {**bundle, "origin": origin})
+        problem = serialize.read_control_problem(tmp_path / "p.json")
+        origins.append(problem.origin)
+        assert type(problem.spacing) is float and type(problem.horizon) is float
+    assert origins[0].tobytes() == origins[1].tobytes() == np.array([-1.0]).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
