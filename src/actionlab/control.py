@@ -111,7 +111,7 @@ def make_control_problem(
     control at all is rejected.
     """
     num_steps = _num_steps(state_dim, nodes_per_axis, horizon, time_step)
-    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    origin = _origin(origin, state_dim)
     controls = tuple(controls)
     n = nodes_per_axis
     coords = lattice_points(state_dim, n)
@@ -206,6 +206,16 @@ def _num_steps(state_dim: int, nodes_per_axis: int, horizon: float, time_step: f
     if abs(num_steps * time_step - horizon) > 1e-9 * horizon or num_steps < 1:
         raise ValueError("horizon must be an integer number of time steps")
     return num_steps
+
+
+def _origin(origin, state_dim: int, source=None) -> np.ndarray:
+    """``origin`` as a (state_dim,) array, a bare number being one entry; a
+    ValueError names both lengths, and ``source``, the file read, if given."""
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    if origin.shape != (state_dim,):
+        where = "origin" if source is None else f"{source}: key 'origin'"
+        raise ValueError(f"{where} has length {len(origin)}, expected state_dim = {state_dim}")
+    return origin
 
 
 def _control_problem(**fields) -> ControlProblem:

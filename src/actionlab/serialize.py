@@ -4,12 +4,17 @@ certificate and diagnostics JSON, and the control-problem bundle.
 All writers are deterministic (sorted keys, repr floats), so reports are
 byte-stable across runs with identical inputs.
 
+A JSON file holds the bytes of ``json.dumps(sort_keys=True, indent=2)``
+plus a newline, written by one small recursive emitter (``_json``): numpy
+values are written as Python ones, a non-finite float as null, and a numeric
+ndarray has its fields formatted in one pass and then grouped into rows.
+
 CSV tables are written as text columns, byte for byte what ``csv.writer``
 writes.  A column is an array with one field per entry, or a lookup
 ``(table, index)`` whose table rows (lattice points, stencil offsets, times,
 control names) are formatted once and then indexed, so only the values are
-formatted per row.  Rows are joined column by column and written a block of
-``_BLOCK_ROWS`` at a time, so memory stays flat.
+formatted per row.  Each row is one ``",".join`` of its fields, and rows are
+written a block of ``_BLOCK_ROWS`` at a time, so memory stays flat.
 
 Every CSV input is read by ``_read_csv``: ``np.loadtxt`` parses the rows and
 array masks check them; only a bad file is reread with the ``csv`` module, to
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import re
 import warnings
@@ -36,7 +42,7 @@ from .grid import (
     lattice_index,
     lattice_points,
 )
-from .control import ControlProblem, _control_problem, _num_steps
+from .control import ControlProblem, _control_problem, _num_steps, _origin
 
 __all__ = [
     "write_json",
@@ -60,27 +66,65 @@ __all__ = [
 ]
 
 
-def _clean(obj):
-    """JSON-encodable copy; non-finite floats become None."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(_clean(payload), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+    """``payload`` in the bytes of ``json.dumps(sort_keys=True, indent=2)``
+    plus a newline, numpy values written as Python ones (see ``_json``)."""
+    Path(path).write_text(_json(payload, "\n") + "\n")
+
+
+def _json(obj, newline: str) -> str:
+    """The JSON text of ``obj`` nested under the line start ``newline`` ("\n"
+    plus its indent), laid out as ``json.dumps(sort_keys=True, indent=2)``.
+
+    Dict keys are ``str(k)``, deduplicated as a dict would before sorting;
+    strings go through ``json.dumps``; numpy scalars are written as Python
+    ones; a non-finite float is null.  An ndarray is its nested lists."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return repr(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, np.ndarray):
+        return _json_array(obj, newline)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return _json_block("{}", [json.dumps(k) + ": " + _json(v, inner) for k, v in items], newline)
+    if isinstance(obj, (list, tuple)):
+        return _json_block("[]", [_json(v, inner) for v in obj], newline)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_block(brackets: str, fields: list[str], newline: str) -> str:
+    """A JSON list or object of formatted ``fields``, one a line."""
+    if not fields:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(fields) + newline + brackets[1]
+
+
+def _json_array(a: np.ndarray, newline: str) -> str:
+    """An ndarray as its nested JSON lists.  A numeric array's fields are
+    formatted in one pass over its flat values, then grouped into rows from
+    the innermost axis out; any other array goes through ``tolist``."""
+    kind = a.dtype.kind
+    if kind not in "biuf":
+        return _json(a.tolist(), newline)
+    fields = list(map(("false", "true").__getitem__ if kind == "b" else repr, a.ravel().tolist()))
+    if kind == "f":
+        for i in np.flatnonzero(~np.isfinite(a)).tolist():
+            fields[i] = "null"
+    for axis in reversed(range(a.ndim)):
+        size, pad = a.shape[axis], newline + "  " * axis
+        rows = range(math.prod(a.shape[:axis]))
+        fields = [_json_block("[]", fields[i * size : (i + 1) * size], pad) for i in rows]
+    return fields[0]
 
 
 # Rows per write: one block's text is built and written at once, so memory
@@ -100,43 +144,36 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"'
 
 
-def _fields(values: np.ndarray) -> np.ndarray:
-    """One CSV field per entry of a 1-D array, as an object array of str: a
-    float as its ``repr``, an int or bool as ``str``, None as empty, any
-    other value as its ``str``, quoted as csv.writer quotes it."""
+def _fields(values: np.ndarray) -> list[str]:
+    """One CSV field per entry of a 1-D array: a float as its ``repr``, an
+    int or bool as ``str``, None as empty, any other value as its ``str``,
+    quoted as csv.writer quotes it."""
     kind = values.dtype.kind
     if kind == "f":
-        out = map(repr, values.tolist())
-    elif kind in "biu":
-        out = map(str, values.tolist())
-    else:
-        out = (
-            "" if v is None else _quote(repr(v) if isinstance(v, float) else str(v))
-            for v in values.tolist()
-        )
-    return np.fromiter(out, dtype=object, count=len(values))
+        return list(map(repr, values.tolist()))
+    if kind in "biu":
+        return list(map(str, values.tolist()))
+    return [
+        "" if v is None else _quote(repr(v) if isinstance(v, float) else str(v))
+        for v in values.tolist()
+    ]
 
 
 def _table_fields(table) -> np.ndarray:
-    """The rows of a lookup table formatted once: one field per entry of a
-    1-D table, a 2-D row as its fields joined by ","."""
-    table = np.asarray(table)
-    fields = _fields(table.ravel())
-    if table.ndim == 1:
-        return fields
-    rows = fields.reshape(table.shape).tolist()
-    return np.fromiter(map(",".join, rows), dtype=object, count=len(rows))
+    """The rows of a lookup table formatted once, as an object array of str
+    to index: one field per entry of a 1-D table, a 2-D row as its fields
+    joined by ","."""
+    columns = map(_fields, np.atleast_2d(np.asarray(table).T))
+    return np.array(list(map(",".join, zip(*columns))), dtype=object)
 
 
-def _lines(columns: list[np.ndarray]) -> str:
-    """CSV text of rows given as one object array of str per column, each
-    line ended by "\r\n" as csv.writer ends it."""
-    line = columns[0]
-    for col in columns[1:]:
-        line = line + "," + col
+def _lines(columns: list[list[str]]) -> str:
+    """CSV text of rows given as one list of str per column: one join per
+    row, each line ended by "\r\n" as csv.writer ends it."""
+    rows = map(",".join, zip(*columns))
     if len(columns) == 1:
-        line = np.where(line == "", '""', line)  # csv.writer quotes a lone empty field
-    return "\r\n".join(line.tolist()) + "\r\n"
+        rows = ('""' if row == "" else row for row in rows)  # csv.writer quotes a lone empty field
+    return "\r\n".join(rows) + "\r\n"
 
 
 def _write_csv(path, header: list[str], columns) -> None:
@@ -147,8 +184,8 @@ def _write_csv(path, header: list[str], columns) -> None:
     lookup pair ``(table, index)``: each row of ``table`` is formatted once
     (see ``_table_fields``) and each entry of ``index`` picks one, so a 2-D
     table gives several fields per row.  Arrays are read flat, in C order.
-    The rows are built as object arrays of str, joined column by column, and
-    written ``_BLOCK_ROWS`` at a time.
+    The fields of ``_BLOCK_ROWS`` rows at a time are built as lists of str,
+    joined row by row and written.
     """
     cols = []
     for col in columns:
@@ -162,10 +199,10 @@ def _write_csv(path, header: list[str], columns) -> None:
         raise ValueError(f"CSV columns of unequal lengths {sorted(sizes)}")
     (num_rows,) = sizes
     with open(path, "w", newline="") as fh:
-        fh.write(_lines([_fields(np.array([name], dtype=object)) for name in header]))
+        fh.write(_lines([[_quote(name)] for name in header]))
         for lo in range(0, num_rows, _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
-            fields = [_fields(v[block]) if t is None else t[v[block]] for t, v in cols]
+            fields = [_fields(v[block]) if t is None else t[v[block]].tolist() for t, v in cols]
             fh.write(_lines(fields))
 
 
@@ -478,6 +515,7 @@ def read_control_problem(path) -> ControlProblem:
         json.loads(path.read_text()), kinds, path
     )
     S, T, A = n**s, _num_steps(s, n, t0, dt), len(controls)
+    origin = _origin(origin, s, path)
     states = _bounded(slice(0, s), n, "coordinate")
     control = _bounded(slice(s, s + 1), A, "control index")
 

@@ -437,6 +437,31 @@ def loop_u_v_residual(cert, trajectory):
     return worst
 
 
+def _loop_clean(obj):
+    """JSON-encodable copy; non-finite floats become None."""
+    if isinstance(obj, dict):
+        return {str(k): _loop_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_loop_clean(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
+        return [_loop_clean(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    return obj
+
+
+def loop_write_json(path, payload) -> None:
+    """The JSON writer's byte reference: a cleaned copy through the json
+    module's own indented encoder."""
+    text = json.dumps(_loop_clean(payload), sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n")
+
+
 # Row-loop CSV writers: the row-by-row form of the serialize writers, kept
 # as the byte reference for their column form.
 

@@ -426,6 +426,28 @@ def test_rejects_non_grid_dynamics():
         )
 
 
+@pytest.mark.parametrize(
+    "state_dim, origin",
+    [(1, [0.0, 5.0, 7.0]), (1, []), (2, [0.0]), (2, 0.5)],
+    ids=["three_in_1d", "empty", "one_in_2d", "number_in_2d"],
+)
+def test_rejects_an_origin_of_the_wrong_length(state_dim, origin):
+    length = len(np.atleast_1d(origin))
+    message = f"^origin has length {length}, expected state_dim = {state_dim}$"
+    with pytest.raises(ValueError, match=message):
+        make_control_problem(
+            state_dim=state_dim,
+            nodes_per_axis=3,
+            origin=origin,
+            spacing=1.0,
+            controls=(0,),
+            dynamics=lambda x, a: np.zeros(state_dim),
+            running_cost=lambda x, t, a: 0.0,
+            horizon=1.0,
+            time_step=1.0,
+        )
+
+
 def test_rejects_state_without_controls():
     with pytest.raises(ValueError, match="no admissible control"):
         make_control_problem(

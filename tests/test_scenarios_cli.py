@@ -361,6 +361,14 @@ def test_cli_control_problem_key_of_the_wrong_type_is_a_usage_error(
     assert f"error: {tmp_path / 'problem.json'}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("origin", [[0.0, 5.0, 7.0], []], ids=["three", "empty"])
+def test_cli_control_origin_of_the_wrong_length_is_a_usage_error(tmp_path, capsys, origin):
+    argv = _control_bundle(tmp_path, origin=origin)
+    assert main(argv) == 2
+    message = f"key 'origin' has length {len(origin)}, expected state_dim = 1"
+    assert f"error: {tmp_path / 'problem.json'}: {message}" in capsys.readouterr().err
+
+
 def test_legendre_control_scenario_hjb_refines():
     r1 = run_scenario("legendre_control", {"refine": 1})
     r2 = run_scenario("legendre_control", {"refine": 2})

@@ -14,7 +14,9 @@ from actionlab import (
     LagrangianTable,
     build_torus_grid,
     fiber_convex_envelope,
+    refinement_sweep,
     run_measure,
+    run_scenario,
     sample_lagrangian,
 )
 from actionlab import serialize
@@ -109,6 +111,77 @@ def test_json_replaces_non_finite(tmp_path):
     serialize.write_json(path, {"v": float("-inf"), "w": 1.25})
     data = json.loads(path.read_text())
     assert data == {"v": None, "w": 1.25}
+
+
+def _json_payloads(rng):
+    """Seeded payloads holding every kind of value the JSON writer converts."""
+    arrays = []
+    for shape in [(), (0,), (5,), (3, 4), (2, 3, 2), (0, 3), (3, 0), (2, 0, 2)]:
+        scale = 10.0 ** rng.integers(-300, 300, shape)
+        arrays += map(np.asarray, [  # a 0-d result stays an array, not a scalar
+            rng.normal(size=shape) * scale,
+            rng.normal(size=shape).astype(np.float32),
+            rng.integers(-(2**62), 2**62, shape),
+            rng.integers(0, 255, shape, dtype=np.uint8),
+            rng.random(shape) < 0.5,
+        ])
+    for shape in [(7,), (3, 4), (2, 3, 2)]:
+        values = rng.normal(size=shape)
+        spots = rng.choice(values.size, 3, replace=False)
+        values.flat[spots] = [np.nan, np.inf, -np.inf]
+        arrays.append(values)
+    scalars = [
+        np.float32(rng.normal()), np.int64(rng.integers(-(2**62), 2**62)), np.bool_(True),
+        np.bool_(False), np.float64(rng.normal()), -0.0, 5e-324, 1e300, -1e300,
+        float("nan"), float("inf"), float("-inf"), None, True, False, 0, -(2**70),
+        "plain", "caf\u00e9 \u03c0 \u2028 \U0001f600", 'say "hi"\n\t\\', "",
+    ]
+    nested = {
+        3: {"b": scalars, 1: tuple(scalars[:4]), "a": {}},
+        "x": [(), [], {}, (1, (2.5, [None]))],
+        10: {2: "two", "1": "one", 1: "also one", 1.5: "float key"},
+        "arrays": arrays,
+    }
+    return [nested, {"only": arrays[-1]}, {}, {"k": tuple(arrays)}]
+
+
+def test_json_writer_matches_json_module(tmp_path):
+    # the emitter against json.dumps(sort_keys=True, indent=2) of a cleaned copy
+    for seed in range(3):
+        for i, payload in enumerate(_json_payloads(np.random.default_rng([17, seed]))):
+            serialize.write_json(tmp_path / "emit.json", payload)
+            oracles.loop_write_json(tmp_path / "loop.json", payload)
+            emitted = (tmp_path / "emit.json").read_bytes()
+            assert emitted == (tmp_path / "loop.json").read_bytes(), (seed, i)
+
+
+def test_json_writes_a_zero_d_non_finite_array_as_null(tmp_path):
+    # the cleaned-copy writer failed here: tolist() of a 0-d array is a float
+    path = tmp_path / "x.json"
+    serialize.write_json(path, {"a": np.array(np.nan), "b": np.array(-np.inf), "c": np.array(2.5)})
+    assert path.read_text() == '{\n  "a": null,\n  "b": null,\n  "c": 2.5\n}\n'
+
+
+def test_json_writer_matches_json_module_on_artifact_payloads(tmp_path, monkeypatch):
+    # every payload a measure run, a control run and a sweep write
+    payloads = []
+    write_json = serialize.write_json
+
+    def record(path, payload):
+        payloads.append((path.name, payload))
+        write_json(path, payload)
+
+    monkeypatch.setattr(serialize, "write_json", record)
+    run_scenario("tonelli_pendulum", {"n": 8}, outdir=tmp_path)
+    run_scenario("legendre_control", {"refine": 2}, outdir=tmp_path)
+    refinement_sweep("legendre_control", [1, 0], outdir=tmp_path)
+    names = {name for name, _ in payloads}
+    assert {"certificate.json", "diagnostics.json", "control_certificate.json"} <= names
+    assert {"control_report.json", "sweep.json", "summary.json"} <= names
+    for name, payload in payloads:
+        write_json(tmp_path / "emit.json", payload)
+        oracles.loop_write_json(tmp_path / "loop.json", payload)
+        assert (tmp_path / "emit.json").read_bytes() == (tmp_path / "loop.json").read_bytes(), name
 
 
 @pytest.mark.parametrize(
