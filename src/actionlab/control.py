@@ -22,15 +22,13 @@ LP and all checks are pure functions.
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
-from .grid import lattice_index, lattice_points
+from .grid import callback_points, lattice_index, lattice_points, sample_callback
 from .network import OPTIMAL
 
 __all__ = [
@@ -113,31 +111,26 @@ def make_control_problem(
     num_steps = _num_steps(state_dim, nodes_per_axis, horizon, time_step)
     origin = _origin(origin, state_dim)
     controls = tuple(controls)
-    n = nodes_per_axis
-    coords = lattice_points(state_dim, n)
-    positions = origin + coords.astype(float) * spacing
-    xs = positions[:, 0].tolist() if state_dim == 1 else list(positions)
+    xs = callback_points(origin + lattice_points(state_dim, nodes_per_axis) * spacing)
 
     raw = _velocities(dynamics, xs, controls, state_dim) * time_step / spacing
-    step = np.rint(raw).astype(int)
-    off_grid = np.argwhere(~(np.abs(raw - step) <= 1e-9).all(axis=2))
+    steps = np.rint(raw).astype(int)
+    off_grid = np.argwhere(~(np.abs(raw - steps) <= 1e-9).all(axis=2))
     if len(off_grid):
         s, a = off_grid[0]
         raise ValueError(
             f"dynamics not grid-compatible at state {s}, control "
             f"{controls[a]!r}: f*dt/dx = {raw[s, a]}"
         )
-    target = coords[:, None, :] + step
-    inside = ((0 <= target) & (target < n)).all(axis=2)
     times = [j * time_step for j in range(num_steps)]
     return _control_problem(
         state_dim=state_dim,
-        nodes_per_axis=n,
+        nodes_per_axis=nodes_per_axis,
         origin=origin,
         spacing=float(spacing),
         controls=controls,
-        move=np.where(inside, lattice_index(target.transpose(2, 0, 1), n), -1),
-        steps=np.where(inside[:, :, None], step, 0),
+        steps=steps,
+        given=np.ones(steps.shape[:2], dtype=bool),
         ell=_running_costs(running_cost, xs, times, controls),
         horizon=float(horizon),
         time_step=float(time_step),
@@ -177,12 +170,10 @@ def _running_costs(running_cost, xs, times, controls) -> np.ndarray:
     ValueError naming the first state, t index and control whose cost is not
     a real number; a None cost becomes NaN, which ``_control_problem`` rejects.
     """
-    shape = (len(xs), len(times), len(controls))
-    calls = itertools.starmap(running_cost, itertools.product(xs, times, controls))
     try:
-        return np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
+        return sample_callback(running_cost, xs, times, controls)
     except (TypeError, ValueError):
-        for s, j, a in np.ndindex(*shape):
+        for s, j, a in np.ndindex(len(xs), len(times), len(controls)):
             value = running_cost(xs[s], times[j], controls[a])
             try:
                 np.fromiter((value,), dtype=float, count=1)
@@ -218,20 +209,28 @@ def _origin(origin, state_dim: int, source=None) -> np.ndarray:
     return origin
 
 
-def _control_problem(**fields) -> ControlProblem:
-    """Check the sampled or read tables, collapse duplicate dynamics, build the problem."""
-    move, ell, controls = fields["move"], fields["ell"], fields["controls"]
+def _control_problem(*, steps, given, **fields) -> ControlProblem:
+    """Check the sampled or read tables, collapse duplicate dynamics, build the
+    problem.  A control is inadmissible at a state where its integer step
+    (``steps``, S x A x N) is not ``given`` (S x A) or leaves the box."""
+    ell, controls, n = fields["ell"], fields["controls"], fields["nodes_per_axis"]
+    target = lattice_points(fields["state_dim"], n)[:, None, :] + steps
+    admissible = given & ((0 <= target) & (target < n)).all(axis=2)
+    move = np.where(admissible, lattice_index(target.transpose(2, 0, 1), n), -1)
+    steps = np.where(admissible[:, :, None], steps, 0)
     bad = np.argwhere(~np.isfinite(ell.transpose(0, 2, 1)))
     if len(bad):
         s, a, j = bad[0]
         raise ValueError(
             f"running cost non-finite at state {s}, t index {j}, control {controls[a]!r}"
         )
-    stuck = np.flatnonzero(~(move >= 0).any(axis=1))
+    stuck = np.flatnonzero(~admissible.any(axis=1))
     if len(stuck):
         raise ValueError(f"state {stuck[0]} has no admissible control")
     active, collapses = _collapse_duplicates(move, ell)
-    return ControlProblem(active=active, duplicate_collapses=collapses, **fields)
+    return ControlProblem(
+        move=move, steps=steps, active=active, duplicate_collapses=collapses, **fields
+    )
 
 
 def _describe(p: ControlProblem) -> str:
@@ -273,31 +272,25 @@ class ValueFunction:
     problem: ControlProblem
     v: np.ndarray  # (S, T+1), duration-indexed
     argmin_control: np.ndarray  # (S, T+1)
-    policy: np.ndarray  # (S, T), clock-indexed
 
 
 def solve_value_function(p: ControlProblem) -> ValueFunction:
-    """Backward dynamic programming over the time layers."""
+    """Backward dynamic programming, duration t = 1..T on time layer T - t."""
     S, T, A = p.ell.shape
-    dt = p.time_step
-    ctg = np.zeros((S, T + 1))
-    policy = np.zeros((S, T), dtype=int)
-    for j in range(T - 1, -1, -1):
-        cand = np.where(p.active[:, j, :], dt * p.ell[:, j, :], np.inf)
-        targets = np.where(p.move >= 0, p.move, 0)
-        cand = cand + ctg[targets, j + 1]
-        policy[:, j] = np.argmin(cand, axis=1)
-        ctg[:, j] = cand[np.arange(S), policy[:, j]]
-    if not np.all(np.isfinite(ctg)):
-        raise RuntimeError(
-            f"value function not finite at {np.count_nonzero(~np.isfinite(ctg))} of "
-            f"{ctg.size} nodes for {_describe(p)}; solver bug"
-        )
-
-    v = ctg[:, ::-1].copy()
+    v = np.zeros((S, T + 1))
     argmin = np.full((S, T + 1), -1, dtype=int)
-    argmin[:, 1:] = policy[:, ::-1]
-    return ValueFunction(problem=p, v=v, argmin_control=argmin, policy=policy)
+    targets = np.where(p.move >= 0, p.move, 0)
+    for t in range(1, T + 1):
+        j = T - t
+        cand = np.where(p.active[:, j], p.time_step * p.ell[:, j], np.inf) + v[targets, t - 1]
+        argmin[:, t] = np.argmin(cand, axis=1)
+        v[:, t] = cand[np.arange(S), argmin[:, t]]
+    if not np.all(np.isfinite(v)):
+        raise RuntimeError(
+            f"value function not finite at {np.count_nonzero(~np.isfinite(v))} of "
+            f"{v.size} nodes for {_describe(p)}; solver bug"
+        )
+    return ValueFunction(problem=p, v=v, argmin_control=argmin)
 
 
 def _layered_arcs(p: ControlProblem):
@@ -500,7 +493,7 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
     s = np.arange(S)
     on_path[s, 0] = True
     for j in range(T):
-        s = p.move[s, vf.policy[s, j]]
+        s = p.move[s, vf.argmin_control[s, T - j]]
         on_path[s, j + 1] = True
     s, j = np.nonzero(on_path)
     td = (T - j)[:, None]  # duration index of clock node j

@@ -13,6 +13,8 @@ reads; construction is single-threaded.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -27,6 +29,8 @@ __all__ = [
     "build_torus_grid",
     "lattice_points",
     "lattice_index",
+    "callback_points",
+    "sample_callback",
     "sample_lagrangian",
     "discrete_differential",
     "boundary_of_measure",
@@ -105,15 +109,6 @@ class PhaseGrid:
         # Offsets are sorted, so the zero vector sits exactly in the middle.
         return (self.num_offsets - 1) // 2
 
-    def position(self, node: int):
-        """Position of a node; a scalar for d=1, a length-2 array for d=2."""
-        p = self.positions[node]
-        return float(p[0]) if self.dim == 1 else p
-
-    def velocity(self, offset_index: int):
-        v = self.velocities[offset_index]
-        return float(v[0]) if self.dim == 1 else v
-
     def offset_index(self, offset) -> int:
         """Index of an integer offset vector in the sorted stencil."""
         k = np.atleast_1d(np.asarray(offset, dtype=int))
@@ -182,25 +177,38 @@ class LagrangianTable:
         object.__setattr__(self, "values", vals)
 
 
+def callback_points(points: np.ndarray):
+    """(N, d) points as callback arguments: floats for d=1, the rows for d=2."""
+    return points[:, 0].tolist() if points.shape[1] == 1 else points
+
+
+def sample_callback(fn: Callable, first, *rest) -> np.ndarray:
+    """``fn`` on the row-major product of its argument axes, streamed into one
+    float array of shape (len(first), len(rest[0]), ...).  ``first`` is read
+    one item at a time (``itertools.product`` would hold a view of every row
+    of a 2-D array at once); a value that is not a real number raises
+    numpy's TypeError or ValueError."""
+    rest = [list(axis) for axis in rest]
+    rows = (itertools.starmap(fn, itertools.product((x,), *rest)) for x in first)
+    shape = (len(first), *map(len, rest))
+    return np.fromiter(itertools.chain.from_iterable(rows), float, math.prod(shape)).reshape(shape)
+
+
 def sample_lagrangian(grid: PhaseGrid, lagrangian: Callable) -> LagrangianTable:
     """Tabulate L(tail position, edge velocity) on every edge.
 
     The callback receives scalars for d=1 and length-d arrays for d=2.  A
-    non-finite output raises with the offending edge identified.
+    non-finite output raises with the first such edge, in edge order,
+    identified.
     """
-    values = np.empty((grid.num_nodes, grid.num_offsets))
-    velocities = [grid.velocity(m) for m in range(grid.num_offsets)]
-    for x in range(grid.num_nodes):
-        pos = grid.position(x)
-        row = [lagrangian(pos, v) for v in velocities]
-        values[x] = row
-        finite = np.isfinite(values[x])
-        if not finite.all():
-            m = int(np.argmin(finite))
-            raise ValueError(
-                f"Lagrangian returned non-finite value {row[m]!r} at node {x} "
-                f"(x={pos}), offset {tuple(grid.offsets[m].tolist())}"
-            )
+    positions, velocities = callback_points(grid.positions), callback_points(grid.velocities)
+    values = sample_callback(lagrangian, positions, velocities)
+    if not np.isfinite(values).all():
+        x, m = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(
+            f"Lagrangian returned non-finite value {lagrangian(positions[x], velocities[m])!r} "
+            f"at node {x} (x={positions[x]}), offset {tuple(grid.offsets[m].tolist())}"
+        )
     return LagrangianTable(grid=grid, values=values)
 
 
@@ -235,6 +243,14 @@ class DiscreteMeasure:
                 raise ValueError(f"non-finite weight on edge ({node}, {m})")
             if w > 0.0:
                 clean[(int(node), int(m))] = w
+        N, M = self.grid.num_nodes, self.grid.num_offsets
+        keys = np.array(list(clean), dtype=int).reshape(-1, 2)
+        bad = np.flatnonzero(((keys < 0) | (keys >= (N, M))).any(axis=1))
+        if len(bad):
+            raise ValueError(
+                f"edge {tuple(keys[bad[0]].tolist())} outside the grid: "
+                f"node in [0, {N}), offset index in [0, {M})"
+            )
         object.__setattr__(self, "weights", clean)
 
     @property
@@ -264,6 +280,11 @@ class BoundaryCurrent:
 
     def __post_init__(self):
         clean = {int(x): float(c) for x, c in self.charges.items() if c != 0.0}
+        N = self.grid.num_nodes
+        nodes = np.fromiter(clean, dtype=int, count=len(clean))
+        bad = np.flatnonzero((nodes < 0) | (nodes >= N))
+        if len(bad):
+            raise ValueError(f"charge on node {nodes[bad[0]]} outside the grid: node in [0, {N})")
         total = sum(clean.values())
         scale = sum(abs(c) for c in clean.values())
         if abs(total) > CHARGE_BALANCE_TOL * max(1.0, scale):

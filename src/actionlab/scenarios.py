@@ -97,7 +97,10 @@ def _require_params(name: str, params: dict, defaults: dict) -> dict:
 
 
 def _int(params, key, lo=None, hi=None):
-    v = int(params[key])
+    v = params[key]
+    if isinstance(v, float) and not v.is_integer():  # 8.0 means 8; 7.9 does not mean 7
+        raise ValueError(f"parameter {key}={v!r} is not an integer")
+    v = int(v)
     if lo is not None and v < lo:
         raise ValueError(f"parameter {key}={v} below minimum {lo}")
     if hi is not None and v > hi:

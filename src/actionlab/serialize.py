@@ -521,12 +521,9 @@ def read_control_problem(path) -> ControlProblem:
 
     integers = (slice(0, 2 * s + 1), None, None)
     keys, rows = _read_csv(path.parent / dynamics_csv, 2 * s + 1, [integers, states, control])
-    target = rows[:, :s] + rows[:, s + 1 :]
-    inside = ((target >= 0) & (target < n)).all(axis=1)
-    move = np.full(S * A, -1)
-    move[keys[inside]] = lattice_index(target[inside].T.astype(int), n)
+    given = np.isin(np.arange(S * A), keys)
     steps = np.zeros((S * A, s), dtype=int)
-    steps[keys[inside]] = rows[inside, s + 1 :].astype(int)
+    steps[keys] = np.clip(rows[:, s + 1 :], -n, n)  # a step of n or more leaves the box
 
     integers = (slice(0, s + 2), None, None)
     time = _bounded(slice(s, s + 1), T, "time index")
@@ -542,8 +539,8 @@ def read_control_problem(path) -> ControlProblem:
         origin=origin,
         spacing=spacing,
         controls=controls,
-        move=move.reshape(S, A),
         steps=steps.reshape(S, A, s),
+        given=given.reshape(S, A),
         ell=ell.reshape(S, T, A),
         horizon=t0,
         time_step=dt,

@@ -208,6 +208,20 @@ def loop_torus_grid(d: int, n: int, K: int) -> dict:
     }
 
 
+def loop_sample_lagrangian(grid, lagrangian) -> np.ndarray:
+    """(N, M) values of L(x, v), node by node and offset by offset; the
+    callback gets floats in 1-D and rows of ``positions`` / ``velocities``
+    in 2-D."""
+    def arg(points, i):
+        return float(points[i][0]) if grid.dim == 1 else points[i]
+
+    values = np.empty((grid.num_nodes, grid.num_offsets))
+    for x in range(grid.num_nodes):
+        for m in range(grid.num_offsets):
+            values[x, m] = lagrangian(arg(grid.positions, x), arg(grid.velocities, m))
+    return values
+
+
 def loop_fiber_slopes(grid, env):
     """(grad, endpoint) of an (N, M) table of envelope values, one fibre,
     offset and velocity axis at a time.
@@ -387,7 +401,7 @@ def loop_hjb_residual(vf, p):
     for s in range(S):
         nodes.add((s, 0))
         for j in range(T):
-            s = int(p.move[s, vf.policy[s, j]])
+            s = int(p.move[s, vf.argmin_control[s, T - j]])
             nodes.add((s, j + 1))
     worst = 0.0
     for s, j in sorted(nodes):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from actionlab import (
     discrete_differential,
     sample_lagrangian,
 )
+from actionlab.grid import callback_points, sample_callback
 
-from oracles import LATTICES, loop_torus_grid
+from oracles import LATTICES, loop_sample_lagrangian, loop_torus_grid
 
 
 def test_counts_1d():
@@ -124,6 +127,64 @@ def test_sample_lagrangian_names_first_non_finite_edge_2d():
     assert message.endswith("offset (0, 1)")
 
 
+def _trig_lagrangian(rng, d):
+    """|v|^2/2 plus a seeded cosine potential, in scalar math, as callers write it."""
+    a, p = (float(c) for c in rng.uniform(0.5, 1.5, size=2))
+    w = [int(c) for c in rng.integers(1, 4, size=d)]
+
+    def lagrangian(x, v):
+        xs, vs = ([x], [v]) if d == 1 else (x.tolist(), v.tolist())
+        return 0.5 * sum(c * c for c in vs) + a * math.cos(
+            2.0 * math.pi * sum(wi * xi for wi, xi in zip(w, xs)) + p
+        )
+
+    return lagrangian
+
+
+@pytest.mark.parametrize("d,n,k", LATTICES)
+def test_sample_lagrangian_matches_loop_reference(d, n, k):
+    rng = np.random.default_rng([d, n, k])
+    grid = build_torus_grid(d, n, k, float(rng.uniform(0.1, 1.0)))
+    lagrangian = _trig_lagrangian(rng, d)
+    table = sample_lagrangian(grid, lagrangian)
+    assert table.values.tobytes() == loop_sample_lagrangian(grid, lagrangian).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_lagrangian_passes_floats_in_1d_and_rows_in_2d(d):
+    grid = build_torus_grid(d, 3, 1, 0.5)
+    seen = []
+
+    def lagrangian(x, v):
+        seen.append((x, v))
+        return 0.0
+
+    sample_lagrangian(grid, lagrangian)
+    assert len(seen) == grid.num_edges
+    for e, (x, v) in enumerate(seen):
+        node, m = divmod(e, grid.num_offsets)
+        if d == 1:
+            assert type(x) is float and type(v) is float
+            assert (x, v) == (grid.positions[node, 0], grid.velocities[m, 0])
+        else:
+            assert np.array_equal(x, grid.positions[node])
+            assert np.array_equal(v, grid.velocities[m])
+
+
+def test_sample_callback_is_row_major_over_its_axes():
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return len(calls)
+
+    values = sample_callback(fn, [1, 2], "ab", (10, 20, 30))
+    assert values.shape == (2, 2, 3)
+    assert calls == [(x, c, t) for x in (1, 2) for c in "ab" for t in (10, 20, 30)]
+    assert values.ravel().tolist() == list(range(1, 13))
+    assert callback_points(np.array([[0.5], [0.25]])) == [0.5, 0.25]
+
+
 def test_discrete_differential_constant_is_zero():
     grid = build_torus_grid(1, 6, 2, 0.5)
     df = discrete_differential(np.full(6, 7.0), grid)
@@ -188,6 +249,24 @@ def test_measure_rejects_negative_weight():
     grid = build_torus_grid(1, 4, 1, 0.25)
     with pytest.raises(ValueError, match="negative"):
         DiscreteMeasure(grid=grid, weights={(0, 0): -0.1})
+
+
+@pytest.mark.parametrize("key", [(1, 7), (9, 0), (-1, 0), (0, -1), (4, 0), (0, 3)])
+def test_measure_rejects_an_edge_outside_the_grid(key):
+    grid = build_torus_grid(1, 4, 1, 0.25)  # 4 nodes, 3 offsets
+    with pytest.raises(ValueError) as info:
+        DiscreteMeasure(grid=grid, weights={(0, 1): 0.5, key: 1.0})
+    assert str(info.value) == (
+        f"edge {key} outside the grid: node in [0, 4), offset index in [0, 3)"
+    )
+
+
+@pytest.mark.parametrize("node", [9, 4, -1])
+def test_current_rejects_a_node_outside_the_grid(node):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    with pytest.raises(ValueError) as info:
+        BoundaryCurrent(grid=grid, charges={node: 1.0, 0: -1.0})
+    assert str(info.value) == f"charge on node {node} outside the grid: node in [0, 4)"
 
 
 def test_stokes_identity_random_pairs():

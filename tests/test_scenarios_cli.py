@@ -32,6 +32,30 @@ def test_scenario_rejects_out_of_range_param():
         run_scenario("exact_form", {"n": 1})
 
 
+@pytest.mark.parametrize(
+    "name,key,value",
+    [("free_particle", "n", 7.9), ("legendre_control", "refine", 1.99), ("rotation", "k", float("inf"))],
+)
+def test_scenario_rejects_a_fractional_integer_param(name, key, value):
+    with pytest.raises(ValueError) as info:
+        run_scenario(name, {key: value})
+    assert str(info.value) == f"parameter {key}={value!r} is not an integer"
+
+
+def test_scenario_reads_an_integral_float_as_an_integer():
+    assert run_scenario("free_particle", {"n": 8.0}).values == run_scenario(
+        "free_particle", {"n": 8}
+    ).values
+
+
+@pytest.mark.parametrize("value", ["7.9", "nan"])
+def test_cli_fractional_integer_param_is_a_usage_error(tmp_path, capsys, value):
+    rc = main(["scenario", "free_particle", "--param", f"n={value}", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert f"parameter n={float(value)!r} is not an integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exact_form_sweep_constant_zero():
     report = refinement_sweep("exact_form", [8, 16, 32])
     c0s = [row["c0"] for row in report["rows"]]
