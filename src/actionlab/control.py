@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network
-from .grid import callback_points, lattice_index, lattice_points, sample_callback
+from .grid import _integral, callback_points, lattice_index, lattice_points, sample_callback
 from .network import OPTIMAL
 
 __all__ = [
@@ -60,20 +60,36 @@ class ControlProblem:
     the duplicate-dynamics collapse: controls with identical (x, f(x, a)) keep
     only the cheapest representative per (s, j), mirroring the reduction of a
     control cost to a velocity-indexed Lagrangian.
+
+    Checked at every construction, ``dataclasses.replace`` included: ``ell``
+    is finite, no active arc leaves the box, and every (state, time node)
+    keeps an active arc, so the DP value is finite and the layered LP optimal.
     """
 
     state_dim: int
     nodes_per_axis: int
     origin: np.ndarray = field(repr=False, compare=False)  # (N,)
-    spacing: float = 0.0
-    controls: tuple = ()
-    move: np.ndarray = field(repr=False, compare=False, default=None)  # (S, A)
-    steps: np.ndarray = field(repr=False, compare=False, default=None)  # (S, A, N)
-    ell: np.ndarray = field(repr=False, compare=False, default=None)  # (S, T, A)
-    horizon: float = 0.0
-    time_step: float = 0.0
-    active: np.ndarray = field(repr=False, compare=False, default=None)  # (S, T, A)
+    spacing: float
+    controls: tuple
+    move: np.ndarray = field(repr=False, compare=False)  # (S, A)
+    steps: np.ndarray = field(repr=False, compare=False)  # (S, A, N)
+    ell: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
+    horizon: float
+    time_step: float
+    active: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
     duplicate_collapses: tuple = ()
+
+    def __post_init__(self):
+        for bad, what in (
+            (~np.isfinite(self.ell), "running cost non-finite"),
+            (self.active & (self.move < 0)[:, None, :], "active arc leaves the box"),
+        ):
+            if bad.any():
+                s, a, j = np.argwhere(bad.transpose(0, 2, 1))[0]
+                raise ValueError(f"{what} at state {s}, t index {j}, control {self.controls[a]!r}")
+        stuck = np.argwhere(~self.active.any(axis=2))
+        if len(stuck):
+            raise ValueError("state {} has no admissible control at t index {}".format(*stuck[0]))
 
     @property
     def num_states(self) -> int:
@@ -168,7 +184,7 @@ def _running_costs(running_cost, xs, times, controls) -> np.ndarray:
     """(S, T, A) table of ``running_cost(x, t, a)``, streamed into one array.
 
     ValueError naming the first state, t index and control whose cost is not
-    a real number; a None cost becomes NaN, which ``_control_problem`` rejects.
+    a real number; a None cost becomes NaN, which ``ControlProblem`` rejects.
     """
     try:
         return sample_callback(running_cost, xs, times, controls)
@@ -210,32 +226,18 @@ def _origin(origin, state_dim: int, source=None) -> np.ndarray:
 
 
 def _control_problem(*, steps, given, **fields) -> ControlProblem:
-    """Check the sampled or read tables, collapse duplicate dynamics, build the
+    """Derive the moves, collapse duplicate dynamics, build (and so check) the
     problem.  A control is inadmissible at a state where its integer step
     (``steps``, S x A x N) is not ``given`` (S x A) or leaves the box."""
-    ell, controls, n = fields["ell"], fields["controls"], fields["nodes_per_axis"]
+    n = fields["nodes_per_axis"]
     target = lattice_points(fields["state_dim"], n)[:, None, :] + steps
     admissible = given & ((0 <= target) & (target < n)).all(axis=2)
     move = np.where(admissible, lattice_index(target.transpose(2, 0, 1), n), -1)
     steps = np.where(admissible[:, :, None], steps, 0)
-    bad = np.argwhere(~np.isfinite(ell.transpose(0, 2, 1)))
-    if len(bad):
-        s, a, j = bad[0]
-        raise ValueError(
-            f"running cost non-finite at state {s}, t index {j}, control {controls[a]!r}"
-        )
-    stuck = np.flatnonzero(~admissible.any(axis=1))
-    if len(stuck):
-        raise ValueError(f"state {stuck[0]} has no admissible control")
-    active, collapses = _collapse_duplicates(move, ell)
+    active, collapses = _collapse_duplicates(move, fields["ell"])
     return ControlProblem(
         move=move, steps=steps, active=active, duplicate_collapses=collapses, **fields
     )
-
-
-def _describe(p: ControlProblem) -> str:
-    S, T, A = p.ell.shape
-    return f"S={S}, T={T}, A={A} with ell in [{float(p.ell.min())!r}, {float(p.ell.max())!r}]"
 
 
 def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
@@ -285,11 +287,6 @@ def solve_value_function(p: ControlProblem) -> ValueFunction:
         cand = np.where(p.active[:, j], p.time_step * p.ell[:, j], np.inf) + v[targets, t - 1]
         argmin[:, t] = np.argmin(cand, axis=1)
         v[:, t] = cand[np.arange(S), argmin[:, t]]
-    if not np.all(np.isfinite(v)):
-        raise RuntimeError(
-            f"value function not finite at {np.count_nonzero(~np.isfinite(v))} of "
-            f"{v.size} nodes for {_describe(p)}; solver bug"
-        )
     return ValueFunction(problem=p, v=v, argmin_control=argmin)
 
 
@@ -318,6 +315,32 @@ class RelaxedSolution:
     initial: np.ndarray  # (S,)
 
 
+def _initial_distribution(initial, S: int) -> np.ndarray:
+    """``initial`` (a mapping state -> mass, or S masses) as an (S,) array; a
+    ValueError names the first state that is not an integer in [0, S) or whose
+    mass is not finite, or a negative or zero distribution."""
+    if not isinstance(initial, dict):
+        mass = np.asarray(initial, dtype=float)
+        if mass.shape != (S,):
+            raise ValueError(f"initial distribution has shape {mass.shape}, expected ({S},)")
+        initial = dict(enumerate(mass.tolist()))
+    keys = list(initial)
+    states, mass = (np.fromiter(x, float, len(keys)) for x in (keys, initial.values()))
+    for bad, what in (
+        (~_integral(states), "state {0!r} is not an integer"),
+        ((states < 0) | (states >= S), f"state {{0}} is outside [0, {S})"),
+        (~np.isfinite(mass), "mass at state {0} is {1}, not finite"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError("initial " + what.format(keys[i], mass[i]))
+    if np.any(mass < 0) or mass.sum() <= 0:
+        raise ValueError("initial distribution must be nonnegative with positive mass")
+    init = np.zeros(S)
+    init[states.astype(int)] = mass
+    return init
+
+
 def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     """Min-cost flow through the time-layered graph.
 
@@ -327,41 +350,19 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     is flow * dt so that sum(mu * ell) is the LP objective.
     """
     S, T, A = p.ell.shape
-    init = np.zeros(S)
-    if isinstance(initial, dict):
-        states = np.fromiter(initial, int)
-        outside = states[(states < 0) | (states >= S)]
-        if len(outside):
-            raise ValueError(f"initial state {outside[0]} is outside [0, {S})")
-        init[states] = np.fromiter(initial.values(), float)
-    else:
-        init = np.asarray(initial, dtype=float).copy()
-    if init.shape != (S,) or np.any(init < 0) or init.sum() <= 0:
-        raise ValueError("initial distribution must be nonnegative with positive mass")
-
+    init = _initial_distribution(initial, S)
     tails, heads, costs, arcs, sink = _layered_arcs(p)
     b = np.zeros(sink + 1)
     b[:S] = -init
     b[sink] = init.sum()
 
     result = network.min_cost_flow(sink + 1, tails, heads, costs, b)
-    flow = np.zeros((S, T, A))
-    measure = np.zeros((S, T, A))
-    if result.status != OPTIMAL:
-        return RelaxedSolution(
-            measure=measure,
-            value=result.value,
-            status=result.status,
-            flow=flow,
-            node_potentials=result.potentials,
-            initial=init,
-        )
-
     arc_flow = result.flow[: len(arcs[0])]
     keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
     s, j, a = (x[keep] for x in arcs)
+    flow = np.zeros((S, T, A))
     flow[s, j, a] = arc_flow[keep]
-    measure[s, j, a] = arc_flow[keep] * p.time_step
+    measure = flow * p.time_step
     # a Python sum in arc order, so the value does not depend on numpy's summation
     value = float(sum((measure[s, j, a] * p.ell[s, j, a]).tolist()))
 
@@ -379,7 +380,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     return RelaxedSolution(
         measure=measure,
         value=value,
-        status=OPTIMAL,
+        status=result.status,
         flow=flow,
         node_potentials=result.potentials,
         initial=init,
@@ -551,7 +552,8 @@ def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution
         out.append((tuple(states), float(amount)))
     else:
         raise RuntimeError(
-            f"trajectory extraction did not finish in {guard} passes for {_describe(p)}, "
+            f"trajectory extraction did not finish in {guard} passes for S={S}, T={T}, A={A} "
+            f"with ell in [{float(p.ell.min())!r}, {float(p.ell.max())!r}], "
             f"mass tolerance {tol!r}; solver bug"
         )
     return out
@@ -591,26 +593,21 @@ def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) 
 
 @dataclass
 class ControlResult:
-    """One control problem solved twice (DP and LP) and verified.
-
-    The certificate and the checks built on it are None when the LP status is
-    not OPTIMAL.  ``max_principle`` is the pair from maximum_principle_check.
-    """
+    """One control problem solved twice (DP and LP) and verified;
+    ``max_principle`` is the pair from maximum_principle_check."""
 
     problem: ControlProblem
     value_function: ValueFunction
     lp: RelaxedSolution
     dp_total: float
-    certificate: ControlCertificate | None = None
-    max_principle: tuple | None = None
-    trajectories: list | None = None
-    u_v_residual: float | None = None
-    hjb_residual: float | None = None
+    certificate: ControlCertificate
+    max_principle: tuple
+    trajectories: list
+    u_v_residual: float
+    hjb_residual: float
 
     def criteria(self, tol: float) -> dict[str, bool]:
         """Named pass/fail checks: DP = LP, and the certificate's optimality conditions."""
-        if self.certificate is None:
-            return {"status_optimal": False}
         on_support, off_support = self.max_principle
         return {
             "lp_dp_gap": abs(self.lp.value - self.dp_total) <= tol,
@@ -624,22 +621,18 @@ def run_control(p: ControlProblem, initial) -> ControlResult:
     """Solve by DP and by the layered LP, certify the LP, and run every check."""
     vf = solve_value_function(p)
     lp = solve_relaxed_lp(p, initial)
-    dp_total = float(np.dot(lp.initial, vf.v[:, -1]))
-    if lp.status != OPTIMAL:
-        return ControlResult(problem=p, value_function=vf, lp=lp, dp_total=dp_total)
     cert = certify_control(p, lp)
     mp = maximum_principle_check(cert, lp.measure)
     trajs = extract_optimal_trajectories(p, lp)
     uv = max((check_u_v_relation(cert, vf, states) for states, _m in trajs), default=0.0)
-    hjb = hjb_residual(vf, p)
     return ControlResult(
         problem=p,
         value_function=vf,
         lp=lp,
-        dp_total=dp_total,
+        dp_total=float(np.dot(lp.initial, vf.v[:, -1])),
         certificate=cert,
         max_principle=mp,
         trajectories=trajs,
         u_v_residual=uv,
-        hjb_residual=hjb,
+        hjb_residual=hjb_residual(vf, p),
     )

@@ -50,6 +50,11 @@ def lattice_points(dim: int, side: int) -> np.ndarray:
     return np.indices((side,) * dim).reshape(dim, -1).T
 
 
+def _integral(x) -> np.ndarray:
+    """Mask of the entries of a float array that are integers (not inf or nan)."""
+    return np.isfinite(x) & (np.trunc(x) == x)
+
+
 def lattice_index(coords, side: int):
     """Row-major index of the lattice point with coordinates ``coords[0],
     coords[1], ...``: numbers, or equal-shape arrays of them (the first axis
@@ -234,23 +239,25 @@ class DiscreteMeasure:
     weights: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
-        clean = {}
-        for (node, m), w in self.weights.items():
-            w = float(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w} on edge ({node}, {m})")
-            if not np.isfinite(w):
-                raise ValueError(f"non-finite weight on edge ({node}, {m})")
-            if w > 0.0:
-                clean[(int(node), int(m))] = w
+        edges = list(self.weights)
+        keys = np.array(edges, dtype=float).reshape(len(edges), 2)
+        w = np.fromiter(self.weights.values(), float, len(edges))
+        bad = np.flatnonzero((w < 0) | ~np.isfinite(w))
+        if len(bad):
+            (node, m), v = edges[bad[0]], float(w[bad[0]])
+            kind = f"negative weight {v}" if v < 0 else "non-finite weight"
+            raise ValueError(f"{kind} on edge ({node}, {m})")
+        keep = w > 0
+        bad = np.flatnonzero(keep & ~_integral(keys).all(axis=1))
+        if len(bad):
+            raise ValueError(f"edge {edges[bad[0]]!r} is not a pair of integers")
         N, M = self.grid.num_nodes, self.grid.num_offsets
-        keys = np.array(list(clean), dtype=int).reshape(-1, 2)
-        bad = np.flatnonzero(((keys < 0) | (keys >= (N, M))).any(axis=1))
+        bad = np.flatnonzero(keep & ((keys < 0) | (keys >= (N, M))).any(axis=1))
         if len(bad):
             raise ValueError(
-                f"edge {tuple(keys[bad[0]].tolist())} outside the grid: "
-                f"node in [0, {N}), offset index in [0, {M})"
+                f"edge {edges[bad[0]]} outside the grid: node in [0, {N}), offset index in [0, {M})"
             )
+        clean = dict(zip(map(tuple, keys[keep].astype(int).tolist()), w[keep].tolist()))
         object.__setattr__(self, "weights", clean)
 
     @property
@@ -279,18 +286,25 @@ class BoundaryCurrent:
     charges: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
-        clean = {int(x): float(c) for x, c in self.charges.items() if c != 0.0}
+        nodes = list(self.charges)
+        x = np.fromiter(nodes, float, len(nodes))
+        values = np.fromiter(self.charges.values(), float, len(nodes))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"charge {values[bad[0]]} on node {nodes[bad[0]]!r} is not finite")
+        keep = values != 0.0
+        bad = np.flatnonzero(keep & ~_integral(x))
+        if len(bad):
+            raise ValueError(f"charge on node {nodes[bad[0]]!r}: not an integer node")
         N = self.grid.num_nodes
-        nodes = np.fromiter(clean, dtype=int, count=len(clean))
-        bad = np.flatnonzero((nodes < 0) | (nodes >= N))
+        bad = np.flatnonzero(keep & ((x < 0) | (x >= N)))
         if len(bad):
             raise ValueError(f"charge on node {nodes[bad[0]]} outside the grid: node in [0, {N})")
+        clean = dict(zip(x[keep].astype(int).tolist(), values[keep].tolist()))
         total = sum(clean.values())
         scale = sum(abs(c) for c in clean.values())
         if abs(total) > CHARGE_BALANCE_TOL * max(1.0, scale):
-            raise ValueError(
-                f"boundary charges must sum to zero, got total {total:g}"
-            )
+            raise ValueError(f"boundary charges must sum to zero, got total {total:g}")
         object.__setattr__(self, "charges", clean)
 
     def support(self) -> list[int]:
@@ -298,8 +312,7 @@ class BoundaryCurrent:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.grid.num_nodes)
-        for x, c in self.charges.items():
-            dense[x] = c
+        dense[list(self.charges)] = list(self.charges.values())
         return dense
 
     def pairing(self, f) -> float:

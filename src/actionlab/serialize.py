@@ -38,6 +38,7 @@ from .grid import (
     DiscreteMeasure,
     LagrangianTable,
     PhaseGrid,
+    _integral,
     build_torus_grid,
     lattice_index,
     lattice_points,
@@ -321,7 +322,7 @@ def _read_csv(path, width: int, checks: list[tuple]) -> tuple[np.ndarray, np.nda
     for columns, bounds, _ in checks:
         x = rows[:, columns]
         lo, hi = bounds or (-np.inf, np.inf)
-        if (~np.isfinite(x) | (np.trunc(x) != x) | (x < lo) | (x >= hi)).any():
+        if (~_integral(x) | (x < lo) | (x >= hi)).any():
             raise ValueError(_first_error(path, width, checks) or f"{path}: a row fails a check")
         if bounds:
             keys = keys * (hi - lo) ** x.shape[1] + lattice_index((x - lo).T.astype(int), hi - lo)
@@ -459,30 +460,25 @@ def write_measure_result(dest, result) -> None:
 
 
 def write_control_result(dest, result) -> None:
-    """Value function, certificate and report files of a ControlResult.
-
-    Without a certificate (LP status not OPTIMAL) the report holds the status
-    alone and no certificate file is written.
-    """
+    """Value function, certificate and report files of a ControlResult."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     write_value_function_csv(dest / "value_function.csv", result.value_function)
-    report = {"status": result.lp.status}
     cert = result.certificate
-    if cert is not None:
-        write_json(
-            dest / "control_certificate.json",
-            {"c0": cert.c0, "empirical_mean_cost": cert.empirical_mean_cost, "u": cert.u},
-        )
-        report.update(
-            lp_value=result.lp.value,
-            dp_total=result.dp_total,
-            hjb_residual=result.hjb_residual,
-            max_principle_on_support=result.max_principle[0],
-            max_principle_off_support=result.max_principle[1],
-            u_v_residual=result.u_v_residual,
-            duplicate_collapses=len(result.problem.duplicate_collapses),
-        )
+    write_json(
+        dest / "control_certificate.json",
+        {"c0": cert.c0, "empirical_mean_cost": cert.empirical_mean_cost, "u": cert.u},
+    )
+    report = {
+        "status": result.lp.status,
+        "lp_value": result.lp.value,
+        "dp_total": result.dp_total,
+        "hjb_residual": result.hjb_residual,
+        "max_principle_on_support": result.max_principle[0],
+        "max_principle_off_support": result.max_principle[1],
+        "u_v_residual": result.u_v_residual,
+        "duplicate_collapses": len(result.problem.duplicate_collapses),
+    }
     write_json(dest / "control_report.json", report)
 
 

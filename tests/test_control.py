@@ -173,17 +173,33 @@ def test_dpp_monotone_in_cost():
         assert np.all(v1 <= v2 + 1e-12)
 
 
-def test_value_function_error_names_problem_size_and_costs():
+def test_problem_without_an_arc_is_rejected_at_construction():
     import dataclasses
 
     p = three_state_problem()
-    stuck = dataclasses.replace(p, active=np.zeros_like(p.active))  # no arc left to take
-    with pytest.raises(RuntimeError) as err:
-        solve_value_function(stuck)
-    assert str(err.value) == (
-        "value function not finite at 6 of 9 nodes for S=3, T=2, A=2 "
-        "with ell in [0.0, 0.25]; solver bug"
-    )
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(p, active=np.zeros_like(p.active))  # no arc left to take
+    assert str(err.value) == "state 0 has no admissible control at t index 0"
+
+
+@pytest.mark.parametrize(
+    "name, index, value, message",
+    [
+        ("ell", (1, 1, 0), np.nan, "running cost non-finite at state 1, t index 1, control -1"),
+        ("move", (1, 0), -1, "active arc leaves the box at state 1, t index 0, control -1"),
+        ("active", (0, 1), False, "state 0 has no admissible control at t index 1"),
+    ],
+    ids=["non_finite_cost", "inadmissible_arc", "stuck_time_node"],
+)
+def test_control_problem_checks_its_invariant_on_replace(name, index, value, message):
+    import dataclasses
+
+    p = three_state_problem()
+    table = getattr(p, name).copy()
+    table[index] = value
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(p, **{name: table})
+    assert str(err.value) == message
 
 
 def test_lp_point_mass_matches_dp():
@@ -632,11 +648,86 @@ def test_run_control_1d_multi_atom():
     assert np.any(cert.u[:, 0] != 0.0)
 
 
+def box_exit_problem_2d(rng, max_side=5, max_steps=4, max_controls=5):
+    # seeded unit-spaced steps drawn from {-2..2}^2, many of which leave the
+    # box, and seeded costs; a state where every step leaves is rejected
+    n = int(rng.integers(2, max_side + 1))
+    steps = rng.integers(-2, 3, size=(int(rng.integers(1, max_controls + 1)), 2))
+    T = int(rng.integers(1, max_steps + 1))
+    costs = rng.uniform(-1.0, 1.0, size=(n * n, T, len(steps)))
+
+    def running_cost(x, t, a):
+        return float(costs[int(round(x[0])) * n + int(round(x[1])), int(round(t)), a])
+
+    return make_control_problem(
+        state_dim=2,
+        nodes_per_axis=n,
+        origin=[0.0, 0.0],
+        spacing=1.0,
+        controls=tuple(range(len(steps))),
+        dynamics=lambda x, a: steps[a].astype(float),
+        running_cost=running_cost,
+        horizon=float(T),
+        time_step=1.0,
+    )
+
+
+def test_every_accepted_problem_keeps_its_invariant_and_solves():
+    # whatever make_control_problem accepts has finite costs, admissible
+    # active arcs and an active arc at every (state, t index), so the DP
+    # value is finite and the layered LP optimal, for any initial atoms
+    rng = np.random.default_rng(101)
+    problems = [random_problem(rng, max_states=12, max_controls=4, max_steps=6) for _ in range(60)]
+    rejected = 0
+    while len(problems) < 100:
+        try:
+            problems.append(box_exit_problem_2d(rng))
+        except ValueError as err:
+            assert "no admissible control" in str(err)
+            rejected += 1
+    assert rejected > 0
+    for p in problems:
+        assert np.isfinite(p.ell).all()
+        assert not (p.active & (p.move < 0)[:, None, :]).any()
+        assert p.active.any(axis=2).all()
+        v = solve_value_function(p).v
+        assert np.isfinite(v).all()
+        k = int(rng.integers(1, p.num_states + 1))
+        atoms = rng.choice(p.num_states, size=k, replace=False)
+        lp = solve_relaxed_lp(p, dict(zip(atoms.tolist(), rng.uniform(0.5, 1.5, k).tolist())))
+        assert lp.status == "OPTIMAL"
+        assert abs(lp.value - np.dot(lp.initial, v[:, -1])) <= 1e-9 * lp.initial.sum() * p.horizon
+
+
 def test_lp_rejects_initial_state_outside_grid():
     p = three_state_problem()
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
             solve_relaxed_lp(p, {bad: 1.0})
+
+
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ({1.5: 1.0}, "initial state 1.5 is not an integer"),
+        ({np.nan: 1.0}, "initial state nan is not an integer"),
+        ({1: np.nan}, "initial mass at state 1 is nan, not finite"),
+        ({0: 1.0, 2: np.inf}, "initial mass at state 2 is inf, not finite"),
+        (np.array([0.0, np.nan, 1.0]), "initial mass at state 1 is nan, not finite"),
+        ([0.0, 1.0], "initial distribution has shape (2,), expected (3,)"),
+        ({0: 1.0, 1: -0.5}, "initial distribution must be nonnegative with positive mass"),
+    ],
+    ids=["fractional", "nan_state", "nan_mass", "inf_mass", "nan_array", "short_array", "negative"],
+)
+def test_lp_rejects_a_bad_initial_distribution(initial, message):
+    with pytest.raises(ValueError) as err:
+        solve_relaxed_lp(three_state_problem(), initial)
+    assert str(err.value) == message
+
+
+def test_lp_reads_an_integral_float_state_as_that_state():
+    p = three_state_problem()
+    assert np.array_equal(solve_relaxed_lp(p, {1.0: 1.0}).initial, [0.0, 1.0, 0.0])
 
 
 def test_array_checks_equal_loop_references():

@@ -269,6 +269,46 @@ def test_current_rejects_a_node_outside_the_grid(node):
     assert str(info.value) == f"charge on node {node} outside the grid: node in [0, 4)"
 
 
+@pytest.mark.parametrize("key", [(1.7, 0), (1, 0.5), (np.nan, 0), (np.inf, 1)])
+def test_measure_rejects_an_edge_that_is_not_integral(key):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    with pytest.raises(ValueError) as info:
+        DiscreteMeasure(grid=grid, weights={(0, 1): 0.5, key: 1.0})
+    assert str(info.value) == f"edge {key!r} is not a pair of integers"
+
+
+@pytest.mark.parametrize("node", [2.9, -0.5, np.nan])
+def test_current_rejects_a_node_that_is_not_integral(node):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    with pytest.raises(ValueError) as info:
+        BoundaryCurrent(grid=grid, charges={node: 1.0, 0: -1.0})
+    assert str(info.value) == f"charge on node {node!r}: not an integer node"
+
+
+def test_integral_float_keys_mean_their_integers():
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    mu = DiscreteMeasure(grid=grid, weights={(3.0, 1.0): 0.5, (0, 2): 0.25})
+    assert list(mu.weights.items()) == [((3, 1), 0.5), ((0, 2), 0.25)]
+    current = BoundaryCurrent(grid=grid, charges={3.0: 1.0, 0: -1.0})
+    assert list(current.charges.items()) == [(3, 1.0), (0, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "charges, message",
+    [
+        ({0: np.nan, 1: 0.0}, "charge nan on node 0 is not finite"),
+        ({0: np.inf, 3: -np.inf}, "charge inf on node 0 is not finite"),
+        ({0: 1.0, 2: -1.0, 3: -np.inf}, "charge -inf on node 3 is not finite"),
+    ],
+    ids=["nan", "inf_pair", "minus_inf"],
+)
+def test_current_rejects_a_non_finite_charge(charges, message):
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    with pytest.raises(ValueError) as info:
+        BoundaryCurrent(grid=grid, charges=charges)
+    assert str(info.value) == message
+
+
 def test_stokes_identity_random_pairs():
     # sum_e mu(e) df(e) == sum_x c(x) f(x), 100 seeded random pairs
     rng = np.random.default_rng(42)

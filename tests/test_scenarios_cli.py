@@ -225,6 +225,20 @@ def test_cli_boundary_solve_with_current(tmp_path):
     assert abs(certificate["current_pairing"] - 0.5) <= 1e-9
 
 
+def test_cli_non_finite_charge_is_a_usage_error(tmp_path, capsys):
+    from actionlab import build_torus_grid, sample_lagrangian
+    from actionlab import serialize
+
+    grid = build_torus_grid(1, 4, 1, 1.0)
+    gpath, lpath, cpath = (tmp_path / n for n in ("grid.json", "lag.csv", "cur.csv"))
+    serialize.write_json(gpath, serialize.grid_to_json(grid))
+    serialize.write_lagrangian_csv(lpath, sample_lagrangian(grid, lambda x, v: abs(v)))
+    oracles._loop_write_csv(cpath, ["node", "charge"], [[0, "nan"], [2, 1.0], [3, -1.0]])
+    argv = ["solve", "--grid", str(gpath), "--lagrangian", str(lpath), "--current", str(cpath)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert "error: charge nan on node 0 is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "certify"])
 def test_cli_grid_without_a_key_is_a_usage_error(tmp_path, capsys, command):
     from actionlab import DiscreteMeasure, build_torus_grid, sample_lagrangian
@@ -355,6 +369,20 @@ def test_cli_control_roundtrip(tmp_path, capsys):
 def test_cli_control_rejects_out_of_range_input(tmp_path, capsys, bad, message):
     assert main(_control_bundle(tmp_path, **bad)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(2, "nan")], "initial mass at state 2 is nan, not finite"),
+        ([(0, 0.5), (1, "inf")], "initial mass at state 1 is inf, not finite"),
+    ],
+    ids=["nan", "inf"],
+)
+def test_cli_control_non_finite_initial_mass_is_a_usage_error(tmp_path, capsys, rows, message):
+    assert main(_control_bundle(tmp_path, init_rows=rows)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["dt", "costs_csv"])
