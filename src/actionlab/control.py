@@ -5,9 +5,12 @@ another grid node: dynamics values f(x, a) must satisfy f*dt = (integer)*dx per
 axis.  Two independent solvers are provided and cross-checked:
 
 * backward dynamic programming for the value function (cost to go), and
-* a min-cost flow over the time-layered graph for the relaxed measure LP,
-  whose node potentials produce the certificate (u, c0, w) with
+* the relaxed measure LP, a min-cost flow over the time-layered graph solved
+  by forward label-setting sweeps from the initial atoms, whose node
+  potentials produce the certificate (u, c0, w) with
   ell = c0 + du o (f, 1) + w  on every arc, w >= 0, and w = 0 on the support.
+  With several atoms the potentials are an exact dual built from one sweep
+  per atom (see ``solve_relaxed_lp``).
 
 The value table ``v(x, t)`` is indexed by the duration t left to run: v(x, t)
 is the optimal cost of the final t-worth of the horizon started at x, so
@@ -16,7 +19,7 @@ under which the one-step dynamic programming recursion closes and the
 Hamilton-Jacobi-Bellman residual v_t + H(x, t, v_x) vanishes up to grid
 truncation.
 
-Backward DP layers are sequential; within a layer states are independent.  The
+DP and LP layers are sequential; within a layer states are independent.  The
 LP and all checks are pure functions.
 """
 
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
 from .grid import _integral, callback_points, lattice_index, lattice_points, sample_callback
 from .network import OPTIMAL
 
@@ -61,9 +63,11 @@ class ControlProblem:
     only the cheapest representative per (s, j), mirroring the reduction of a
     control cost to a velocity-indexed Lagrangian.
 
-    Checked at every construction, ``dataclasses.replace`` included: ``ell``
-    is finite, no active arc leaves the box, and every (state, time node)
-    keeps an active arc, so the DP value is finite and the layered LP optimal.
+    Checked at every construction, ``dataclasses.replace`` included: the
+    tables have the shapes above, every ``move`` is an integer in [-1, S),
+    ``ell`` is finite, no active arc leaves the box, and every (state, time
+    node) keeps an active arc, so the DP value is finite and the layered LP
+    optimal.
     """
 
     state_dim: int
@@ -80,6 +84,23 @@ class ControlProblem:
     duplicate_collapses: tuple = ()
 
     def __post_init__(self):
+        S, A, N = self.num_states, len(self.controls), self.state_dim
+        shape = np.shape(self.ell)
+        if len(shape) != 3 or shape[::2] != (S, A):
+            raise ValueError(f"ell has shape {shape}, expected ({S}, T, {A})")
+        for name, want in (("move", (S, A)), ("steps", (S, A, N)), ("active", shape)):
+            have = np.shape(getattr(self, name))
+            if have != want:
+                raise ValueError(f"{name} has shape {have}, expected {want}")
+        if not np.issubdtype(self.move.dtype, np.integer):
+            raise ValueError(f"move has dtype {self.move.dtype}, expected integers")
+        outside = np.argwhere((self.move < -1) | (self.move >= S))
+        if len(outside):
+            s, a = outside[0]
+            raise ValueError(
+                f"move at state {s}, control {self.controls[a]!r} is {self.move[s, a]}, "
+                f"outside [-1, {S})"
+            )
         for bad, what in (
             (~np.isfinite(self.ell), "running cost non-finite"),
             (self.active & (self.move < 0)[:, None, :], "active arc leaves the box"),
@@ -290,19 +311,42 @@ def solve_value_function(p: ControlProblem) -> ValueFunction:
     return ValueFunction(problem=p, v=v, argmin_control=argmin)
 
 
-def _layered_arcs(p: ControlProblem):
-    """Arcs of the time-layered graph in (j, s, a) order, then one sink arc per state.
+def _in_arcs(move: np.ndarray) -> np.ndarray:
+    """(S, K) table of the flat ids s*A + a of the admissible arcs into each
+    state, ascending, padded with S*A; K is the largest in-degree."""
+    S, A = move.shape
+    ids = np.flatnonzero(move >= 0)
+    heads = move.ravel()[ids]
+    order = np.argsort(heads, kind="stable")
+    count = np.bincount(heads, minlength=S)
+    rank = np.arange(len(ids)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full((S, count.max()), S * A)
+    table[heads[order], rank] = ids[order]
+    return table
 
-    Returns (tails, heads, costs, (s, j, a), sink); the index arrays cover the
-    non-sink arcs, which come first.
+
+def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray, floor: float = np.inf):
+    """Forward label setting through the time layers.
+
+    label[0] = start and label[j+1, h] = min(floor, min over the arcs (s, a)
+    into h of label[j, s] + costs[s, j, a]): one (S, K) gather and argmin per
+    layer.  Returns the (T+1, S) labels and, per layer, the (T, S) flat id
+    s*A + a of the arc each state's label came through, the lowest of equal
+    ones.
     """
-    S, T, A = p.ell.shape
-    j, s, a = np.nonzero(p.active.transpose(1, 0, 2))
-    sink = S * (T + 1)
-    tails = np.concatenate([j * S + s, T * S + np.arange(S)])
-    heads = np.concatenate([(j + 1) * S + p.move[s, a], np.full(S, sink)])
-    costs = np.concatenate([p.time_step * p.ell[s, j, a], np.zeros(S)])
-    return tails, heads, costs, (s, j, a), sink
+    S, T, A = costs.shape
+    labels = np.empty((T + 1, S))
+    labels[0] = start
+    pred = np.empty((T, S), dtype=int)
+    reach = np.empty(S * A + 1)  # the label through every arc, then +inf at S*A
+    reach[-1] = np.inf
+    row_start = np.arange(0, in_arcs.size, in_arcs.shape[1])
+    for j in range(T):
+        np.add(labels[j][:, None], costs[:, j], out=reach[:-1].reshape(S, A))
+        best = reach.take(in_arcs).argmin(axis=1) + row_start
+        in_arcs.take(best, out=pred[j])
+        np.minimum(reach.take(pred[j]), floor, out=labels[j + 1])
+    return labels, pred
 
 
 @dataclass
@@ -313,6 +357,7 @@ class RelaxedSolution:
     flow: np.ndarray  # (S, T, A)
     node_potentials: np.ndarray  # layered nodes, (S*(T+1) + 1,)
     initial: np.ndarray  # (S,)
+    paths: np.ndarray  # (atoms, T+1) states of each atom's path, atoms ascending
 
 
 def _initial_distribution(initial, S: int) -> np.ndarray:
@@ -342,24 +387,83 @@ def _initial_distribution(initial, S: int) -> np.ndarray:
 
 
 def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
-    """Min-cost flow through the time-layered graph.
+    """Min-cost flow through the time-layered graph, by forward label setting.
 
     ``initial`` is the supplied state distribution at t = 0 (array or dict);
     the final distribution is free (all mass drains into a sink).  The value
     equals the initial-weighted full-horizon DP value; the measure weighting
     is flow * dt so that sum(mu * ell) is the LP objective.
+
+    Every arc goes from time node j to j + 1, so shortest paths are set one
+    time layer at a time ("reaching", Ahuja, Magnanti & Orlin, Network Flows,
+    1993, sec. 4.4):
+
+    * pot0, the smallest walk cost into each node from a source that reaches
+      every node at 0, makes rc = max(dt*ell + pot0(tail) - pot0(head), 0)
+      nonnegative; the sink's is p_sink = min(0, min pot0(T, .)).
+    * Atom i is swept alone on rc from 0 (d_i).  Its path ends at the final
+      state f of least last_i = d_i(T, f) + max(pot0(T, f) - p_sink, 0) and
+      runs back through the arcs the sweep came by (ties: the lowest f, and
+      the lowest s*A + a); the atom's whole mass takes it.
+    * With L = max last_i and D = min over i of d_i + L - last_i (one more
+      sweep, from every atom at L - last_i), the potentials are
+      pot0 + min(D, L) and the sink's p_sink + L.
+
+    With one atom this is the one phase of successive shortest paths: the
+    potentials, flow and value are ``network.min_cost_flow``'s on the
+    layered arcs, bit for bit.  With several it is another exact dual:
+    min(D, L) rises by at most rc along an arc, so reduced costs stay
+    nonnegative; no atom's shifted labels undercut another's path, or that
+    atom would reach the sink through it for less than its own last; and
+    sink arcs hold since pot0(T, .) >= p_sink.  So every path arc is tight.
+
+    The LP runs forward from the atoms and ``solve_value_function`` backward
+    from the horizon, sharing no computation, so ``lp_dp_gap`` compares two
+    independent solvers.  Memory is one (S, T, A) table, the costs made
+    reduced costs in place, one sweep's tables and the (atoms, T+1) paths.
     """
     S, T, A = p.ell.shape
     init = _initial_distribution(initial, S)
-    tails, heads, costs, arcs, sink = _layered_arcs(p)
-    b = np.zeros(sink + 1)
-    b[:S] = -init
-    b[sink] = init.sum()
+    atoms = np.flatnonzero(init > 0)
+    in_arcs = _in_arcs(p.move)
+    costs = p.time_step * p.ell
+    costs[~p.active] = np.inf
 
-    result = network.min_cost_flow(sink + 1, tails, heads, costs, b)
-    arc_flow = result.flow[: len(arcs[0])]
+    pot0 = _sweep(np.zeros(S), costs, in_arcs, floor=0.0)[0]
+    pot_sink = min(0.0, float(pot0[T].min()))
+    targets = np.where(p.move >= 0, p.move, 0)
+    reduced = costs  # reduced in place, layer by layer: no second (S, T, A) table
+    for j in range(T):
+        layer = reduced[:, j]
+        layer += pot0[j, :, None]
+        layer -= pot0[j + 1].take(targets)
+        np.maximum(layer, 0.0, out=layer)
+    reduced_sink = np.maximum(pot0[T] - pot_sink, 0.0)
+
+    paths = np.empty((len(atoms), T + 1), dtype=int)
+    controls = np.empty((len(atoms), T), dtype=int)
+    last = np.empty(len(atoms))
+    for i, atom in enumerate(atoms.tolist()):
+        start = np.full(S, np.inf)
+        start[atom] = 0.0
+        dist, pred = _sweep(start, reduced, in_arcs)
+        arrival = dist[T] + reduced_sink
+        paths[i, T] = arrival.argmin()
+        last[i] = arrival[paths[i, T]]
+        for j in range(T - 1, -1, -1):
+            paths[i, j], controls[i, j] = divmod(int(pred[j, paths[i, j + 1]]), A)
+    top = float(last.max())
+    if len(atoms) > 1:  # with one atom, top - last = 0 and this is its own sweep
+        start = np.full(S, np.inf)
+        start[atoms] = top - last
+        dist = _sweep(start, reduced, in_arcs)[0]
+    potentials = np.append(pot0 + np.minimum(dist, top), pot_sink + top)
+
+    # each path arc as one (j, s, a) flat id, so the ids ascend in arc order
+    ids, arc = np.unique((np.arange(T) * S + paths[:, :-1]) * A + controls, return_inverse=True)
+    arc_flow = np.bincount(arc.ravel(), np.repeat(init[atoms], T), minlength=len(ids))
     keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
-    s, j, a = (x[keep] for x in arcs)
+    j, s, a = np.unravel_index(ids[keep], (T, S, A))
     flow = np.zeros((S, T, A))
     flow[s, j, a] = arc_flow[keep]
     measure = flow * p.time_step
@@ -380,10 +484,11 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     return RelaxedSolution(
         measure=measure,
         value=value,
-        status=result.status,
+        status=OPTIMAL,
         flow=flow,
-        node_potentials=result.potentials,
+        node_potentials=potentials,
         initial=init,
+        paths=paths,
     )
 
 
@@ -419,7 +524,7 @@ def _reachable_mask(p: ControlProblem, supplied: np.ndarray) -> np.ndarray:
 
 
 def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlCertificate:
-    """Certificate from the layered-graph flow potentials.
+    """Certificate from the relaxed LP's node potentials.
 
     Potentials are shifted affinely in time, at the constant rate c0, so that
     u vanishes at the supplied initial state of largest potential and at the
@@ -437,7 +542,7 @@ def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlC
     c0 = (pot[S * (T + 1)] - beta) / p.horizon
     reachable = _reachable_mask(p, supplied)
     u = pot[: S * (T + 1)].reshape(T + 1, S).T - c0 * (np.arange(T + 1) * dt) - beta
-    # off the reachable set the flow potentials are arbitrary; zero them so the
+    # off the reachable set the LP potentials are arbitrary; zero them so the
     # exported potential is determined by the problem alone
     u[~reachable] = 0.0
     u[:, T] = 0.0
@@ -518,45 +623,14 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
 
 
 def extract_optimal_trajectories(p: ControlProblem, lp_solution: RelaxedSolution):
-    """Peel the layered flow into weighted trajectories from t = 0.
-
-    Deterministic: sources by ascending state index, arcs by ascending control
-    index.  Returns a list of (state tuple of length T+1, mass).
-    """
-    S, T, A = p.ell.shape
-    remaining = lp_solution.flow.copy()
-    init = lp_solution.initial.copy()
-    tol = 1e-12 * max(1.0, float(init.sum()))
-    out = []
-    guard = 10 * (int(np.count_nonzero(remaining)) + S + 1)
-    for _ in range(guard):
-        sources = np.flatnonzero(init > tol)
-        if len(sources) == 0:
-            break
-        s0 = int(sources[0])
-        states = [s0]
-        controls = []
-        for j in range(T):
-            choices = np.flatnonzero(remaining[states[-1], j] > tol)
-            if len(choices) == 0:
-                break
-            controls.append(int(choices[0]))
-            states.append(int(p.move[states[-1], controls[-1]]))
-        if len(controls) < T:
-            init[s0] = 0.0  # roundoff leftovers
-            continue
-        path = (states[:-1], list(range(T)), controls)
-        amount = min(init[s0], remaining[path].min())
-        remaining[path] -= amount
-        init[s0] -= amount
-        out.append((tuple(states), float(amount)))
-    else:
-        raise RuntimeError(
-            f"trajectory extraction did not finish in {guard} passes for S={S}, T={T}, A={A} "
-            f"with ell in [{float(p.ell.min())!r}, {float(p.ell.max())!r}], "
-            f"mass tolerance {tol!r}; solver bug"
-        )
-    return out
+    """Each initial atom's path through the layers and its mass, atoms by
+    ascending state: a list of (state tuple of length T+1, mass).  The paths
+    are the ones ``solve_relaxed_lp`` walked; its flow is their sum."""
+    atoms = np.flatnonzero(lp_solution.initial > 0)
+    return [
+        (tuple(path), mass)
+        for path, mass in zip(lp_solution.paths.tolist(), lp_solution.initial[atoms].tolist())
+    ]
 
 
 def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) -> float:

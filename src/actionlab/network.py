@@ -2,13 +2,12 @@
 
 Graphs are given as parallel arrays (tails, heads, costs), or as (V, M) head
 and cost tables for the minimum mean cycle; parallel edges and self-loops are
-allowed.  These routines back both the phase-space LP solvers
-and the time-layered optimal-control LP; all desk-scale sizes, exact
-combinatorial algorithms instead of general-purpose LP: Tarjan's strongly
-connected components, Howard's policy iteration for the minimum mean cycle,
-Bellman-Ford and Dijkstra for potentials, and the uncapacitated min-cost flow
-by successive shortest paths, run in phases that augment every deficit node
-one multi-source Dijkstra settles.
+allowed.  These routines back the phase-space LP solvers; all desk-scale
+sizes, exact combinatorial algorithms instead of general-purpose LP: Tarjan's
+strongly connected components, Howard's policy iteration for the minimum mean
+cycle, Bellman-Ford and Dijkstra for potentials, and the uncapacitated
+min-cost flow by successive shortest paths, run in phases that augment every
+deficit node one multi-source Dijkstra settles.
 """
 
 from __future__ import annotations

@@ -451,6 +451,38 @@ def loop_u_v_residual(cert, trajectory):
     return worst
 
 
+def flow_relaxed_lp(p, init):
+    """The relaxed control LP as a generic min-cost flow: (flow, potentials, value).
+
+    The layered graph as flat arcs in (j, s, a) order, node j*S + s for
+    state s at time node j, then one zero-cost arc from every final node
+    into a sink that demands the whole initial mass ``init`` (S,), solved
+    by ``network.min_cost_flow``.  ``flow`` is (S, T, A) with arc flows at or
+    below 1e-12 * max(1, mass) dropped, ``potentials`` the flow's node
+    potentials (the sink last) and ``value`` sum(flow * dt * ell), summed in
+    arc order.
+    """
+    from actionlab import network
+
+    S, T, A = p.ell.shape
+    j, s, a = np.nonzero(p.active.transpose(1, 0, 2))
+    sink = S * (T + 1)
+    tails = np.concatenate([j * S + s, T * S + np.arange(S)])
+    heads = np.concatenate([(j + 1) * S + p.move[s, a], np.full(S, sink)])
+    costs = np.concatenate([p.time_step * p.ell[s, j, a], np.zeros(S)])
+    b = np.zeros(sink + 1)
+    b[:S] = -init
+    b[sink] = init.sum()
+    result = network.min_cost_flow(sink + 1, tails, heads, costs, b)
+    assert result.status == network.OPTIMAL, result.status
+    arc_flow = result.flow[: len(s)]
+    keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
+    flow = np.zeros((S, T, A))
+    flow[s[keep], j[keep], a[keep]] = arc_flow[keep]
+    value = sum((p.time_step * arc_flow[keep] * p.ell[s[keep], j[keep], a[keep]]).tolist())
+    return flow, result.potentials, float(value)
+
+
 def _loop_clean(obj):
     """JSON-encodable copy; non-finite floats become None."""
     if isinstance(obj, dict):

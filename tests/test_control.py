@@ -19,6 +19,7 @@ from actionlab.control import _collapse_duplicates
 
 from oracles import (
     enumerate_control_cost,
+    flow_relaxed_lp,
     loop_collapse_duplicates,
     loop_hjb_residual,
     loop_maximum_principle,
@@ -117,6 +118,24 @@ def random_problem(rng, max_states=9, max_controls=3, max_steps=5):
     )
 
 
+def legendre_problem(refine, gamma=0.05):
+    # x^2 + gamma a^2 on [-1/2, 1/2] with controls -1, 0, 1 at unit speed,
+    # dt = dx = 1 / (8 refine), horizon 1/2, as the legendre_control scenario
+    per_half = 4 * refine
+    dx = 0.5 / per_half
+    return make_control_problem(
+        state_dim=1,
+        nodes_per_axis=2 * per_half + 1,
+        origin=[-0.5],
+        spacing=dx,
+        controls=(-1, 0, 1),
+        dynamics=lambda x, a: float(a),
+        running_cost=lambda x, t, a: x * x + gamma * a * a,
+        horizon=0.5,
+        time_step=dx,
+    )
+
+
 def test_constant_cost_value_is_linear_in_time():
     k = 2.0
     p = constant_cost_problem(k=k)
@@ -188,8 +207,11 @@ def test_problem_without_an_arc_is_rejected_at_construction():
         ("ell", (1, 1, 0), np.nan, "running cost non-finite at state 1, t index 1, control -1"),
         ("move", (1, 0), -1, "active arc leaves the box at state 1, t index 0, control -1"),
         ("active", (0, 1), False, "state 0 has no admissible control at t index 1"),
+        ("move", (1, 0), 7, "move at state 1, control -1 is 7, outside [-1, 3)"),
+        ("move", (2, 1), -2, "move at state 2, control 1 is -2, outside [-1, 3)"),
     ],
-    ids=["non_finite_cost", "inadmissible_arc", "stuck_time_node"],
+    ids=["non_finite_cost", "inadmissible_arc", "stuck_time_node", "target_past_the_box",
+         "target_below_minus_one"],
 )
 def test_control_problem_checks_its_invariant_on_replace(name, index, value, message):
     import dataclasses
@@ -199,6 +221,27 @@ def test_control_problem_checks_its_invariant_on_replace(name, index, value, mes
     table[index] = value
     with pytest.raises(ValueError) as err:
         dataclasses.replace(p, **{name: table})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("move", lambda p: p.move.astype(float), "move has dtype float64, expected integers"),
+        ("active", lambda p: p.active[:, :1], "active has shape (3, 1, 2), expected (3, 2, 2)"),
+        ("ell", lambda p: p.ell[:, :, :1], "ell has shape (3, 2, 1), expected (3, T, 2)"),
+        ("move", lambda p: p.move[:, :1], "move has shape (3, 1), expected (3, 2)"),
+        ("steps", lambda p: p.steps[..., None], "steps has shape (3, 2, 1, 1), expected (3, 2, 1)"),
+    ],
+    ids=["float_targets", "one_time_node_of_two", "ell_one_control", "move_one_control",
+         "steps_extra_axis"],
+)
+def test_control_problem_checks_its_tables_on_replace(name, change, message):
+    import dataclasses
+
+    p = three_state_problem()
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(p, **{name: change(p)})
     assert str(err.value) == message
 
 
@@ -379,26 +422,8 @@ def test_hjb_residual_time_dependent_cost_truncation():
 
 def test_hjb_residual_shrinks_under_refinement():
     # quadratic cost, interior start; halving dx and dt at fixed horizon
-    def build(refine):
-        per_half = 4 * refine
-        n = 2 * per_half + 1
-        dx = 0.5 / per_half
-        steps = 4 * refine
-        dt = 0.5 / steps
-        return make_control_problem(
-            state_dim=1,
-            nodes_per_axis=n,
-            origin=[-0.5],
-            spacing=dx,
-            controls=(-1, 0, 1),
-            dynamics=lambda x, a: a * dx / dt,
-            running_cost=lambda x, t, a: x * x + 0.05 * a * a,
-            horizon=0.5,
-            time_step=dt,
-        )
-
-    coarse = build(1)
-    fine = build(2)
+    coarse = legendre_problem(1)
+    fine = legendre_problem(2)
     r1 = hjb_residual(solve_value_function(coarse), coarse)
     r2 = hjb_residual(solve_value_function(fine), fine)
     assert r1 / r2 >= 1.5
@@ -596,6 +621,68 @@ def test_random_suite_dp_equals_lp_and_checks_hold():
         assert off_min >= -1e-9
         for states, _m in extract_optimal_trajectories(p, lp):
             assert check_u_v_relation(cert, vf, states) <= 1e-8
+
+
+def seeded_lp_problems(rng, count):
+    # in turn: random_problem (costs in [-1, 1]), box_problem_2d and a 1-D
+    # Legendre problem
+    for i in range(count):
+        if i % 3 == 0:
+            yield random_problem(rng, max_states=12, max_controls=4, max_steps=6)
+        elif i % 3 == 1:
+            yield box_problem_2d(rng, half=int(rng.integers(1, 5)), steps=int(rng.integers(1, 5)))
+        else:
+            yield legendre_problem(int(rng.integers(1, 4)), gamma=float(rng.uniform(0.02, 0.1)))
+
+
+def test_sweep_from_one_atom_equals_the_flow_oracle_bit_for_bit():
+    rng = np.random.default_rng(113)
+    for p in seeded_lp_problems(rng, 30):
+        for atom in rng.choice(p.num_states, size=min(3, p.num_states), replace=False):
+            init = np.zeros(p.num_states)
+            init[atom] = rng.uniform(0.5, 1.5)
+            lp = solve_relaxed_lp(p, init)
+            flow, potentials, value = flow_relaxed_lp(p, init)
+            assert np.array_equal(lp.node_potentials, potentials)
+            assert np.array_equal(lp.flow, flow)
+            assert lp.value == value
+            path = tuple(lp.paths[0].tolist())
+            assert extract_optimal_trajectories(p, lp) == [(path, init[atom])]
+
+
+def test_sweep_from_several_atoms_is_optimal_and_certified():
+    # a few atoms, then a mass on every state: the dual is no longer the
+    # flow's, but the value is the oracle's and the DP's, and the checks hold
+    rng = np.random.default_rng(127)
+    for p in seeded_lp_problems(rng, 30):
+        S = p.num_states
+        k = int(rng.integers(2, min(5, S) + 1))
+        some = np.zeros(S)
+        some[rng.choice(S, size=k, replace=False)] = rng.uniform(0.5, 1.5, k)
+        for init in (some, rng.uniform(0.5, 1.5, S)):
+            result = run_control(p, init)
+            _flow, _potentials, value = flow_relaxed_lp(p, init)
+            bound = 1e-9 * init.sum() * p.horizon
+            assert abs(result.lp.value - value) <= bound
+            assert abs(result.lp.value - result.dp_total) <= bound
+            assert all(result.criteria(1e-8).values()), result.criteria(1e-8)
+            atoms = np.flatnonzero(init)
+            assert [states[0] for states, _m in result.trajectories] == atoms.tolist()
+            assert [m for _states, m in result.trajectories] == init[atoms].tolist()
+
+
+def test_solve_relaxed_lp_memory_does_not_grow_with_the_atoms():
+    # a mass on each of the S states; one (T+1, S) label table kept per atom
+    # would alone be S / (8 A), here 4, times the bound
+    p = box_problem_2d(np.random.default_rng(131), half=8, steps=8)
+    S, T, A = p.ell.shape
+    tracemalloc.start()
+    try:
+        solve_relaxed_lp(p, np.ones(S))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * S * T * A * 8
 
 
 def box_problem_2d(rng, half=3, steps=3):
