@@ -58,16 +58,18 @@ class ControlProblem:
     ``move[s, a]`` is the target state index after one step (or -1 when the
     step would leave the box, in which case the control is inadmissible at s).
     ``ell[s, j, a]`` is the running cost on the arc leaving state s at time
-    node j under control a.  ``active`` marks admissible arcs that survived
-    the duplicate-dynamics collapse: controls with identical (x, f(x, a)) keep
-    only the cheapest representative per (s, j), mirroring the reduction of a
-    control cost to a velocity-indexed Lagrangian.
+    node j under control a.  They are the only arc data: ``steps``,
+    ``active`` and ``duplicate_collapses`` are derived from them.  ``active``
+    marks admissible arcs that survived the duplicate-dynamics collapse:
+    controls with identical (x, f(x, a)) keep only the cheapest representative
+    per (s, j), mirroring the reduction of a control cost to a velocity-indexed
+    Lagrangian.
 
     Checked at every construction, ``dataclasses.replace`` included: the
     tables have the shapes above, every ``move`` is an integer in [-1, S),
-    ``ell`` is finite, no active arc leaves the box, and every (state, time
-    node) keeps an active arc, so the DP value is finite and the layered LP
-    optimal.
+    ``ell`` is finite, ``horizon`` is ``ell.shape[1]`` steps of ``time_step``,
+    and every state has an admissible control, so the DP value is finite and
+    the layered LP optimal.
     """
 
     state_dim: int
@@ -76,22 +78,24 @@ class ControlProblem:
     spacing: float
     controls: tuple
     move: np.ndarray = field(repr=False, compare=False)  # (S, A)
-    steps: np.ndarray = field(repr=False, compare=False)  # (S, A, N)
     ell: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
     horizon: float
     time_step: float
-    active: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
-    duplicate_collapses: tuple = ()
+    active: np.ndarray = field(init=False, repr=False, compare=False)  # (S, T, A)
+    duplicate_collapses: tuple = field(init=False)
 
     def __post_init__(self):
-        S, A, N = self.num_states, len(self.controls), self.state_dim
+        steps = _num_steps(self.state_dim, self.nodes_per_axis, self.horizon, self.time_step)
+        S, A = self.num_states, len(self.controls)
         shape = np.shape(self.ell)
         if len(shape) != 3 or shape[::2] != (S, A):
             raise ValueError(f"ell has shape {shape}, expected ({S}, T, {A})")
-        for name, want in (("move", (S, A)), ("steps", (S, A, N)), ("active", shape)):
-            have = np.shape(getattr(self, name))
-            if have != want:
-                raise ValueError(f"{name} has shape {have}, expected {want}")
+        if shape[1] != steps:
+            raise ValueError(
+                f"horizon {self.horizon} is {steps} steps of {self.time_step}, ell has {shape[1]}"
+            )
+        if np.shape(self.move) != (S, A):
+            raise ValueError(f"move has shape {np.shape(self.move)}, expected ({S}, {A})")
         if not np.issubdtype(self.move.dtype, np.integer):
             raise ValueError(f"move has dtype {self.move.dtype}, expected integers")
         outside = np.argwhere((self.move < -1) | (self.move >= S))
@@ -101,16 +105,18 @@ class ControlProblem:
                 f"move at state {s}, control {self.controls[a]!r} is {self.move[s, a]}, "
                 f"outside [-1, {S})"
             )
-        for bad, what in (
-            (~np.isfinite(self.ell), "running cost non-finite"),
-            (self.active & (self.move < 0)[:, None, :], "active arc leaves the box"),
-        ):
-            if bad.any():
-                s, a, j = np.argwhere(bad.transpose(0, 2, 1))[0]
-                raise ValueError(f"{what} at state {s}, t index {j}, control {self.controls[a]!r}")
-        stuck = np.argwhere(~self.active.any(axis=2))
+        bad = np.argwhere(~np.isfinite(self.ell).transpose(0, 2, 1))
+        if len(bad):
+            s, a, j = bad[0]
+            raise ValueError(
+                f"running cost non-finite at state {s}, t index {j}, control {self.controls[a]!r}"
+            )
+        stuck = np.flatnonzero((self.move < 0).all(axis=1))
         if len(stuck):
-            raise ValueError("state {} has no admissible control at t index {}".format(*stuck[0]))
+            raise ValueError(f"state {stuck[0]} has no admissible control at t index 0")
+        active, collapses = _collapse_duplicates(self.move, self.ell)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "duplicate_collapses", collapses)
 
     @property
     def num_states(self) -> int:
@@ -124,6 +130,12 @@ class ControlProblem:
     def coords(self) -> np.ndarray:
         """(S, N) integer coordinates of every state; a state's index is their row-major rank."""
         return lattice_points(self.state_dim, self.nodes_per_axis)
+
+    @property
+    def steps(self) -> np.ndarray:
+        """(S, A, N) integer step of every control, zero where it is inadmissible."""
+        coords = self.coords
+        return np.where((self.move >= 0)[:, :, None], coords[self.move] - coords[:, None, :], 0)
 
 
 def make_control_problem(
@@ -161,13 +173,13 @@ def make_control_problem(
         )
     times = [j * time_step for j in range(num_steps)]
     return _control_problem(
+        steps,
+        True,
         state_dim=state_dim,
         nodes_per_axis=nodes_per_axis,
         origin=origin,
         spacing=float(spacing),
         controls=controls,
-        steps=steps,
-        given=np.ones(steps.shape[:2], dtype=bool),
         ell=_running_costs(running_cost, xs, times, controls),
         horizon=float(horizon),
         time_step=float(time_step),
@@ -228,8 +240,11 @@ def _num_steps(state_dim: int, nodes_per_axis: int, horizon: float, time_step: f
         raise ValueError(f"state dimension must be 1 or 2, got {state_dim}")
     if nodes_per_axis < 2:
         raise ValueError("need at least 2 state nodes per axis")
-    if not (time_step > 0 and horizon > 0):
-        raise ValueError("horizon and time step must be positive")
+    if not (0 < time_step < np.inf and 0 < horizon < np.inf):
+        raise ValueError(
+            "horizon and time step must be positive and finite, "
+            f"got horizon {horizon} and time step {time_step}"
+        )
     num_steps = int(round(horizon / time_step))
     if abs(num_steps * time_step - horizon) > 1e-9 * horizon or num_steps < 1:
         raise ValueError("horizon must be an integer number of time steps")
@@ -246,19 +261,14 @@ def _origin(origin, state_dim: int, source=None) -> np.ndarray:
     return origin
 
 
-def _control_problem(*, steps, given, **fields) -> ControlProblem:
-    """Derive the moves, collapse duplicate dynamics, build (and so check) the
-    problem.  A control is inadmissible at a state where its integer step
-    (``steps``, S x A x N) is not ``given`` (S x A) or leaves the box."""
+def _control_problem(steps, given, **fields) -> ControlProblem:
+    """The problem whose moves are the integer ``steps`` (S x A x N) from each
+    state, -1 where a step is not ``given`` (S x A, or True) or leaves the box."""
     n = fields["nodes_per_axis"]
     target = lattice_points(fields["state_dim"], n)[:, None, :] + steps
     admissible = given & ((0 <= target) & (target < n)).all(axis=2)
     move = np.where(admissible, lattice_index(target.transpose(2, 0, 1), n), -1)
-    steps = np.where(admissible[:, :, None], steps, 0)
-    active, collapses = _collapse_duplicates(move, fields["ell"])
-    return ControlProblem(
-        move=move, steps=steps, active=active, duplicate_collapses=collapses, **fields
-    )
+    return ControlProblem(move=move, **fields)
 
 
 def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
@@ -354,8 +364,8 @@ class RelaxedSolution:
     measure: np.ndarray  # (S, T, A) weights flow * dt, zero off the support
     value: float
     status: str
-    flow: np.ndarray  # (S, T, A)
-    node_potentials: np.ndarray  # layered nodes, (S*(T+1) + 1,)
+    potentials: np.ndarray  # (S, T+1) node potential of state s at time node j
+    sink_potential: float  # of the sink that every final node drains into
     initial: np.ndarray  # (S,)
     paths: np.ndarray  # (atoms, T+1) states of each atom's path, atoms ascending
 
@@ -457,16 +467,14 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
         start = np.full(S, np.inf)
         start[atoms] = top - last
         dist = _sweep(start, reduced, in_arcs)[0]
-    potentials = np.append(pot0 + np.minimum(dist, top), pot_sink + top)
 
     # each path arc as one (j, s, a) flat id, so the ids ascend in arc order
     ids, arc = np.unique((np.arange(T) * S + paths[:, :-1]) * A + controls, return_inverse=True)
     arc_flow = np.bincount(arc.ravel(), np.repeat(init[atoms], T), minlength=len(ids))
     keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
     j, s, a = np.unravel_index(ids[keep], (T, S, A))
-    flow = np.zeros((S, T, A))
-    flow[s, j, a] = arc_flow[keep]
-    measure = flow * p.time_step
+    measure = np.zeros((S, T, A))
+    measure[s, j, a] = arc_flow[keep] * p.time_step
     # a Python sum in arc order, so the value does not depend on numpy's summation
     value = float(sum((measure[s, j, a] * p.ell[s, j, a]).tolist()))
 
@@ -485,8 +493,8 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
         measure=measure,
         value=value,
         status=OPTIMAL,
-        flow=flow,
-        node_potentials=potentials,
+        potentials=(pot0 + np.minimum(dist, top)).T,
+        sink_potential=pot_sink + top,
         initial=init,
         paths=paths,
     )
@@ -533,15 +541,14 @@ def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlC
     """
     if lp_solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {lp_solution.status}")
-    S, T, A = p.ell.shape
-    dt = p.time_step
-    pot = lp_solution.node_potentials
+    T, dt = p.num_steps, p.time_step
+    pot = lp_solution.potentials
     supplied = np.flatnonzero(lp_solution.initial > 0)
 
-    beta = pot[supplied].max()
-    c0 = (pot[S * (T + 1)] - beta) / p.horizon
+    beta = pot[supplied, 0].max()
+    c0 = (lp_solution.sink_potential - beta) / p.horizon
     reachable = _reachable_mask(p, supplied)
-    u = pot[: S * (T + 1)].reshape(T + 1, S).T - c0 * (np.arange(T + 1) * dt) - beta
+    u = pot - c0 * (np.arange(T + 1) * dt) - beta
     # off the reachable set the LP potentials are arbitrary; zero them so the
     # exported potential is determined by the problem alone
     u[~reachable] = 0.0

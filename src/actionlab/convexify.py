@@ -178,7 +178,7 @@ def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure):
     Momentum and spread are NaN off the projected support.  The mean adds the
     rows in ascending offset order.
     """
-    if not env.grid.same_layout(mu.grid):
+    if env.grid != mu.grid:
         raise ValueError("envelope and measure live on different grids")
     n, d = env.grid.num_nodes, env.grid.dim
     nodes, offs = np.array(sorted(mu.weights), dtype=int).reshape(-1, 2).T

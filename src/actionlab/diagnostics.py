@@ -133,9 +133,9 @@ def full_report(
     """
     grid = table.grid
     for other in (solution.measure.grid, cert.grid, envelope.grid):
-        if not grid.same_layout(other):
+        if grid != other:
             raise ValueError("inputs live on different grids")
-    if current is not None and not grid.same_layout(current.grid):
+    if current is not None and grid != current.grid:
         raise ValueError("inputs live on different grids")
 
     mu = solution.measure

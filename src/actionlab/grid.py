@@ -122,14 +122,6 @@ class PhaseGrid:
             raise ValueError(f"offset {tuple(k.tolist())} outside stencil radius {K}")
         return int(lattice_index(k + K, 2 * K + 1))
 
-    def same_layout(self, other: "PhaseGrid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.nodes_per_dim == other.nodes_per_dim
-            and self.stencil_radius == other.stencil_radius
-            and self.time_step == other.time_step
-        )
-
 
 def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid:
     """Build the phase grid for the d-torus with n nodes per axis.
@@ -144,8 +136,8 @@ def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid
         raise ValueError(f"need at least 2 nodes per axis, got {n}")
     if stencil_radius < 1:
         raise ValueError(f"stencil radius must be >= 1, got {stencil_radius}")
-    if not (h > 0):
-        raise ValueError(f"time step must be positive, got {h}")
+    if not (0 < h < math.inf):
+        raise ValueError(f"time step must be positive and finite, got {h}")
 
     K = stencil_radius
     offsets = lattice_points(d, 2 * K + 1) - K

@@ -119,7 +119,7 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     the certificate's costs h*L, ride along as ``potential``.
     """
     grid = table.grid
-    if not grid.same_layout(current.grid):
+    if grid != current.grid:
         raise ValueError("Lagrangian table and current live on different grids")
     tails, heads = grid.edge_endpoints
     costs = table.values.ravel()

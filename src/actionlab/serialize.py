@@ -530,13 +530,13 @@ def read_control_problem(path) -> ControlProblem:
     if np.isnan(ell).any():
         raise ValueError("cost CSV does not cover every (state, time, control)")
     return _control_problem(
+        steps.reshape(S, A, s),
+        given.reshape(S, A),
         state_dim=s,
         nodes_per_axis=n,
         origin=origin,
         spacing=spacing,
         controls=controls,
-        steps=steps.reshape(S, A, s),
-        given=given.reshape(S, A),
         ell=ell.reshape(S, T, A),
         horizon=t0,
         time_step=dt,

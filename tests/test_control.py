@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -180,24 +181,16 @@ def test_dpp_monotone_in_cost():
     for _ in range(10):
         p1 = random_problem(rng)
         bump = rng.uniform(0.0, 1.0, size=p1.ell.shape)
-        import dataclasses
-
-        from actionlab.control import _collapse_duplicates
-
-        ell2 = p1.ell + bump
-        active2, col2 = _collapse_duplicates(p1.move, ell2)
-        p2 = dataclasses.replace(p1, ell=ell2, active=active2, duplicate_collapses=tuple(col2))
+        p2 = dataclasses.replace(p1, ell=p1.ell + bump)
         v1 = solve_value_function(p1).v
         v2 = solve_value_function(p2).v
         assert np.all(v1 <= v2 + 1e-12)
 
 
 def test_problem_without_an_arc_is_rejected_at_construction():
-    import dataclasses
-
     p = three_state_problem()
     with pytest.raises(ValueError) as err:
-        dataclasses.replace(p, active=np.zeros_like(p.active))  # no arc left to take
+        dataclasses.replace(p, move=np.full_like(p.move, -1))  # no arc left to take
     assert str(err.value) == "state 0 has no admissible control at t index 0"
 
 
@@ -205,17 +198,14 @@ def test_problem_without_an_arc_is_rejected_at_construction():
     "name, index, value, message",
     [
         ("ell", (1, 1, 0), np.nan, "running cost non-finite at state 1, t index 1, control -1"),
-        ("move", (1, 0), -1, "active arc leaves the box at state 1, t index 0, control -1"),
-        ("active", (0, 1), False, "state 0 has no admissible control at t index 1"),
+        # state 0 is the box's left edge, where control -1 already leaves it
+        ("move", (0, 1), -1, "state 0 has no admissible control at t index 0"),
         ("move", (1, 0), 7, "move at state 1, control -1 is 7, outside [-1, 3)"),
         ("move", (2, 1), -2, "move at state 2, control 1 is -2, outside [-1, 3)"),
     ],
-    ids=["non_finite_cost", "inadmissible_arc", "stuck_time_node", "target_past_the_box",
-         "target_below_minus_one"],
+    ids=["non_finite_cost", "stuck_state", "target_past_the_box", "target_below_minus_one"],
 )
 def test_control_problem_checks_its_invariant_on_replace(name, index, value, message):
-    import dataclasses
-
     p = three_state_problem()
     table = getattr(p, name).copy()
     table[index] = value
@@ -228,21 +218,115 @@ def test_control_problem_checks_its_invariant_on_replace(name, index, value, mes
     "name, change, message",
     [
         ("move", lambda p: p.move.astype(float), "move has dtype float64, expected integers"),
-        ("active", lambda p: p.active[:, :1], "active has shape (3, 1, 2), expected (3, 2, 2)"),
+        ("ell", lambda p: p.ell[:, :1], "horizon 0.5 is 2 steps of 0.25, ell has 1"),
         ("ell", lambda p: p.ell[:, :, :1], "ell has shape (3, 2, 1), expected (3, T, 2)"),
         ("move", lambda p: p.move[:, :1], "move has shape (3, 1), expected (3, 2)"),
-        ("steps", lambda p: p.steps[..., None], "steps has shape (3, 2, 1, 1), expected (3, 2, 1)"),
+        ("horizon", lambda p: 2 * p.horizon, "horizon 1.0 is 4 steps of 0.25, ell has 2"),
     ],
     ids=["float_targets", "one_time_node_of_two", "ell_one_control", "move_one_control",
-         "steps_extra_axis"],
+         "horizon_twice_the_steps"],
 )
 def test_control_problem_checks_its_tables_on_replace(name, change, message):
-    import dataclasses
-
     p = three_state_problem()
     with pytest.raises(ValueError) as err:
         dataclasses.replace(p, **{name: change(p)})
     assert str(err.value) == message
+
+
+def test_replacing_the_costs_collapses_duplicates_again():
+    # the collapse keeps the cheapest of the controls that share a target, so
+    # new costs pick new representatives
+    rng = np.random.default_rng(137)
+    for i in range(30):
+        if i % 3 == 0:
+            p = random_problem(rng, max_states=9, max_controls=4)
+        elif i % 3 == 1:
+            p = box_problem_2d(rng, half=int(rng.integers(1, 4)), steps=int(rng.integers(1, 4)))
+        else:
+            try:
+                p = box_exit_problem_2d(rng)
+            except ValueError:
+                continue
+        q = dataclasses.replace(p, ell=rng.integers(0, 3, size=p.ell.shape).astype(float))
+        active, collapses = loop_collapse_duplicates(q.move, q.ell)
+        assert np.array_equal(q.active, active)
+        assert list(q.duplicate_collapses) == collapses
+
+
+def test_replacing_the_costs_of_duplicate_dynamics_solves_the_new_problem():
+    # both controls stay put; swapping their costs makes "b" the one to keep
+    def build(cost):
+        return make_control_problem(
+            state_dim=1,
+            nodes_per_axis=3,
+            origin=[0.0],
+            spacing=1.0,
+            controls=("a", "b"),
+            dynamics=lambda x, a: 0.0,
+            running_cost=lambda x, t, a: cost[a],
+            horizon=2.0,
+            time_step=1.0,
+        )
+
+    p = build({"a": 1.0, "b": 5.0})
+    swapped = dataclasses.replace(p, ell=p.ell[:, :, ::-1].copy())
+    want = build({"a": 5.0, "b": 1.0})
+    assert np.array_equal(swapped.active, want.active) and not swapped.active[:, :, 0].any()
+    assert swapped.duplicate_collapses == want.duplicate_collapses
+    result = run_control(swapped, {1: 1.0})
+    assert result.lp.value == result.dp_total == 2.0
+    assert all(result.criteria(1e-12).values())
+
+
+def test_replacing_the_moves_gives_their_steps_and_hjb_residual():
+    # the same problem built from scratch with the steps the new moves make
+    # (a step to state S leaves the box) agrees table for table
+    rng = np.random.default_rng(139)
+    for _ in range(15):
+        p = random_problem(rng, max_states=9, max_controls=4)
+        S, A = p.move.shape
+        move = rng.integers(-1, S, size=(S, A))
+        move[:, 0] = np.arange(S)
+        q = dataclasses.replace(p, move=move)
+        jump = np.where(move >= 0, move, S) - np.arange(S)[:, None]
+        fresh = make_control_problem(
+            state_dim=1,
+            nodes_per_axis=S,
+            origin=[0.0],
+            spacing=p.spacing,
+            controls=p.controls,
+            dynamics=lambda x, a: jump[int(round(x)), a] * p.spacing / p.time_step,
+            running_cost=lambda x, t, a: p.ell[int(round(x)), int(round(t / p.time_step)), a],
+            horizon=p.horizon,
+            time_step=p.time_step,
+        )
+        assert np.array_equal(fresh.move, move)
+        want_steps = np.where(move >= 0, jump, 0)[:, :, None]
+        assert np.array_equal(q.steps, want_steps) and np.array_equal(fresh.steps, want_steps)
+        assert np.array_equal(q.active, fresh.active)
+        vq, vf = solve_value_function(q), solve_value_function(fresh)
+        assert np.array_equal(vq.v, vf.v)
+        assert hjb_residual(vq, q) == hjb_residual(vf, fresh) == loop_hjb_residual(vf, fresh)
+
+
+@pytest.mark.parametrize("horizon, time_step", [(np.inf, 0.25), (0.5, np.inf), (np.nan, 0.25)])
+def test_make_control_problem_rejects_a_non_finite_horizon_or_time_step(horizon, time_step):
+    with pytest.raises(ValueError) as err:
+        make_control_problem(
+            state_dim=1,
+            nodes_per_axis=3,
+            origin=[0.0],
+            spacing=1.0,
+            controls=(0,),
+            dynamics=lambda x, a: 0.0,
+            running_cost=lambda x, t, a: 1.0,
+            horizon=horizon,
+            time_step=time_step,
+        )
+    assert str(err.value) == (
+        "horizon and time step must be positive and finite, "
+        f"got horizon {horizon} and time step {time_step}"
+    )
 
 
 def test_lp_point_mass_matches_dp():
@@ -643,8 +727,11 @@ def test_sweep_from_one_atom_equals_the_flow_oracle_bit_for_bit():
             init[atom] = rng.uniform(0.5, 1.5)
             lp = solve_relaxed_lp(p, init)
             flow, potentials, value = flow_relaxed_lp(p, init)
-            assert np.array_equal(lp.node_potentials, potentials)
-            assert np.array_equal(lp.flow, flow)
+            # the flow's node j*S + s is (state s, time node j); the sink is last
+            layered = potentials[:-1].reshape(p.num_steps + 1, p.num_states).T
+            assert np.array_equal(lp.potentials, layered)
+            assert lp.sink_potential == potentials[-1]
+            assert np.array_equal(lp.measure, flow * p.time_step)
             assert lp.value == value
             path = tuple(lp.paths[0].tolist())
             assert extract_optimal_trajectories(p, lp) == [(path, init[atom])]

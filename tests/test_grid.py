@@ -43,6 +43,13 @@ def test_build_rejects_bad_arguments(d, n, k, h):
         build_torus_grid(d, n, k, h)
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0])
+def test_build_names_a_time_step_that_is_not_positive_and_finite(h):
+    with pytest.raises(ValueError) as err:
+        build_torus_grid(1, 4, 1, h)
+    assert str(err.value) == f"time step must be positive and finite, got {h}"
+
+
 def test_stencil_contains_zero_and_is_symmetric():
     for d in (1, 2):
         grid = build_torus_grid(d, 4, 2, 0.5)

@@ -260,6 +260,43 @@ def test_cli_grid_without_a_key_is_a_usage_error(tmp_path, capsys, command):
     assert f"error: {gpath}: missing key 'stencil_radius'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("current", [False, True], ids=["closed", "boundary"])
+def test_cli_grid_with_an_infinite_time_step_is_a_usage_error(tmp_path, capsys, current):
+    # "h": 1e400 reads as inf; it once solved as OPTIMAL (closed) or failed
+    # on a non-finite edge weight (boundary)
+    from actionlab import BoundaryCurrent, build_torus_grid, sample_lagrangian
+    from actionlab import serialize
+
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    gpath, lpath, cpath = tmp_path / "grid.json", tmp_path / "lag.csv", tmp_path / "cur.csv"
+    gpath.write_text(json.dumps({**serialize.grid_to_json(grid), "h": "H"}).replace('"H"', "1e400"))
+    serialize.write_lagrangian_csv(lpath, sample_lagrangian(grid, lambda x, v: 0.5 * v * v))
+    argv = ["solve", "--grid", str(gpath), "--lagrangian", str(lpath)]
+    if current:
+        serialize.write_current_csv(cpath, BoundaryCurrent(grid=grid, charges={1: -1.0, 2: 1.0}))
+        argv += ["--current", str(cpath)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert "error: time step must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["t0", "dt"])
+def test_cli_control_infinite_horizon_or_time_step_is_a_usage_error(tmp_path, capsys, key):
+    # "t0": 1e400 once died in an OverflowError (exit 1)
+    argv = _control_bundle(tmp_path)
+    path = tmp_path / "problem.json"
+    text = path.read_text()
+    value = {"t0": 0.5, "dt": 0.25}[key]
+    assert text.count(f'"{key}": {value}') == 1
+    path.write_text(text.replace(f'"{key}": {value}', f'"{key}": 1e400'))
+    assert main(argv) == 2
+    horizon, time_step = ("inf", 0.25) if key == "t0" else (0.5, "inf")
+    message = f"got horizon {horizon} and time step {time_step}"
+    assert f"error: horizon and time step must be positive and finite, {message}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "value, shown",
     [(None, "null"), ([1], "[1]"), ("abc", '"abc"'), (2.7, "2.7")],

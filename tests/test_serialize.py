@@ -30,7 +30,7 @@ def test_grid_json_roundtrip(tmp_path, d, n, k):
     path = tmp_path / "grid.json"
     serialize.write_json(path, serialize.grid_to_json(grid))
     back = serialize.grid_from_json(json.loads(path.read_text()))
-    assert back.same_layout(grid)
+    assert back == grid
 
 
 @pytest.mark.parametrize(
