@@ -66,10 +66,11 @@ class ControlProblem:
     Lagrangian.
 
     Checked at every construction, ``dataclasses.replace`` included: the
-    tables have the shapes above, every ``move`` is an integer in [-1, S),
-    ``ell`` is finite, ``horizon`` is ``ell.shape[1]`` steps of ``time_step``,
-    and every state has an admissible control, so the DP value is finite and
-    the layered LP optimal.
+    origin is finite and the spacing positive and finite, the tables have the
+    shapes above, every ``move`` is an integer in [-1, S), ``ell`` is finite,
+    ``horizon`` is ``ell.shape[1]`` steps of ``time_step``, and every state
+    has an admissible control, so the DP value is finite and the layered LP
+    optimal.
     """
 
     state_dim: int
@@ -86,6 +87,7 @@ class ControlProblem:
 
     def __post_init__(self):
         steps = _num_steps(self.state_dim, self.nodes_per_axis, self.horizon, self.time_step)
+        _box(self.origin, self.spacing, self.state_dim)
         S, A = self.num_states, len(self.controls)
         shape = np.shape(self.ell)
         if len(shape) != 3 or shape[::2] != (S, A):
@@ -158,7 +160,7 @@ def make_control_problem(
     control at all is rejected.
     """
     num_steps = _num_steps(state_dim, nodes_per_axis, horizon, time_step)
-    origin = _origin(origin, state_dim)
+    origin = _box(origin, spacing, state_dim)
     controls = tuple(controls)
     xs = callback_points(origin + lattice_points(state_dim, nodes_per_axis) * spacing)
 
@@ -251,13 +253,20 @@ def _num_steps(state_dim: int, nodes_per_axis: int, horizon: float, time_step: f
     return num_steps
 
 
-def _origin(origin, state_dim: int, source=None) -> np.ndarray:
+def _box(origin, spacing: float, state_dim: int, source=None) -> np.ndarray:
     """``origin`` as a (state_dim,) array, a bare number being one entry; a
-    ValueError names both lengths, and ``source``, the file read, if given."""
+    ValueError names a spacing that is not positive and finite, an origin of
+    another length or with a non-finite entry, and ``source``, the file read."""
+    def error(key, what):
+        return ValueError((key if source is None else f"{source}: key '{key}'") + " " + what)
+
+    if not 0 < spacing < np.inf:
+        raise error("spacing", f"must be positive and finite, got {spacing}")
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     if origin.shape != (state_dim,):
-        where = "origin" if source is None else f"{source}: key 'origin'"
-        raise ValueError(f"{where} has length {len(origin)}, expected state_dim = {state_dim}")
+        raise error("origin", f"has length {len(origin)}, expected state_dim = {state_dim}")
+    if not np.isfinite(origin).all():
+        raise error("origin", f"must be finite, got {origin.tolist()}")
     return origin
 
 
@@ -618,11 +627,9 @@ def hjb_residual(vf: ValueFunction, p: ControlProblem) -> float:
     # (last axis) from every path node, clipped to the box
     coords, unit = p.coords[s].T[:, :, None], np.eye(p.state_dim, dtype=int)[:, None, :]
     up, dn = np.minimum(coords + unit, n - 1), np.maximum(coords - unit, 0)
-    span = (up - dn).sum(axis=0) * dx
+    span = (up - dn).sum(axis=0) * dx  # positive: n >= 2 and dx > 0
     s_up, s_dn = lattice_index(up, n), lattice_index(dn, n)  # (K, N)
-    grad = np.divide(
-        v[s_up, td] - v[s_dn, td], span, out=np.zeros(span.shape), where=span > 0
-    )  # (K, N)
+    grad = (v[s_up, td] - v[s_dn, td]) / span  # (K, N)
 
     slope = (p.steps[s] * dx / dt * grad[:, None, :]).sum(axis=2)  # f(x, a).v_x, (K, A)
     ham = np.where(p.move[s] >= 0, -slope - p.ell[s, np.minimum(j, T - 1)], -np.inf).max(axis=1)

@@ -7,7 +7,7 @@ byte-stable across runs with identical inputs.
 A JSON file holds the bytes of ``json.dumps(sort_keys=True, indent=2)``
 plus a newline, written by one small recursive emitter (``_json``): numpy
 values are written as Python ones, a non-finite float as null, and a numeric
-ndarray has its fields formatted in one pass and then grouped into rows.
+ndarray has its fields formatted and then grouped into rows.
 
 CSV tables are written as text columns, byte for byte what ``csv.writer``
 writes.  A column is an array with one field per entry, or a lookup
@@ -15,6 +15,10 @@ writes.  A column is an array with one field per entry, or a lookup
 control names) are formatted once and then indexed, so only the values are
 formatted per row.  Each row is one ``",".join`` of its fields, and rows are
 written a block of ``_BLOCK_ROWS`` at a time, so memory stays flat.
+
+Each distinct value of a numeric CSV block or JSON array is formatted once
+(``_distinct``), floats told apart by their bits: a reversible Lagrangian
+repeats its values across a node's edges, and a flag column holds two.
 
 Every CSV input is read by ``_read_csv``: ``np.loadtxt`` parses the rows and
 array masks check them; only a bad file is reread with the ``csv`` module, to
@@ -43,7 +47,7 @@ from .grid import (
     lattice_index,
     lattice_points,
 )
-from .control import ControlProblem, _control_problem, _num_steps, _origin
+from .control import ControlProblem, _control_problem, _box, _num_steps
 
 __all__ = [
     "write_json",
@@ -112,15 +116,14 @@ def _json_block(brackets: str, fields: list[str], newline: str) -> str:
 
 def _json_array(a: np.ndarray, newline: str) -> str:
     """An ndarray as its nested JSON lists.  A numeric array's fields are
-    formatted in one pass over its flat values, then grouped into rows from
-    the innermost axis out; any other array goes through ``tolist``."""
+    formatted from its flat values, each distinct value once (see
+    ``_distinct``), then grouped into rows from the innermost axis out; any
+    other array goes through ``tolist``."""
     kind = a.dtype.kind
     if kind not in "biuf":
         return _json(a.tolist(), newline)
-    fields = list(map(("false", "true").__getitem__ if kind == "b" else repr, a.ravel().tolist()))
-    if kind == "f":
-        for i in np.flatnonzero(~np.isfinite(a)).tolist():
-            fields[i] = "null"
+    finite = lambda x: repr(x) if math.isfinite(x) else "null"
+    fields = _distinct(a.ravel(), {"b": ("false", "true").__getitem__, "f": finite}.get(kind, repr))
     for axis in reversed(range(a.ndim)):
         size, pad = a.shape[axis], newline + "  " * axis
         rows = range(math.prod(a.shape[:axis]))
@@ -145,15 +148,25 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"'
 
 
+def _distinct(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of each entry of a 1-D numeric array, called once per distinct
+    key: a float's bits, so -0.0 and 0.0 and NaN payloads stay apart, or an
+    int's or bool's value."""
+    kind = values.dtype.kind
+    keys = values.view(f"i{values.itemsize}") if kind == "f" else values
+    unique, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(list(map(fmt, unique.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _fields(values: np.ndarray) -> list[str]:
     """One CSV field per entry of a 1-D array: a float as its ``repr``, an
-    int or bool as ``str``, None as empty, any other value as its ``str``,
-    quoted as csv.writer quotes it."""
+    int or bool as ``str``, each distinct value formatted once (see
+    ``_distinct``); None as empty, any other value as its ``str``, quoted as
+    csv.writer quotes it."""
     kind = values.dtype.kind
-    if kind == "f":
-        return list(map(repr, values.tolist()))
-    if kind in "biu":
-        return list(map(str, values.tolist()))
+    if kind in "biuf":
+        return _distinct(values, repr if kind == "f" else str)
     return [
         "" if v is None else _quote(repr(v) if isinstance(v, float) else str(v))
         for v in values.tolist()
@@ -511,7 +524,7 @@ def read_control_problem(path) -> ControlProblem:
         json.loads(path.read_text()), kinds, path
     )
     S, T, A = n**s, _num_steps(s, n, t0, dt), len(controls)
-    origin = _origin(origin, s, path)
+    origin = _box(origin, spacing, s, path)
     states = _bounded(slice(0, s), n, "coordinate")
     control = _bounded(slice(s, s + 1), A, "control index")
 

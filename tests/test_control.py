@@ -233,6 +233,50 @@ def test_control_problem_checks_its_tables_on_replace(name, change, message):
     assert str(err.value) == message
 
 
+BAD_BOXES = [
+    ({"spacing": 0.0}, "spacing must be positive and finite, got 0.0"),
+    ({"spacing": -0.25}, "spacing must be positive and finite, got -0.25"),
+    ({"spacing": np.inf}, "spacing must be positive and finite, got inf"),
+    ({"spacing": np.nan}, "spacing must be positive and finite, got nan"),
+    ({"origin": np.array([np.inf])}, "origin must be finite, got [inf]"),
+]
+BAD_BOX_IDS = ["zero_spacing", "negative_spacing", "infinite_spacing", "nan_spacing",
+               "infinite_origin"]
+
+
+@pytest.mark.parametrize("changes, message", BAD_BOXES, ids=BAD_BOX_IDS)
+def test_control_problem_checks_its_box_on_replace(changes, message):
+    # a zero or negative spacing once solved with the HJB gradient term
+    # dropped, and an infinite one gave hjb_residual nan
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(three_state_problem(), **changes)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("changes, message", BAD_BOXES, ids=BAD_BOX_IDS)
+def test_make_control_problem_checks_its_box_before_sampling(changes, message):
+    def dynamics(x, a):
+        raise AssertionError("dynamics sampled on a bad box")
+
+    box = {"origin": [-0.5], "spacing": 0.5, **changes}
+    with pytest.raises(ValueError) as err:
+        make_control_problem(
+            state_dim=1, nodes_per_axis=3, controls=(-1, 1), dynamics=dynamics,
+            running_cost=lambda x, t, a: 0.0, horizon=0.5, time_step=0.25, **box,
+        )
+    assert str(err.value) == message
+
+
+def test_make_control_problem_names_a_non_finite_origin_entry():
+    with pytest.raises(ValueError) as err:
+        make_control_problem(
+            state_dim=2, nodes_per_axis=3, origin=[1e400, -1.0], spacing=0.5, controls=(0,),
+            dynamics=lambda x, a: np.zeros(2), running_cost=lambda x, t, a: 0.0,
+            horizon=1.0, time_step=1.0,
+        )
+    assert str(err.value) == "origin must be finite, got [inf, -1.0]"
+
+
 def test_replacing_the_costs_collapses_duplicates_again():
     # the collapse keeps the cheapest of the controls that share a target, so
     # new costs pick new representatives

@@ -458,6 +458,29 @@ def test_cli_control_origin_of_the_wrong_length_is_a_usage_error(tmp_path, capsy
     assert f"error: {tmp_path / 'problem.json'}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"spacing": 0.5', '"spacing": 1e400', "key 'spacing' must be positive and finite, got inf"),
+        ('"spacing": 0.5', '"spacing": 0', "key 'spacing' must be positive and finite, got 0.0"),
+        ('"spacing": 0.5', '"spacing": -0.5', "key 'spacing' must be positive and finite, got -0.5"),
+        ("-0.5", "1e400", "key 'origin' must be finite, got [inf]"),
+    ],
+    ids=["infinite_spacing", "zero_spacing", "negative_spacing", "infinite_origin"],
+)
+def test_cli_control_bad_box_is_a_usage_error(tmp_path, capsys, old, new, message):
+    # each once exited 0: an infinite spacing printed "hjb nan", and a zero or
+    # negative one solved with the HJB gradient term dropped
+    argv = _control_bundle(tmp_path)
+    path = tmp_path / "problem.json"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert main(argv) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_legendre_control_scenario_hjb_refines():
     r1 = run_scenario("legendre_control", {"refine": 1})
     r2 = run_scenario("legendre_control", {"refine": 2})

@@ -162,6 +162,44 @@ def test_json_writes_a_zero_d_non_finite_array_as_null(tmp_path):
     assert path.read_text() == '{\n  "a": null,\n  "b": null,\n  "c": 2.5\n}\n'
 
 
+# NaN with the sign bit set and NaN with a payload: bit patterns apart from
+# np.nan's that are written like it
+NANS = np.array([0xFFF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+
+
+def _repeated_arrays():
+    """Numeric arrays whose values repeat: -0.0 and 0.0 in both orders, NaNs of
+    three bit patterns, infinities, the smallest subnormal, a float32 array,
+    an all-equal array, two-valued bool and int arrays, and empty arrays."""
+    zeros = np.array([-0.0, 0.0, 0.5, 0.0, -0.0, 0.5, -0.0])
+    specials = np.array([np.nan, *NANS, np.inf, -np.inf, 5e-324, -0.0, 0.0, np.inf, 5e-324, -np.inf])
+    return [
+        zeros,
+        zeros[::-1].copy(),
+        np.concatenate([zeros, specials]).reshape(2, 3, 3),
+        np.array([0.1, -0.0, 0.1, 0.0, -0.0, 0.1], dtype=np.float32).reshape(3, 2),
+        np.full(5, 2.5),
+        np.arange(9) % 2 == 0,
+        np.resize([7, -(2**62)], 9).reshape(3, 3),
+        np.zeros(0),
+        np.zeros((2, 0), dtype=int),
+    ]
+
+
+def test_json_writer_formats_each_bit_pattern_as_json_module(tmp_path):
+    # each distinct value is formatted once; -0.0 and 0.0 are told apart by
+    # their bits, so an array holding both writes each as itself
+    arrays = _repeated_arrays()
+    for i, payload in enumerate([{"a": a} for a in arrays] + [{"all": arrays}]):
+        serialize.write_json(tmp_path / "emit.json", payload)
+        oracles.loop_write_json(tmp_path / "loop.json", payload)
+        assert (tmp_path / "emit.json").read_bytes() == (tmp_path / "loop.json").read_bytes(), i
+    serialize.write_json(tmp_path / "zeros.json", {"z": np.array([0.0, -0.0, 0.0])})
+    assert json.loads((tmp_path / "zeros.json").read_text(), parse_float=str) == {
+        "z": ["0.0", "-0.0", "0.0"]
+    }
+
+
 def test_json_writer_matches_json_module_on_artifact_payloads(tmp_path, monkeypatch):
     # every payload a measure run, a control run and a sweep write
     payloads = []
@@ -377,6 +415,34 @@ def test_measure_writers_match_loop_references(tmp_path, d, n, k):
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
+@pytest.mark.parametrize("d,n,k", [(1, 12, 1), (1, 9, 2), (2, 6, 1), (2, 5, 2)])
+def test_measure_result_of_a_reversible_table_matches_loop_references(tmp_path, d, n, k):
+    # L(x, v) = L(x, -v), as for 1/2 |v|^2 + U(x): a node's edges repeat their
+    # values, and U's signed zeros are the rest-edge values, so the slack
+    # holds -0.0 and 0.0 in one block
+    rng = np.random.default_rng([d, n, k, 23])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    kinetic = 0.5 * (grid.offsets**2).sum(axis=1) * rng.uniform(0.5, 2.0)
+    kinetic[grid.zero_offset_index] = -0.0  # U + -0.0 is U, its sign included
+    potential = rng.choice([0.0, -0.0, 0.25, 1.0], grid.num_nodes)
+    potential[:2] = [0.0, -0.0]
+    table = LagrangianTable(grid=grid, values=potential[:, None] + kinetic[None, :])
+    reverse = [grid.offset_index(-m) for m in grid.offsets]
+    assert np.array_equal(table.values, table.values[:, reverse])
+    result = run_measure(table)
+    rest = result.certificate.slack[:, grid.zero_offset_index]
+    assert len(set(np.signbit(rest[rest == 0]).tolist())) == 2
+    serialize.write_measure_result(tmp_path, result)
+    cert, env = result.certificate, result.envelope
+    oracles.loop_write_slack_csv(tmp_path / "loop_slack.csv", cert)
+    oracles.loop_write_envelope_csv(tmp_path / "loop_envelope.csv", table, env)
+    rows = oracles.loop_node_table(table, result.solution, cert, env)
+    oracles.loop_write_node_table_csv(tmp_path / "loop_node_table.csv", grid, rows)
+    for name in ("slack", "envelope", "node_table"):
+        loop = (tmp_path / f"loop_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == loop, name
+
+
 @pytest.mark.parametrize("d,n,k", [(1, 5, 1), (1, 6, 2), (2, 3, 1), (2, 4, 2)])
 def test_envelope_csv_rebuilds_every_envelope_array(tmp_path, d, n, k):
     # the file holds L_tilde and the endpoint flag; the slopes it dropped are
@@ -484,6 +550,44 @@ def test_write_csv_block_boundaries_match_csv_module(tmp_path, rows):
     ]
     _same_bytes_as_csv_module(tmp_path, ["p_i", "p_j", "v", "name", "flag"], columns)
     _same_bytes_as_csv_module(tmp_path, ["name"], [(names, np.arange(rows) % 4)])
+
+
+def _repeated_columns(rows):
+    """Columns of ``rows`` entries whose values repeat: signed zeros in both
+    orders with NaNs, infinities and a subnormal, a float32 column, an
+    all-equal column, and two-valued bool and int columns."""
+    pattern = [-0.0, 0.0, np.nan, 0.25, 0.0, NANS[0], -0.0, np.inf, NANS[1], -np.inf, 5e-324]
+    floats = np.resize(pattern, rows)
+    return [
+        floats,
+        np.resize([0.1, -0.0, 0.1, 0.0, 1e30], rows).astype(np.float32),
+        np.full(rows, -1.5),
+        np.arange(rows) % 3 == 0,
+        np.resize([0, 1, 1], rows),
+        (np.array([[0, 1], [-2, 3]]), np.arange(rows) % 2),
+        floats[::-1].copy(),
+    ]
+
+
+REPEATED_HEADER = ["f", "f32", "same", "flag", "int", "p_i", "p_j", "f_reversed"]
+
+
+@pytest.mark.parametrize("rows", [2, 11, B - 1, B, B + 1])
+def test_write_csv_formats_each_bit_pattern_as_csv_module(tmp_path, rows):
+    # each distinct value of a block is formatted once, a float keyed on its
+    # bits; with B - 1, B and B + 1 rows the repeats straddle a block boundary
+    _same_bytes_as_csv_module(tmp_path, REPEATED_HEADER, _repeated_columns(rows))
+    _same_bytes_as_csv_module(tmp_path, REPEATED_HEADER, _repeated_columns(0))
+
+
+def test_write_csv_keeps_signed_zeros_apart_within_and_across_blocks(tmp_path):
+    # the first block holds -0.0 and 0.0 in both orders, the second 0.0 alone
+    zeros = np.zeros(B + 3)
+    zeros[[1, 4, 5]] = -0.0
+    _same_bytes_as_csv_module(tmp_path, ["z"], [zeros])
+    fields = (tmp_path / "column.csv").read_bytes().decode().split("\r\n")[1:-1]
+    assert fields[:7] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "-0.0", "0.0"]
+    assert set(fields[B:]) == {"0.0"}
 
 
 # (d, n, k) grids whose edge tables fill exactly one block, one block and one
