@@ -7,6 +7,7 @@ checks pass, 1 a check missed its tolerance, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,7 +50,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _tolerance(args) -> float:
+    """``--tol``; a ValueError (exit 2) unless it is finite and nonnegative."""
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    return args.tol
+
+
 def _cmd_certify(args) -> int:
+    tol = _tolerance(args)
     grid, table, current = _load_problem(args)
     measure = serialize.read_measure_csv(grid, args.solution)
     value = float(sum(table.values[e] * w for e, w in measure.weights.items()))
@@ -68,10 +77,11 @@ def _cmd_certify(args) -> int:
         f"gap {report.duality_gap!r}  energy {report.hamiltonian_residual_max!r}  "
         f"boundary {report.boundary_residual_max!r}  mass {measure.mass!r}"
     )
-    return _exit_code(result.criteria(args.tol))
+    return _exit_code(result.criteria(tol))
 
 
 def _cmd_control(args) -> int:
+    tol = _tolerance(args)
     problem = serialize.read_control_problem(args.problem)
     init = serialize.read_initial_csv(
         problem.num_states, problem.state_dim, problem.nodes_per_axis, args.init
@@ -82,7 +92,7 @@ def _cmd_control(args) -> int:
         f"lp {result.lp.value!r}  dp {result.dp_total!r}  max-principle {result.max_principle!r}  "
         f"u/v {result.u_v_residual!r}  hjb {result.hjb_residual!r}"
     )
-    return _exit_code(result.criteria(args.tol))
+    return _exit_code(result.criteria(tol))
 
 
 def _exit_code(criteria: dict) -> int:
@@ -119,6 +129,8 @@ def _cmd_scenario(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _parse_params(args.param, args.config)
     n_list = [int(v) for v in args.n.split(",") if v]
+    if not n_list:
+        raise ValueError(f"--n names no refinement level, got {args.n!r}")
     report = refinement_sweep(
         args.name, n_list, params, outdir=args.outdir, label=_default_label(args)
     )

@@ -6,11 +6,11 @@ axis.  Two independent solvers are provided and cross-checked:
 
 * backward dynamic programming for the value function (cost to go), and
 * the relaxed measure LP, a min-cost flow over the time-layered graph solved
-  by forward label-setting sweeps from the initial atoms, whose node
-  potentials produce the certificate (u, c0, w) with
-  ell = c0 + du o (f, 1) + w  on every arc, w >= 0, and w = 0 on the support.
-  With several atoms the potentials are an exact dual built from one sweep
-  per atom (see ``solve_relaxed_lp``).
+  by one forward label-setting sweep per initial atom.
+
+The DP value function, shifted by c0, is the LP's dual and certifies its
+paths: ell = c0 + du o (f, 1) + w on every arc, w >= 0, and w = 0 on the
+support (see ``certify_control``).
 
 The value table ``v(x, t)`` is indexed by the duration t left to run: v(x, t)
 is the optimal cost of the final t-worth of the horizon started at x, so
@@ -344,14 +344,13 @@ def _in_arcs(move: np.ndarray) -> np.ndarray:
     return table
 
 
-def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray, floor: float = np.inf):
+def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray):
     """Forward label setting through the time layers.
 
-    label[0] = start and label[j+1, h] = min(floor, min over the arcs (s, a)
-    into h of label[j, s] + costs[s, j, a]): one (S, K) gather and argmin per
-    layer.  Returns the (T+1, S) labels and, per layer, the (T, S) flat id
-    s*A + a of the arc each state's label came through, the lowest of equal
-    ones.
+    label[0] = start and label[j+1, h] = min over the arcs (s, a) into h of
+    label[j, s] + costs[s, j, a]: one (S, K) gather and argmin per layer.
+    Returns the (T+1, S) labels and, per layer, the (T, S) flat id s*A + a of
+    the arc each state's label came through, the lowest of equal ones.
     """
     S, T, A = costs.shape
     labels = np.empty((T + 1, S))
@@ -364,17 +363,17 @@ def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray, floor: flo
         np.add(labels[j][:, None], costs[:, j], out=reach[:-1].reshape(S, A))
         best = reach.take(in_arcs).argmin(axis=1) + row_start
         in_arcs.take(best, out=pred[j])
-        np.minimum(reach.take(pred[j]), floor, out=labels[j + 1])
+        reach.take(pred[j], out=labels[j + 1])
     return labels, pred
 
 
 @dataclass
 class RelaxedSolution:
+    """The relaxed LP's primal; its dual is the DP value function."""
+
     measure: np.ndarray  # (S, T, A) weights flow * dt, zero off the support
     value: float
     status: str
-    potentials: np.ndarray  # (S, T+1) node potential of state s at time node j
-    sink_potential: float  # of the sink that every final node drains into
     initial: np.ndarray  # (S,)
     paths: np.ndarray  # (atoms, T+1) states of each atom's path, atoms ascending
 
@@ -409,37 +408,23 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     """Min-cost flow through the time-layered graph, by forward label setting.
 
     ``initial`` is the supplied state distribution at t = 0 (array or dict);
-    the final distribution is free (all mass drains into a sink).  The value
-    equals the initial-weighted full-horizon DP value; the measure weighting
-    is flow * dt so that sum(mu * ell) is the LP objective.
+    the final distribution is free.  The value equals the initial-weighted
+    full-horizon DP value; the measure weighting is flow * dt so that
+    sum(mu * ell) is the LP objective.
 
-    Every arc goes from time node j to j + 1, so shortest paths are set one
-    time layer at a time ("reaching", Ahuja, Magnanti & Orlin, Network Flows,
-    1993, sec. 4.4):
+    The flow is uncapacitated and the final layer free, so each atom's whole
+    mass takes a cheapest path from it.  Every arc goes from time node j to
+    j + 1, so that path is set one time layer at a time ("reaching", Ahuja,
+    Magnanti & Orlin, Network Flows, 1993, sec. 4.4), on the costs dt*ell
+    with +inf on inactive arcs; negative costs need no reweighting.  Atom i is
+    swept alone from 0; its path ends at the final state of least label and
+    runs back through the arcs the sweep came by (ties: the lowest final
+    state, and the lowest s*A + a).
 
-    * pot0, the smallest walk cost into each node from a source that reaches
-      every node at 0, makes rc = max(dt*ell + pot0(tail) - pot0(head), 0)
-      nonnegative; the sink's is p_sink = min(0, min pot0(T, .)).
-    * Atom i is swept alone on rc from 0 (d_i).  Its path ends at the final
-      state f of least last_i = d_i(T, f) + max(pot0(T, f) - p_sink, 0) and
-      runs back through the arcs the sweep came by (ties: the lowest f, and
-      the lowest s*A + a); the atom's whole mass takes it.
-    * With L = max last_i and D = min over i of d_i + L - last_i (one more
-      sweep, from every atom at L - last_i), the potentials are
-      pot0 + min(D, L) and the sink's p_sink + L.
-
-    With one atom this is the one phase of successive shortest paths: the
-    potentials, flow and value are ``network.min_cost_flow``'s on the
-    layered arcs, bit for bit.  With several it is another exact dual:
-    min(D, L) rises by at most rc along an arc, so reduced costs stay
-    nonnegative; no atom's shifted labels undercut another's path, or that
-    atom would reach the sink through it for less than its own last; and
-    sink arcs hold since pot0(T, .) >= p_sink.  So every path arc is tight.
-
-    The LP runs forward from the atoms and ``solve_value_function`` backward
-    from the horizon, sharing no computation, so ``lp_dp_gap`` compares two
-    independent solvers.  Memory is one (S, T, A) table, the costs made
-    reduced costs in place, one sweep's tables and the (atoms, T+1) paths.
+    Its dual is the DP value function (see ``certify_control``), which
+    ``solve_value_function`` computes backward from the horizon, sharing no
+    computation, so ``lp_dp_gap`` compares two independent solvers.  Memory
+    is one (S, T, A) cost table, one sweep's tables and the (atoms, T+1) paths.
     """
     S, T, A = p.ell.shape
     init = _initial_distribution(initial, S)
@@ -448,34 +433,15 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     costs = p.time_step * p.ell
     costs[~p.active] = np.inf
 
-    pot0 = _sweep(np.zeros(S), costs, in_arcs, floor=0.0)[0]
-    pot_sink = min(0.0, float(pot0[T].min()))
-    targets = np.where(p.move >= 0, p.move, 0)
-    reduced = costs  # reduced in place, layer by layer: no second (S, T, A) table
-    for j in range(T):
-        layer = reduced[:, j]
-        layer += pot0[j, :, None]
-        layer -= pot0[j + 1].take(targets)
-        np.maximum(layer, 0.0, out=layer)
-    reduced_sink = np.maximum(pot0[T] - pot_sink, 0.0)
-
     paths = np.empty((len(atoms), T + 1), dtype=int)
     controls = np.empty((len(atoms), T), dtype=int)
-    last = np.empty(len(atoms))
     for i, atom in enumerate(atoms.tolist()):
         start = np.full(S, np.inf)
         start[atom] = 0.0
-        dist, pred = _sweep(start, reduced, in_arcs)
-        arrival = dist[T] + reduced_sink
-        paths[i, T] = arrival.argmin()
-        last[i] = arrival[paths[i, T]]
+        labels, pred = _sweep(start, costs, in_arcs)
+        paths[i, T] = labels[T].argmin()
         for j in range(T - 1, -1, -1):
             paths[i, j], controls[i, j] = divmod(int(pred[j, paths[i, j + 1]]), A)
-    top = float(last.max())
-    if len(atoms) > 1:  # with one atom, top - last = 0 and this is its own sweep
-        start = np.full(S, np.inf)
-        start[atoms] = top - last
-        dist = _sweep(start, reduced, in_arcs)[0]
 
     # each path arc as one (j, s, a) flat id, so the ids ascend in arc order
     ids, arc = np.unique((np.arange(T) * S + paths[:, :-1]) * A + controls, return_inverse=True)
@@ -502,8 +468,6 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
         measure=measure,
         value=value,
         status=OPTIMAL,
-        potentials=(pot0 + np.minimum(dist, top)).T,
-        sink_potential=pot_sink + top,
         initial=init,
         paths=paths,
     )
@@ -511,7 +475,8 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
 
 @dataclass(frozen=True)
 class ControlCertificate:
-    """Potential u on state x time nodes, constant c0, and slack w.
+    """Potential u on state x time nodes, constant c0, and slack w; u is the
+    DP value function, negated and shifted by c0 (see ``certify_control``).
 
     Exact identity on every admissible arc:
     ell = c0 + (u(target, j+1) - u(x, j)) / dt + w.  The potential vanishes on
@@ -541,25 +506,32 @@ def _reachable_mask(p: ControlProblem, supplied: np.ndarray) -> np.ndarray:
 
 
 def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlCertificate:
-    """Certificate from the relaxed LP's node potentials.
-
-    Potentials are shifted affinely in time, at the constant rate c0, so that
-    u vanishes at the supplied initial state of largest potential and at the
-    sink.  u is then zeroed on the final layer and off the reachable set,
-    which can only increase the slack on reachable arcs.
+    """Certificate of the LP's paths from the DP value function, the LP's
+    optimal dual (Fleming & Soner, 2006): with best the least full-horizon
+    value over the supplied states and c0 = best / horizon,
+    u(s, j) = best * (T - j) / T - v(s, T - j), which vanishes on the final
+    layer and at the supplied state of least value.  An arc's slack w is the
+    DP's optimality gap (dt*ell + v(target, T-j-1) - v(s, T-j)) / dt, so it is
+    zero on the support only where the LP's paths are DP-optimal.  u is zeroed
+    off the reachable set, which changes no reachable arc's slack.  Solves the
+    DP; ``run_control`` passes its own.
     """
-    if lp_solution.status != OPTIMAL:
-        raise ValueError(f"cannot certify a solution with status {lp_solution.status}")
-    T, dt = p.num_steps, p.time_step
-    pot = lp_solution.potentials
-    supplied = np.flatnonzero(lp_solution.initial > 0)
+    return _certificate(p, lp_solution, solve_value_function(p))
 
-    beta = pot[supplied, 0].max()
-    c0 = (lp_solution.sink_potential - beta) / p.horizon
+
+def _certificate(p: ControlProblem, lp: RelaxedSolution, vf: ValueFunction) -> ControlCertificate:
+    """``certify_control`` from the value function ``vf`` of ``p``."""
+    if lp.status != OPTIMAL:
+        raise ValueError(f"cannot certify a solution with status {lp.status}")
+    T, dt = p.num_steps, p.time_step
+    supplied = np.flatnonzero(lp.initial > 0)
+
+    best = vf.v[supplied, T].min()
+    c0 = best / p.horizon
     reachable = _reachable_mask(p, supplied)
-    u = pot - c0 * (np.arange(T + 1) * dt) - beta
-    # off the reachable set the LP potentials are arbitrary; zero them so the
-    # exported potential is determined by the problem alone
+    u = best * (np.arange(T, -1, -1) / T) - vf.v[:, ::-1]
+    # zero off the reachable set, and +0.0 on the final layer (the formula's
+    # zero there is -0.0 when best < 0)
     u[~reachable] = 0.0
     u[:, T] = 0.0
 
@@ -567,14 +539,14 @@ def certify_control(p: ControlProblem, lp_solution: RelaxedSolution) -> ControlC
     du = (u[np.where(adm, p.move, 0), 1:] - u[:, None, :-1]) / dt  # (S, A, T)
     w = np.where(adm[:, None, :], p.ell - c0 - du.transpose(0, 2, 1), np.nan)
 
-    mu = lp_solution.measure.transpose(1, 0, 2)  # summed in (j, s, a) arc order, as the value
+    mu = lp.measure.transpose(1, 0, 2)  # summed in (j, s, a) arc order, as the value
     mass = sum(mu[mu > 0].tolist())
     return ControlCertificate(
         problem=p,
         u=u,
         c0=float(c0),
         w=w,
-        empirical_mean_cost=float(lp_solution.value / mass) if mass else 0.0,
+        empirical_mean_cost=float(lp.value / mass) if mass else 0.0,
         supplied=tuple(supplied.tolist()),
         reachable=reachable,
     )
@@ -706,10 +678,11 @@ class ControlResult:
 
 
 def run_control(p: ControlProblem, initial) -> ControlResult:
-    """Solve by DP and by the layered LP, certify the LP, and run every check."""
+    """Solve by DP and by the layered LP, certify the LP's paths with the
+    DP's value function, and run every check."""
     vf = solve_value_function(p)
     lp = solve_relaxed_lp(p, initial)
-    cert = certify_control(p, lp)
+    cert = _certificate(p, lp, vf)
     mp = maximum_principle_check(cert, lp.measure)
     trajs = extract_optimal_trajectories(p, lp)
     uv = max((check_u_v_relation(cert, vf, states) for states, _m in trajs), default=0.0)

@@ -151,8 +151,10 @@ def _quote(field: str) -> str:
 def _distinct(values: np.ndarray, fmt) -> list[str]:
     """``fmt`` of each entry of a 1-D numeric array, called once per distinct
     key: a float's bits, so -0.0 and 0.0 and NaN payloads stay apart, or an
-    int's or bool's value."""
+    int's or bool's value.  TypeError for floats wider than 64 bits."""
     kind = values.dtype.kind
+    if kind == "f" and values.itemsize > 8:
+        raise TypeError(f"cannot write {values.dtype} values; convert them to float64 first")
     keys = values.view(f"i{values.itemsize}") if kind == "f" else values
     unique, inverse = np.unique(keys, return_inverse=True)
     texts = np.array(list(map(fmt, unique.view(values.dtype).tolist())), dtype=object)

@@ -16,6 +16,7 @@ from actionlab import (
     solve_value_function,
 )
 
+from actionlab import control
 from actionlab.control import _collapse_duplicates
 
 from oracles import (
@@ -770,11 +771,7 @@ def test_sweep_from_one_atom_equals_the_flow_oracle_bit_for_bit():
             init = np.zeros(p.num_states)
             init[atom] = rng.uniform(0.5, 1.5)
             lp = solve_relaxed_lp(p, init)
-            flow, potentials, value = flow_relaxed_lp(p, init)
-            # the flow's node j*S + s is (state s, time node j); the sink is last
-            layered = potentials[:-1].reshape(p.num_steps + 1, p.num_states).T
-            assert np.array_equal(lp.potentials, layered)
-            assert lp.sink_potential == potentials[-1]
+            flow, _potentials, value = flow_relaxed_lp(p, init)
             assert np.array_equal(lp.measure, flow * p.time_step)
             assert lp.value == value
             path = tuple(lp.paths[0].tolist())
@@ -800,6 +797,95 @@ def test_sweep_from_several_atoms_is_optimal_and_certified():
             atoms = np.flatnonzero(init)
             assert [states[0] for states, _m in result.trajectories] == atoms.tolist()
             assert [m for _states, m in result.trajectories] == init[atoms].tolist()
+
+
+def seeded_atoms(rng, S, max_atoms):
+    """A distribution on 1 to ``max_atoms`` seeded states of S, masses in [0.5, 1.5]."""
+    k = int(rng.integers(1, max_atoms + 1))
+    init = np.zeros(S)
+    init[rng.choice(S, size=k, replace=False)] = rng.uniform(0.5, 1.5, k)
+    return init
+
+
+def test_certificate_is_the_shifted_value_function_bit_for_bit():
+    # u(s, j) = best (T - j) / T - v(s, T - j) on reachable nodes before the
+    # final layer, +0.0 elsewhere, with best the least supplied full-horizon
+    # value and c0 = best / horizon
+    rng = np.random.default_rng(137)
+    for p in seeded_lp_problems(rng, 30):
+        S, T = p.num_states, p.num_steps
+        init = seeded_atoms(rng, S, S)
+        cert = certify_control(p, solve_relaxed_lp(p, init))
+        v = solve_value_function(p).v.tolist()
+        supplied = np.flatnonzero(init).tolist()
+        best = min(v[s][T] for s in supplied)
+        assert cert.c0 == best / p.horizon
+        inner = cert.reachable.copy()
+        inner[:, T] = False
+        formula = np.array(
+            [[best * ((T - j) / T) - v[s][T - j] for j in range(T + 1)] for s in range(S)]
+        )
+        assert np.array_equal(cert.u[inner].view(np.int64), formula[inner].view(np.int64))
+        assert not cert.u[~inner].view(np.int64).any()
+        assert min(supplied, key=lambda s: v[s][T]) in np.flatnonzero(cert.u[:, 0] == 0.0)
+
+
+def _path_solution(p, lp, paths):
+    """``lp`` with its atoms' paths replaced by the feasible ``paths``: each
+    atom's mass times dt on the active arc of every step."""
+    S, T, A = p.ell.shape
+    atoms = np.flatnonzero(lp.initial)
+    measure = np.zeros((S, T, A))
+    for path, mass in zip(paths, lp.initial[atoms]):
+        for j in range(T):
+            (a,) = np.flatnonzero(p.active[path[j], j] & (p.move[path[j]] == path[j + 1]))
+            measure[path[j], j, a] += mass * p.time_step
+    value = float((measure * p.ell).sum())
+    return control.RelaxedSolution(measure, value, lp.status, lp.initial, np.array(paths))
+
+
+def test_a_costlier_path_fails_the_certificate(monkeypatch):
+    # the certificate is the DP's, not the LP's own, so an LP whose path for
+    # one atom is feasible but dearer than the DP value shows slack on its
+    # support: at least (cost - v) / horizon on one of its arcs
+    rng = np.random.default_rng(139)
+    solve = control.solve_relaxed_lp
+    checked = 0
+    for p in seeded_lp_problems(rng, 24):
+        S, T = p.num_states, p.num_steps
+        v = solve_value_function(p).v
+        init = seeded_atoms(rng, S, min(3, S))
+        lp = solve(p, init)
+        # one atom takes the worst one-step choice, dt*ell + v, at every step
+        i = int(rng.integers(len(lp.paths)))
+        paths = lp.paths.tolist()
+        for j in range(T):
+            s = paths[i][j]
+            cand = p.time_step * p.ell[s, j] + v[np.maximum(p.move[s], 0), T - j - 1]
+            paths[i][j + 1] = int(p.move[s, np.where(p.active[s, j], cand, -np.inf).argmax()])
+        bad = _path_solution(p, lp, paths)
+        if bad.value - lp.value <= 1e-6:
+            continue  # every active choice ties along this atom's path
+        checked += 1
+        monkeypatch.setattr(control, "solve_relaxed_lp", lambda *_args: bad)
+        criteria = run_control(p, init).criteria(1e-8)
+        assert not criteria["max_principle_on_support"]
+        assert not criteria["lp_dp_gap"]
+    assert checked >= 12
+
+
+def test_run_control_solves_the_dp_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return solve_value_function(p)
+
+    monkeypatch.setattr(control, "solve_value_function", counted)
+    p = box_problem_2d(np.random.default_rng(149))
+    result = run_control(p, {0: 1.0, 4: 0.5, p.num_states - 1: 2.0})
+    assert all(result.criteria(1e-8).values()), result.criteria(1e-8)
+    assert len(calls) == 1 and calls[0] is p
 
 
 def test_solve_relaxed_lp_memory_does_not_grow_with_the_atoms():

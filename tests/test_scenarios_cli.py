@@ -132,6 +132,15 @@ def test_cli_sweep(tmp_path, capsys):
     assert [row["n"] for row in report["rows"]] == [16, 32]
 
 
+@pytest.mark.parametrize("levels", [",", "", ",,"])
+def test_cli_sweep_without_a_level_is_a_usage_error(tmp_path, capsys, levels):
+    # "--n ," once ran no level and exited 0
+    rc = main(["sweep", "tonelli_pendulum", "--n", levels, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert f"error: --n names no refinement level, got {levels!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_solve_certify_roundtrip(tmp_path):
     from actionlab import build_torus_grid, sample_lagrangian
     from actionlab import serialize
@@ -376,6 +385,14 @@ def test_cli_control_roundtrip(tmp_path, capsys):
     assert abs(report["lp_value"] - report["dp_total"]) <= 1e-9
     assert abs(report["lp_value"] - 0.25 * 0.25) <= 1e-12
     assert (outdir / "value_function.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cli_control_tolerance_not_finite_and_nonnegative_is_a_usage_error(tmp_path, capsys, tol):
+    assert main(_control_bundle(tmp_path) + ["--tol", tol]) == 2
+    message = f"error: --tol must be finite and nonnegative, got {float(tol)!r}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

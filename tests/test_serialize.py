@@ -200,6 +200,20 @@ def test_json_writer_formats_each_bit_pattern_as_json_module(tmp_path):
     }
 
 
+LONG_DOUBLE_ERROR = f"cannot write {np.dtype(np.longdouble)} values; convert them to float64"
+
+
+def test_json_writer_rejects_long_double_and_writes_half_and_single(tmp_path):
+    # a long double once failed on numpy's "data type 'i16' not understood"
+    with pytest.raises(TypeError, match=LONG_DOUBLE_ERROR):
+        serialize.write_json(tmp_path / "x.json", {"a": np.array([1.0, 2.0], dtype=np.longdouble)})
+    for dtype in (np.float16, np.float32):
+        payload = {"a": np.array([0.1, -0.0, 0.1, np.inf, 2.5], dtype=dtype)}
+        serialize.write_json(tmp_path / "emit.json", payload)
+        oracles.loop_write_json(tmp_path / "loop.json", payload)
+        assert (tmp_path / "emit.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+
 def test_json_writer_matches_json_module_on_artifact_payloads(tmp_path, monkeypatch):
     # every payload a measure run, a control run and a sweep write
     payloads = []
@@ -266,10 +280,11 @@ def test_csv_readers_reject_out_of_range_node(tmp_path, read, d, rows, error):
     assert str(err.value) == f"{path} line 3: {error}"
 
 
-def _certify_exit_code(tmp_path, table, measure, current=None):
+def _certify_exit_code(tmp_path, table, measure, current=None, extra=()):
     """Write the inputs of ``actionlab certify`` and return its exit code.
 
     ``measure`` is written as the solution CSV; a string is written verbatim.
+    ``extra`` is appended to the arguments.
     """
     gpath, lpath, spath = (tmp_path / x for x in ("g.json", "l.csv", "s.csv"))
     serialize.write_json(gpath, serialize.grid_to_json(table.grid))
@@ -283,7 +298,7 @@ def _certify_exit_code(tmp_path, table, measure, current=None):
         cpath = tmp_path / "c.csv"
         serialize.write_current_csv(cpath, current)
         argv += ["--current", str(cpath)]
-    return main(argv + ["--solution", str(spath), "--outdir", str(tmp_path / "out")])
+    return main(argv + ["--solution", str(spath), "--outdir", str(tmp_path / "out"), *extra])
 
 
 def test_cli_certify_flags_bad_solution(tmp_path):
@@ -305,6 +320,20 @@ def test_cli_certify_flags_measure_off_the_boundary(tmp_path):
     assert _certify_exit_code(tmp_path, table, empty, current) == 1
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["boundary_residual_max"] == 1.0
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cli_certify_tolerance_not_finite_and_nonnegative_is_a_usage_error(tmp_path, capsys, tol):
+    # with --tol inf the empty measure, a full unit charge off the boundary,
+    # once passed as optimal (exit 0); with nan every criterion failed (exit 1)
+    grid = build_torus_grid(1, 10, 1, 1.0)
+    table = sample_lagrangian(grid, lambda x, v: abs(v))
+    current = BoundaryCurrent(grid=grid, charges={6: 1.0, 1: -1.0})
+    empty = DiscreteMeasure(grid=grid, weights={})
+    assert _certify_exit_code(tmp_path, table, empty, current, ["--tol", tol]) == 2
+    message = f"error: --tol must be finite and nonnegative, got {float(tol)!r}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_certify_flags_closed_measure_of_wrong_mass(tmp_path):
@@ -578,6 +607,14 @@ def test_write_csv_formats_each_bit_pattern_as_csv_module(tmp_path, rows):
     # bits; with B - 1, B and B + 1 rows the repeats straddle a block boundary
     _same_bytes_as_csv_module(tmp_path, REPEATED_HEADER, _repeated_columns(rows))
     _same_bytes_as_csv_module(tmp_path, REPEATED_HEADER, _repeated_columns(0))
+
+
+def test_write_csv_rejects_a_long_double_column_and_writes_half_and_single(tmp_path):
+    with pytest.raises(TypeError, match=LONG_DOUBLE_ERROR):
+        serialize._write_csv(tmp_path / "x.csv", ["f"], [np.array([1.0, 2.0], dtype=np.longdouble)])
+    for dtype in (np.float16, np.float32):
+        column = np.resize([0.1, -0.0, 0.1, np.nan, 1e4], 11).astype(dtype)
+        _same_bytes_as_csv_module(tmp_path, ["f"], [column])
 
 
 def test_write_csv_keeps_signed_zeros_apart_within_and_across_blocks(tmp_path):
