@@ -7,7 +7,10 @@ sizes, exact combinatorial algorithms instead of general-purpose LP: Tarjan's
 strongly connected components, Howard's policy iteration for the minimum mean
 cycle, Bellman-Ford and Dijkstra for potentials, and the uncapacitated
 min-cost flow by successive shortest paths, run in phases that augment every
-deficit node one multi-source Dijkstra settles.
+deficit node one multi-source Dijkstra settles.  The searches scan a CSR
+table without self-loops, exactly: a self-loop changes no Tarjan low-link and
+shortens no path under nonnegative reduced costs, and Bellman-Ford still
+relaxes every edge, so a negative self-loop stays a negative cycle.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ MASS_TOL = 1e-13
 AUGMENTATIONS_PER_ELEMENT = 50
 
 
-def _csr(num_nodes: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids grouped by node: node v's edges are ``order[first[v]:first[v + 1]]``,
+def _csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids except self-loops, by tail: node v's are ``order[first[v]:first[v + 1]]``,
     ascending within each node (edge order is the tie-break order)."""
-    order = np.argsort(keys, kind="stable")
+    keep = np.flatnonzero(tails != heads)
+    order = keep[np.argsort(tails[keep], kind="stable")]
     first = np.zeros(num_nodes + 1, dtype=int)
-    np.cumsum(np.bincount(keys, minlength=num_nodes), out=first[1:])
+    np.cumsum(np.bincount(tails[keep], minlength=num_nodes), out=first[1:])
     return order, first
 
 
@@ -56,8 +60,9 @@ def strongly_connected_components(num_nodes, tails, heads) -> np.ndarray:
     smallest label among components it could be compared with; only equality
     of labels is meaningful.
     """
-    order, first = _csr(num_nodes, np.asarray(tails, dtype=int))
-    succ = np.asarray(heads, dtype=int)[order].tolist()
+    heads = np.asarray(heads, dtype=int)
+    order, first = _csr(num_nodes, np.asarray(tails, dtype=int), heads)
+    succ = heads[order].tolist()
     first = first.tolist()
     index = [-1] * num_nodes
     low = [0] * num_nodes
@@ -235,12 +240,13 @@ def dijkstra_fixpoint(num_nodes, tails, heads, costs, guide) -> np.ndarray:
     are therefore tight up to one rounding, whatever rounding ``guide``
     carries.  Nothing is checked here: the result is meant as the start of
     ``relax_to_fixpoint``, which settles in one round when the guide was
-    right and in at most num_nodes rounds from any finite start.
+    right and in at most num_nodes rounds from any finite start.  Self-loops
+    are not scanned: a node's own value is final before its out-edges are.
     """
     heads = np.asarray(heads, dtype=int)
     costs = np.asarray(costs, dtype=float)
     guide = np.ascontiguousarray(guide, dtype=float)
-    order, first = _csr(num_nodes, np.asarray(tails, dtype=int))
+    order, first = _csr(num_nodes, np.asarray(tails, dtype=int), heads)
     # memoryviews hand out Python scalars without building lists of them
     succ, step, shift = memoryview(heads[order]), memoryview(costs[order]), memoryview(guide)
     first = first.tolist()
@@ -315,10 +321,14 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     |imbalance| count as settled.
 
     Dijkstra reads the arcs through memoryviews, so its inner loop handles
-    Python scalars: forward arcs from the out-edges of a CSR table, reverse
-    arcs from each node's list of in-edges that carry flow.  Of equal
-    distances a node keeps the first found, scanning out-edges and then
-    in-edges in ascending id; the heap pops equal distances by node index.
+    Python scalars: forward arcs from a CSR table without self-loops (one
+    would lead a node settled at d back to itself at d or more), with reduced
+    costs (cost + pot[tail]) - pot[head], clamped at 0, computed per phase in
+    one array expression; reverse arcs from each node's list of in-edges that
+    carry flow.  Of equal distances a node keeps the first found, scanning
+    out-edges and then in-edges in ascending id; the heap pops equal
+    distances by node index.  Pushes are strictly below the node's label, so
+    a popped entry above the label is stale.
     """
     tails = np.ascontiguousarray(tails, dtype=int)
     heads = np.ascontiguousarray(heads, dtype=int)
@@ -338,8 +348,9 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
     zero = MASS_TOL * max(1.0, supply_scale)
 
-    out_order, out_first = _csr(num_nodes, tails)
-    out_order, out_first = memoryview(out_order), out_first.tolist()
+    arc_ids, first = _csr(num_nodes, tails, heads)
+    arc_heads, arc_costs, degree = heads[arc_ids], costs[arc_ids], np.diff(first)
+    succ, edge_of, first = memoryview(arc_heads), memoryview(arc_ids), first.tolist()
     # node -> ascending ids of its in-edges with flow above ``zero``, the
     # only reverse arcs of the residual graph
     carrying: dict[int, list[int]] = {}
@@ -352,6 +363,9 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         if not sources:
             break
         wanted = min(len(sources), int(np.count_nonzero(b > zero)))
+        # pot[tail] in CSR order is pot repeated by out-degree; where keeps -0.0
+        red = (arc_costs + np.repeat(pot, degree)) - pot[arc_heads]
+        red = memoryview(np.where(red < 0.0, 0.0, red))
 
         # One Dijkstra on the residual graph with reduced costs, from every
         # supply node at distance 0; the heap pops equal distances by index.
@@ -362,14 +376,12 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         # node -> edge id of its tree arc, ~id for a reverse arc; None at
         # the supply nodes, the roots of the search tree
         pred: list[int | None] = [None] * num_nodes
-        done = bytearray(num_nodes)
         settled = 0  # deficit nodes settled in this phase
         last = 0.0
         while heap:
             dv, v = heapq.heappop(heap)
-            if done[v] or dv > dist[v]:
+            if dv > dist[v]:
                 continue
-            done[v] = 1
             last = dv
             if b_of[v] > zero:
                 # Augment along v's tree path from its root at once: every
@@ -406,21 +418,18 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
                 settled += 1
                 if settled == wanted:
                     break
-            pv = pot_of[v]
-            for e in out_order[out_first[v] : out_first[v + 1]]:
-                w = head_of[e]
-                rc = cost_of[e] + pv - pot_of[w]
-                if rc < 0.0:  # max(rc, 0.0) without the call
-                    rc = 0.0
-                nd = dv + rc
+            for i in range(first[v], first[v + 1]):
+                w = succ[i]
+                nd = dv + red[i]
                 if nd < dist[w]:
                     dist[w] = nd
-                    pred[w] = e
+                    pred[w] = edge_of[i]
                     heapq.heappush(heap, (nd, w))
+            pv = pot_of[v]
             for e in carrying.get(v, ()):
                 w = tail_of[e]
                 rc = -cost_of[e] + pv - pot_of[w]
-                if rc < 0.0:
+                if rc < 0.0:  # max(rc, 0.0) without the call
                     rc = 0.0
                 nd = dv + rc
                 if nd < dist[w]:

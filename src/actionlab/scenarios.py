@@ -447,26 +447,30 @@ def refinement_sweep(
 ) -> dict:
     """Run a scenario over a list of refinement levels and collect key figures.
 
-    Per-level errors are recorded and do not stop the sweep.
+    Per-level errors are recorded and do not stop the sweep; a level that is
+    not an integer, or no level at all, is a ValueError before any level runs.
     """
     if name not in SCENARIOS:
         raise UnknownScenarioError(
             f"UNKNOWN_SCENARIO: {name!r}; registered: {sorted(SCENARIOS)}"
         )
     scen = SCENARIOS[name]
+    levels = [_int({scen.sweep_param: n}, scen.sweep_param) for n in n_list]
+    if not levels:
+        raise ValueError(f"refinement sweep of {name} names no level")
     rows = []
-    for n in n_list:
+    for n in levels:
         p = dict(params or {})
-        p[scen.sweep_param] = int(n)
+        p[scen.sweep_param] = n
         try:
             run = run_scenario(name, p)
-            row = {"n": int(n), "passed": run.passed}
+            row = {"n": n, "passed": run.passed}
             for key in ("c0", "momentum_lipschitz_estimate", "hjb_residual", "value"):
                 if key in run.values:
                     row[key] = run.values[key]
             rows.append(row)
         except Exception as exc:  # keep sweeping, record the failure
-            rows.append({"n": int(n), "error": f"{type(exc).__name__}: {exc}"})
+            rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
     report = {"scenario": name, "sweep_param": scen.sweep_param, "rows": rows}
     if outdir is not None:
         dest = Path(outdir) / name / label

@@ -384,7 +384,9 @@ def _random_layered_case(rng, states, layers):
 def test_min_cost_flow_equals_loop_reference():
     # the CSR/memoryview solver against the per-node-list, numpy-scalar loop:
     # equal flows, potentials, values and statuses, bit for bit; integer
-    # costs make ties, so the scan order of the arcs is pinned too
+    # costs make ties, so the scan order of the arcs is pinned too.  The
+    # loop computes each reduced cost as it scans the arc, self-loops
+    # included; the solver computes them per phase and skips self-loops.
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(6):
@@ -394,6 +396,15 @@ def test_min_cost_flow_equals_loop_reference():
         cases.append(_random_flow_case(rng, n, split=True))
         cases.append(_random_flow_case(rng, n, integer=True))
         cases.append(_random_layered_case(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5))))
+    # boundary flows on the torus: every node has its rest self-loop, and the
+    # one at the table's minimum costs exactly 0
+    torus = ((1, 32, 1, 6), (1, 40, 1, 12), (1, 24, 2, 5), (2, 6, 1, 8), (2, 8, 1, 3), (2, 5, 2, 4))
+    for d, n, k, pairs in torus:
+        num_nodes, tails, heads, costs, b = case = _torus_flow_case(rng, d, n, k, pairs)
+        loops = tails == heads
+        assert np.array_equal(np.sort(tails[loops]), np.arange(num_nodes))
+        assert costs[loops].min() == 0.0
+        cases.append(case)
     statuses = set()
     for case in cases:
         res = min_cost_flow(*case)
@@ -468,6 +479,77 @@ def test_phased_min_cost_flow_matches_one_path_per_dijkstra_ssp():
             tol = cost_tolerance(float(costs.max() - costs.min()), case[0])
             assert abs(res.value - ref.value) <= tol
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_min_cost_flow_self_loops_at_zero_cost_tie_and_a_negative_one_is_unbounded():
+    # every self-loop at +-0.0 ties with staying put, among integer-cost
+    # ties between paths too; the solver, which does not scan self-loops,
+    # must equal the loop that does bit for bit, and scipy's LP in value.
+    # One self-loop at -0.5 is a negative cycle on its own: UNBOUNDED, as
+    # scipy agrees.
+    rng = np.random.default_rng(73)
+    for _ in range(6):
+        n = int(rng.integers(4, 10))
+        for integer in (False, True):
+            num_nodes, tails, heads, costs, b = case = _random_flow_case(rng, n, integer=integer)
+            loops = np.flatnonzero(tails == heads)
+            costs[loops] = np.where(rng.random(len(loops)) < 0.5, 0.0, -0.0)
+            res, ref = min_cost_flow(*case), loop_min_cost_flow(*case)
+            assert res.status == ref.status == OPTIMAL
+            assert np.array_equal(res.flow, ref.flow)
+            assert np.array_equal(res.potentials, ref.potentials)
+            assert res.value == ref.value
+            assert not res.flow[loops].any()
+            assert res.value == pytest.approx(_linprog_flow(*case).fun, abs=1e-9)
+
+            costs[rng.choice(loops)] = -0.5
+            assert min_cost_flow(*case).status == UNBOUNDED
+            assert loop_min_cost_flow(*case).status == UNBOUNDED
+            assert _linprog_flow(*case).status == 3  # unbounded
+
+
+def test_scc_on_torus_tight_subgraphs_with_rest_edges_matches_scipy():
+    # the closed solve's tight subgraph, and a random superset of it, with
+    # every rest self-loop added: the labels must equal scipy's strong
+    # components up to renumbering, a one-to-one map between the two
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(79)
+    for d, n, k in ((1, 24, 1), (1, 16, 2), (2, 6, 1), (2, 8, 1), (2, 5, 2)):
+        num_nodes, tails, heads, costs, _ = _torus_flow_case(rng, d, n, k, 1)
+        neighbors, values = heads.reshape(num_nodes, -1), costs.reshape(num_nodes, -1)
+        value, bias = minimum_mean_cycle(neighbors, values)
+        slack = values - value + bias[neighbors] - bias[:, None]
+        tight = slack <= cost_tolerance(float(values.max()), num_nodes)
+        rest = neighbors == np.arange(num_nodes)[:, None]
+        for mask in (tight | rest, tight | rest | (rng.random(tight.shape) < 0.3)):
+            nodes, offsets = np.nonzero(mask)
+            ends = neighbors[nodes, offsets]
+            comp = strongly_connected_components(num_nodes, nodes, ends)
+            graph = coo_matrix((np.ones(len(nodes)), (nodes, ends)), shape=(num_nodes, num_nodes))
+            _, ref = connected_components(graph, directed=True, connection="strong")
+            pairs = np.unique(np.stack([comp, ref]), axis=1)
+            assert pairs.shape[1] == len(np.unique(comp)) == len(np.unique(ref))
+
+
+def test_dijkstra_fixpoint_on_torus_graphs_with_rest_edges():
+    # the boundary certificate's search on a torus graph, rest self-loops
+    # included, with costs tilted by phi so that single arcs go negative
+    # while the guide -phi keeps every reduced cost nonnegative: the result
+    # is the fixpoint from zero, and the relaxation confirms it in one round
+    # (its total descent is within one round's tolerance)
+    rng = np.random.default_rng(83)
+    for d, n, k in ((1, 40, 1), (1, 24, 2), (2, 8, 1), (2, 6, 2)):
+        num_nodes, tails, heads, costs, _ = _torus_flow_case(rng, d, n, k, 1)
+        phi = rng.uniform(-1.0, 1.0, size=num_nodes)
+        tilted = costs + phi[tails] - phi[heads]
+        found = dijkstra_fixpoint(num_nodes, tails, heads, tilted, -phi)
+        fixpoint, ok = relax_to_fixpoint(num_nodes, tails, heads, tilted)
+        assert ok and np.allclose(found, fixpoint, rtol=0, atol=1e-9)
+        tol = cost_tolerance(float(np.ptp(tilted)), num_nodes)
+        pot, ok = relax_to_fixpoint(num_nodes, tails, heads, tilted, tol=tol, start=found)
+        assert ok and np.max(found - pot) <= tol
 
 
 def test_min_cost_flow_potentials_are_optimal_duals():

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from actionlab import SCENARIOS, parse_config, refinement_sweep, run_scenario
 from actionlab.cli import main
+from actionlab import scenarios
 from actionlab.scenarios import UnknownScenarioError
 
 
@@ -74,6 +75,34 @@ def test_sweep_records_per_level_errors():
     report = refinement_sweep("exact_form", [8, 1, 16])
     kinds = ["error" in row for row in report["rows"]]
     assert kinds == [False, True, False]
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([8.7], "parameter n=8.7 is not an integer"),
+        ([8, 16.5], "parameter n=16.5 is not an integer"),
+        ([float("inf")], "parameter n=inf is not an integer"),
+        ([8, float("nan")], "parameter n=nan is not an integer"),
+        ([], "refinement sweep of exact_form names no level"),
+    ],
+)
+def test_sweep_rejects_a_bad_level_list_before_any_level_runs(monkeypatch, tmp_path, levels, message):
+    # [8.7] once ran as n=8 and recorded "n": 8; [] once returned no rows
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(scenarios, "run_scenario", run_scenario)
+    with pytest.raises(ValueError) as err:
+        refinement_sweep("exact_form", levels, outdir=tmp_path)
+    assert str(err.value) == message
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_takes_an_integral_float_level_as_that_integer():
+    report = refinement_sweep("exact_form", [8.0])
+    assert [(row["n"], type(row["n"])) for row in report["rows"]] == [(8, int)]
+    assert report["rows"][0]["passed"]
 
 
 def test_parse_config_values_and_errors():
