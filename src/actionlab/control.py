@@ -60,10 +60,10 @@ class ControlProblem:
     ``ell[s, j, a]`` is the running cost on the arc leaving state s at time
     node j under control a.  They are the only arc data: ``steps``,
     ``active`` and ``duplicate_collapses`` are derived from them.  ``active``
-    marks admissible arcs that survived the duplicate-dynamics collapse:
-    controls with identical (x, f(x, a)) keep only the cheapest representative
-    per (s, j), mirroring the reduction of a control cost to a velocity-indexed
-    Lagrangian.
+    is a read-only view marking every admissible arc, so controls with
+    identical (x, f(x, a)) all keep their arcs: the DP's and the LP's min
+    over controls takes the cheapest of them, which is the reduction of a
+    control cost to a velocity-indexed Lagrangian.
 
     Checked at every construction, ``dataclasses.replace`` included: the
     origin is finite and the spacing positive and finite, the tables have the
@@ -82,8 +82,6 @@ class ControlProblem:
     ell: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
     horizon: float
     time_step: float
-    active: np.ndarray = field(init=False, repr=False, compare=False)  # (S, T, A)
-    duplicate_collapses: tuple = field(init=False)
 
     def __post_init__(self):
         steps = _num_steps(self.state_dim, self.nodes_per_axis, self.horizon, self.time_step)
@@ -116,9 +114,6 @@ class ControlProblem:
         stuck = np.flatnonzero((self.move < 0).all(axis=1))
         if len(stuck):
             raise ValueError(f"state {stuck[0]} has no admissible control at t index 0")
-        active, collapses = _collapse_duplicates(self.move, self.ell)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "duplicate_collapses", collapses)
 
     @property
     def num_states(self) -> int:
@@ -132,6 +127,18 @@ class ControlProblem:
     def coords(self) -> np.ndarray:
         """(S, N) integer coordinates of every state; a state's index is their row-major rank."""
         return lattice_points(self.state_dim, self.nodes_per_axis)
+
+    @property
+    def active(self) -> np.ndarray:
+        """(S, T, A) read-only view, True on every admissible arc."""
+        return np.broadcast_to((self.move >= 0)[:, None, :], self.ell.shape)
+
+    @property
+    def duplicate_collapses(self) -> int:
+        """Arcs the reduction to a velocity-indexed cost drops: T times the
+        admissible (s, a) pairs beyond one per distinct (s, target)."""
+        s, a = np.nonzero(self.move >= 0)
+        return self.num_steps * (len(s) - len(np.unique(s * self.num_states + self.move[s, a])))
 
     @property
     def steps(self) -> np.ndarray:
@@ -280,27 +287,6 @@ def _control_problem(steps, given, **fields) -> ControlProblem:
     return ControlProblem(move=move, **fields)
 
 
-def _collapse_duplicates(move: np.ndarray, ell: np.ndarray):
-    """Keep the cheapest control among those with identical targets per (s, t).
-
-    Ties go to the lowest control index.  One (S, T) pass per control: its
-    kept control is the argmin of the costs, with every control of another
-    target (or inadmissible) at infinity.  Collapses (s, j, a, kept) are
-    listed by state, then target, time node and control.
-    """
-    A = ell.shape[2]
-    adm = move >= 0
-    kept = np.empty(ell.shape, dtype=int)
-    for a in range(A):
-        same = (move == move[:, a, None]) & adm  # (S, A)
-        kept[:, :, a] = np.where(same[:, None, :], ell, np.inf).argmin(axis=2)
-    own = kept == np.arange(A)
-    s, j, a = np.nonzero(adm[:, None, :] & ~own)
-    order = np.lexsort((a, j, move[s, a], s))
-    collapses = zip(*(x[order].tolist() for x in (s, j, a, kept[s, j, a])))
-    return adm[:, None, :] & own, tuple(collapses)
-
-
 @dataclass
 class ValueFunction:
     """DP value table.
@@ -416,10 +402,10 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     mass takes a cheapest path from it.  Every arc goes from time node j to
     j + 1, so that path is set one time layer at a time ("reaching", Ahuja,
     Magnanti & Orlin, Network Flows, 1993, sec. 4.4), on the costs dt*ell
-    with +inf on inactive arcs; negative costs need no reweighting.  Atom i is
-    swept alone from 0; its path ends at the final state of least label and
-    runs back through the arcs the sweep came by (ties: the lowest final
-    state, and the lowest s*A + a).
+    with +inf on inadmissible arcs; negative costs need no reweighting.
+    Atom i is swept alone from 0; its path ends at the final state of least
+    label and runs back through the arcs the sweep came by (ties: the lowest
+    final state, and the lowest s*A + a).
 
     Its dual is the DP value function (see ``certify_control``), which
     ``solve_value_function`` computes backward from the horizon, sharing no
@@ -489,10 +475,10 @@ class ControlCertificate:
     problem: ControlProblem
     u: np.ndarray = field(repr=False, compare=False)  # (S, T+1)
     w: np.ndarray = field(repr=False, compare=False)  # (S, T, A); nan inadmissible
-    c0: float = 0.0
-    empirical_mean_cost: float = 0.0
-    supplied: tuple = ()
-    reachable: np.ndarray = field(repr=False, compare=False, default=None)  # (S, T+1)
+    c0: float
+    empirical_mean_cost: float
+    supplied: tuple
+    reachable: np.ndarray = field(repr=False, compare=False)  # (S, T+1)
 
 
 def _reachable_mask(p: ControlProblem, supplied: np.ndarray) -> np.ndarray:

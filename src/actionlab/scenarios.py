@@ -251,6 +251,11 @@ def _build_finsler_distance(params):
     k = _int(params, "k", lo=1)
     src = _int(params, "src", lo=0) % n
     dst = _int(params, "dst", lo=0) % n
+    if src == dst:
+        raise ValueError(
+            f"parameters src={params['src']} and dst={params['dst']} are the same node "
+            f"{src} of n={n}"
+        )
     grid = build_torus_grid(1, n, k, h=1.0)
     table = sample_lagrangian(grid, lambda x, v: abs(v))
     current = BoundaryCurrent(grid=grid, charges={dst: 1.0, src: -1.0})

@@ -492,7 +492,7 @@ def write_control_result(dest, result) -> None:
         "max_principle_on_support": result.max_principle[0],
         "max_principle_off_support": result.max_principle[1],
         "u_v_residual": result.u_v_residual,
-        "duplicate_collapses": len(result.problem.duplicate_collapses),
+        "duplicate_collapses": result.problem.duplicate_collapses,
     }
     write_json(dest / "control_report.json", report)
 

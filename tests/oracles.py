@@ -365,6 +365,25 @@ def loop_collapse_duplicates(move, ell):
     return active, collapses
 
 
+def loop_value_function(p, active):
+    """Backward DP over only the arcs ``active`` (S, T, A) marks: the
+    duration-indexed values and controls, the lowest control winning ties."""
+    S, T, A = p.ell.shape
+    v = np.zeros((S, T + 1))
+    argmin = np.full((S, T + 1), -1, dtype=int)
+    for t in range(1, T + 1):
+        j = T - t
+        for s in range(S):
+            best = np.inf
+            for a in range(A):
+                if active[s, j, a]:
+                    cand = p.time_step * p.ell[s, j, a] + v[p.move[s, a], t - 1]
+                    if cand < best:
+                        best, argmin[s, t] = cand, a
+            v[s, t] = best
+    return v, argmin
+
+
 def loop_reachable(problem, supplied):
     S, T, A = problem.ell.shape
     reach = np.zeros((S, T + 1), dtype=bool)

@@ -17,7 +17,6 @@ from actionlab import (
 )
 
 from actionlab import control
-from actionlab.control import _collapse_duplicates
 
 from oracles import (
     enumerate_control_cost,
@@ -29,6 +28,7 @@ from oracles import (
     loop_node_index,
     loop_torus_grid,
     loop_u_v_residual,
+    loop_value_function,
 )
 
 
@@ -279,8 +279,8 @@ def test_make_control_problem_names_a_non_finite_origin_entry():
 
 
 def test_replacing_the_costs_collapses_duplicates_again():
-    # the collapse keeps the cheapest of the controls that share a target, so
-    # new costs pick new representatives
+    # the DP's min takes the cheapest of the controls that share a target, so
+    # new costs pick new representatives, and active stays a view of move
     rng = np.random.default_rng(137)
     for i in range(30):
         if i % 3 == 0:
@@ -293,9 +293,13 @@ def test_replacing_the_costs_collapses_duplicates_again():
             except ValueError:
                 continue
         q = dataclasses.replace(p, ell=rng.integers(0, 3, size=p.ell.shape).astype(float))
-        active, collapses = loop_collapse_duplicates(q.move, q.ell)
-        assert np.array_equal(q.active, active)
-        assert list(q.duplicate_collapses) == collapses
+        assert np.array_equal(q.active, np.broadcast_to((q.move >= 0)[:, None, :], q.ell.shape))
+        assert not q.active.flags.writeable
+        kept, collapses = loop_collapse_duplicates(q.move, q.ell)
+        assert q.duplicate_collapses == len(collapses)
+        v, argmin = loop_value_function(q, kept)
+        vf = solve_value_function(q)
+        assert np.array_equal(vf.v, v) and np.array_equal(vf.argmin_control, argmin)
 
 
 def test_replacing_the_costs_of_duplicate_dynamics_solves_the_new_problem():
@@ -316,11 +320,14 @@ def test_replacing_the_costs_of_duplicate_dynamics_solves_the_new_problem():
     p = build({"a": 1.0, "b": 5.0})
     swapped = dataclasses.replace(p, ell=p.ell[:, :, ::-1].copy())
     want = build({"a": 5.0, "b": 1.0})
-    assert np.array_equal(swapped.active, want.active) and not swapped.active[:, :, 0].any()
-    assert swapped.duplicate_collapses == want.duplicate_collapses
+    assert np.array_equal(swapped.ell, want.ell) and swapped.active.all()
+    assert swapped.duplicate_collapses == want.duplicate_collapses == 3 * 2
     result = run_control(swapped, {1: 1.0})
     assert result.lp.value == result.dp_total == 2.0
     assert all(result.criteria(1e-12).values())
+    # "b" is the control taken, in the DP's table and on the LP's path
+    assert (result.value_function.argmin_control[:, 1:] == 1).all()
+    assert not result.lp.measure[:, :, 0].any() and result.lp.measure[1, :, 1].tolist() == [1.0, 1.0]
 
 
 def test_replacing_the_moves_gives_their_steps_and_hjb_residual():
@@ -469,6 +476,16 @@ def test_certificate_three_state_slack_pattern():
     assert max(all_adm) > 0.0
 
 
+def test_a_certificate_is_built_with_all_its_fields():
+    # a certificate without its constant, supplied states or reachable set
+    # once built, and maximum_principle_check then failed on reachable None
+    p = three_state_problem()
+    cert = certify_control(p, solve_relaxed_lp(p, {1: 1.0}))
+    missing = "'c0', 'empirical_mean_cost', 'supplied', and 'reachable'"
+    with pytest.raises(TypeError, match=f"missing 4 required positional arguments: {missing}"):
+        control.ControlCertificate(problem=p, u=cert.u, w=cert.w)
+
+
 def test_certificate_identity_is_exact():
     rng = np.random.default_rng(67)
     for _ in range(10):
@@ -570,9 +587,10 @@ def test_duplicate_dynamics_collapse_lint():
         horizon=2.0,
         time_step=1.0,
     )
-    assert len(p.duplicate_collapses) == 3 * 2  # one per state per time step
-    assert not p.active[:, :, 1].any()
-    assert p.active[:, :, 0].all()
+    assert p.duplicate_collapses == 3 * 2  # one per state per time step
+    assert p.active.all()  # both stay admissible; the DP's min takes "a"
+    vf = solve_value_function(p)
+    assert (vf.argmin_control[:, 1:] == 0).all() and vf.v[:, -1].tolist() == [2.0] * 3
 
 
 def test_box_edge_warning():
@@ -694,24 +712,74 @@ def test_rejects_callback_values_of_the_wrong_kind(dynamics, running_cost, state
     assert str(info.value) == message
 
 
-def test_collapse_duplicates_ties_and_inadmissible_match_loop_reference():
-    # few targets and costs in {0, 1, 2}: most groups hold several controls,
-    # many with exactly equal costs, and about one control in four is
-    # inadmissible (-1)
+def duplicate_problem(rng):
+    # few targets and costs in {0, 1, 2} at dt = 1/2: most (state, target)
+    # groups hold several controls, cheaper, equal or dearer than each other,
+    # about one move in four is -1, and every sum of costs is exact
+    S, T, A = int(rng.integers(2, 7)), int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    move = rng.integers(-1, min(3, S), size=(S, A))
+    move[:, 0] = rng.integers(0, min(3, S), size=S)  # every state keeps a control
+    return control.ControlProblem(
+        state_dim=1,
+        nodes_per_axis=S,
+        origin=np.zeros(1),
+        spacing=1.0,
+        controls=tuple(range(A)),
+        move=move,
+        ell=rng.integers(0, 3, size=(S, T, A)).astype(float),
+        horizon=0.5 * T,
+        time_step=0.5,
+    )
+
+
+def with_a_duplicate(rng, p):
+    """``p`` with costs in {1, 2} and one more control, a copy of a seeded
+    control's moves whose cost is one less, the same or one more at each arc."""
+    S, T, A = p.ell.shape
+    ell = rng.integers(1, 3, size=(S, T, A)).astype(float)
+    a = int(rng.integers(A))
+    copy = ell[:, :, a] + rng.integers(-1, 2, size=(S, T))
+    return dataclasses.replace(
+        p,
+        controls=p.controls + (A,),
+        move=np.column_stack([p.move, p.move[:, a]]),
+        ell=np.concatenate([ell, copy[:, :, None]], axis=2),
+    )
+
+
+def test_duplicate_controls_solve_as_the_loop_dp_on_the_kept_arcs():
+    # the DP's and the LP's min over all admissible arcs give, bit for bit,
+    # what a loop DP over only the arcs that loop_collapse_duplicates keeps
+    # gives; masses are binary fractions, so every value below is exact
     rng = np.random.default_rng(101)
-    for _ in range(20):
-        S, T, A = (int(v) for v in rng.integers(1, 7, size=3))
-        move = rng.integers(-1, 3, size=(S, A))
-        ell = rng.integers(0, 3, size=(S, T, A)).astype(float)
-        active, collapses = _collapse_duplicates(move, ell)
-        want_active, want_collapses = loop_collapse_duplicates(move, ell)
-        assert np.array_equal(active, want_active)
-        assert list(collapses) == want_collapses
+    collapsed = 0
+    for i in range(30):
+        if i % 2:
+            p = with_a_duplicate(rng, random_problem(rng, max_states=6, max_controls=3))
+        else:
+            p = duplicate_problem(rng)
+        S, T = p.num_states, p.num_steps
+        kept, collapses = loop_collapse_duplicates(p.move, p.ell)
+        assert p.duplicate_collapses == len(collapses)
+        collapsed += len(collapses)
+        assert np.array_equal(p.active, np.broadcast_to((p.move >= 0)[:, None, :], p.ell.shape))
+
+        init = np.zeros(S)
+        atoms = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
+        init[atoms] = rng.choice([0.25, 0.5, 1.0], size=len(atoms))
+        result = run_control(p, init)
+        v, argmin = loop_value_function(p, kept)
+        assert np.array_equal(result.value_function.v, v)
+        assert np.array_equal(result.value_function.argmin_control, argmin)
+        assert result.lp.value == result.dp_total == float(np.dot(init, v[:, T]))
+        assert not result.lp.measure[~kept].any()  # the LP's paths run on kept arcs
+        assert all(result.criteria(1e-12).values()), result.criteria(1e-12)
+    assert collapsed >= 100
 
 
 def test_make_control_problem_transient_memory_is_bounded():
-    # The build keeps (S, T, A) tables: the costs, and in the duplicate
-    # collapse the kept control, one where-table and two masks.  An
+    # The build keeps one (S, T, A) table, the costs; it makes no collapse
+    # tables, since duplicate controls are left to the solvers' min.  An
     # (S, T, A, A) float table alone would be A / 4 of the bound.  The box is
     # the benchmark's largest: half-width 16, 16 steps, 9 controls.
     tracemalloc.start()
@@ -832,14 +900,16 @@ def test_certificate_is_the_shifted_value_function_bit_for_bit():
 
 def _path_solution(p, lp, paths):
     """``lp`` with its atoms' paths replaced by the feasible ``paths``: each
-    atom's mass times dt on the active arc of every step."""
+    atom's mass times dt, at every step, on the cheapest of the arcs that
+    make it (the lowest control of equal ones)."""
     S, T, A = p.ell.shape
     atoms = np.flatnonzero(lp.initial)
     measure = np.zeros((S, T, A))
     for path, mass in zip(paths, lp.initial[atoms]):
         for j in range(T):
-            (a,) = np.flatnonzero(p.active[path[j], j] & (p.move[path[j]] == path[j + 1]))
-            measure[path[j], j, a] += mass * p.time_step
+            s = path[j]
+            a = np.where(p.move[s] == path[j + 1], p.ell[s, j], np.inf).argmin()
+            measure[s, j, a] += mass * p.time_step
     value = float((measure * p.ell).sum())
     return control.RelaxedSolution(measure, value, lp.status, lp.initial, np.array(paths))
 
@@ -1047,9 +1117,7 @@ def test_array_checks_equal_loop_references():
         vf = solve_value_function(p)
         cert = certify_control(p, lp)
 
-        active, collapses = loop_collapse_duplicates(p.move, p.ell)
-        assert np.array_equal(active, p.active)
-        assert collapses == list(p.duplicate_collapses)
+        assert p.duplicate_collapses == len(loop_collapse_duplicates(p.move, p.ell)[1])
         assert np.array_equal(loop_reachable(p, cert.supplied), cert.reachable)
         assert loop_maximum_principle(cert, lp.measure) == maximum_principle_check(cert, lp.measure)
         assert loop_hjb_residual(vf, p) == hjb_residual(vf, p)

@@ -57,6 +57,17 @@ def test_cli_fractional_integer_param_is_a_usage_error(tmp_path, capsys, value):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("src, dst, node", [(3, 19, 3), (5, 5, 5), (16, 0, 0)])
+def test_finsler_distance_rejects_a_source_that_is_the_destination(tmp_path, capsys, src, dst, node):
+    # the two charges sit on one node of the n=16 ring; a single charge map
+    # once kept only one of them and reported an unbalanced current instead
+    argv = ["scenario", "finsler_distance", "--param", f"src={src}", "--param", f"dst={dst}"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    message = f"parameters src={src} and dst={dst} are the same node {node} of n=16"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exact_form_sweep_constant_zero():
     report = refinement_sweep("exact_form", [8, 16, 32])
     c0s = [row["c0"] for row in report["rows"]]
