@@ -353,6 +353,14 @@ def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray):
     return labels, pred
 
 
+def _arc_costs(p: ControlProblem) -> np.ndarray:
+    """The (S, T, A) arc costs dt*ell of the layered graph, +inf on an
+    inadmissible arc."""
+    costs = p.time_step * p.ell
+    costs[~p.active] = np.inf
+    return costs
+
+
 @dataclass
 class RelaxedSolution:
     """The relaxed LP's primal; its dual is the DP value function."""
@@ -416,8 +424,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     init = _initial_distribution(initial, S)
     atoms = np.flatnonzero(init > 0)
     in_arcs = _in_arcs(p.move)
-    costs = p.time_step * p.ell
-    costs[~p.active] = np.inf
+    costs = _arc_costs(p)
 
     paths = np.empty((len(atoms), T + 1), dtype=int)
     controls = np.empty((len(atoms), T), dtype=int)
@@ -609,31 +616,28 @@ def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) 
     """max over time nodes of the accumulated-value identity residual.
 
     Along a support trajectory y from t = 0, the cost accumulated by time t
-    equals u(y(t), t) - u(y(0), 0) + c0*t.  The accumulated value is computed
-    independently by a forward arrival dynamic program from (y(0), 0), so the
-    residual verifies both the certificate calibration and the optimality of
-    the trajectory prefix; it vanishes up to roundoff for exact optima.
+    equals u(y(t), t) - u(y(0), 0) + c0*t.  The accumulated value is the
+    least arrival cost at (y(t), t) from (y(0), 0), from the LP's forward
+    sweep (``_sweep``), so the residual verifies both the certificate
+    calibration and the optimality of the trajectory prefix; it vanishes up
+    to roundoff for exact optima.
     """
     p = cert.problem
     S, T, A = p.ell.shape
-    dt = p.time_step
     y = np.asarray(trajectory, dtype=int)
     if len(y) > T + 1:
         raise ValueError("trajectory longer than the time grid")
 
-    arrival = np.full((S, len(y)), np.inf)
-    arrival[y[0], 0] = 0.0
-    for j in range(len(y) - 1):
-        s, a = np.nonzero(p.active[:, j, :] & np.isfinite(arrival[:, j, None]))
-        np.minimum.at(arrival[:, j + 1], p.move[s, a], arrival[s, j] + dt * p.ell[s, j, a])
-
+    start = np.full(S, np.inf)
+    start[y[0]] = 0.0
+    arrival, _ = _sweep(start, _arc_costs(p)[:, : len(y) - 1], _in_arcs(p.move))
     times = np.arange(len(y))
-    reached = arrival[y, times]
+    reached = arrival[times, y]
     missed = np.flatnonzero(~np.isfinite(reached))
     if len(missed):
         j = int(missed[0])
         raise ValueError(f"trajectory node {y[j]} unreachable at time index {j}")
-    rhs = cert.u[y, times] - cert.u[y[0], 0] + cert.c0 * (times * dt)
+    rhs = cert.u[y, times] - cert.u[y[0], 0] + cert.c0 * (times * p.time_step)
     return float(np.max(np.abs(reached - rhs), initial=0.0))
 
 

@@ -536,6 +536,24 @@ def test_u_v_relation_examples():
         assert check_u_v_relation(cert3, vf3, states[:1]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([1, 0, 1, 0], "trajectory longer than the time grid"),
+        ([1, 1], "trajectory node 1 unreachable at time index 1"),
+        ([1, 2, 2], "trajectory node 2 unreachable at time index 2"),
+    ],
+    ids=["too_long", "stays_put", "stays_put_late"],
+)
+def test_u_v_relation_rejects_a_long_or_unreachable_trajectory(states, message):
+    # every control of three_state_problem moves one node a step
+    p = three_state_problem()
+    vf = solve_value_function(p)
+    cert = certify_control(p, solve_relaxed_lp(p, {1: 1.0}))
+    with pytest.raises(ValueError) as err:
+        check_u_v_relation(cert, vf, states)
+    assert str(err.value) == message
+
 def test_hjb_residual_constant_cost_is_zero():
     p = constant_cost_problem(k=2.0)
     vf = solve_value_function(p)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -625,6 +626,130 @@ def test_write_csv_keeps_signed_zeros_apart_within_and_across_blocks(tmp_path):
     fields = (tmp_path / "column.csv").read_bytes().decode().split("\r\n")[1:-1]
     assert fields[:7] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "-0.0", "0.0"]
     assert set(fields[B:]) == {"0.0"}
+
+
+def _kernel_texts(values, fallback=repr):
+    """The kernel's fields for float64 ``values``, as str."""
+    return serialize._texts(serialize._float_fields(np.asarray(values, dtype=np.float64), fallback))
+
+
+def _assert_kernel_writes_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    texts, expected = _kernel_texts(values), list(map(repr, values.tolist()))
+    if texts != expected:
+        i = next(i for i, (a, b) in enumerate(zip(texts, expected)) if a != b)
+        pytest.fail(f"bits {values[i:i + 1].view(np.uint64)[0]:#018x}: {texts[i]!r}, repr {expected[i]!r}")
+
+
+def test_float_kernel_matches_repr_on_random_bits_and_every_decade():
+    # 2**20 random float64 bit patterns, in blocks, seven in eight of them
+    # with an exponent in the kernel's own range (about 7.3e-12 to 7.2e16),
+    # then every decade from 1e-12 to 1e17
+    rng = np.random.default_rng(2018)
+    for _ in range(8):
+        bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64)
+        inside = rng.random(len(bits)) < 7 / 8
+        exponent = rng.integers(1075 - 89, 1075 + 4, len(bits), dtype=np.uint64)
+        bits[inside] = bits[inside] & ~np.uint64(0x7FF << 52) | exponent[inside] << np.uint64(52)
+        _assert_kernel_writes_repr(bits.view(np.float64))
+    decades = np.arange(-12, 18)
+    values = rng.uniform(1, 10, (len(decades), 4096)) * 10.0 ** decades[:, None]
+    values[:, ::2] *= -1
+    _assert_kernel_writes_repr(values.ravel())
+    inside = values[(decades >= -11) & (decades <= 15)].ravel()
+    fallbacks = []
+    _kernel_texts(inside, lambda x: fallbacks.append(x) or repr(x))
+    assert len(fallbacks) < 0.02 * len(inside)  # the kernel wrote the others
+
+
+def _powers_of_two():
+    return np.ldexp(1.0, np.arange(-1074, 1024))
+
+
+def _ties(rng):
+    """Values in [2**49, 2**50), x = m / 8 with m = 2 mod 4: there the kernel
+    rounds x * 10 to an integer, and x * 10 lies exactly halfway between two."""
+    m = 2**52 + 4 * rng.integers(0, 2**50, 64, dtype=np.int64) + 2
+    return np.ldexp(m.astype(np.float64), -3)
+
+
+NAMED_EDGES = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 2.225073858507201e-308],
+    "largest": [np.finfo(np.float64).max, -np.finfo(np.float64).max, 2.2250738585072014e-308],
+    "powers_of_two": _powers_of_two(),
+    "two_to_53": [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 - 1), 2.0**53 - 2],
+    "positional_switch": [
+        v for x in (1e-4, 1e-5, 1e15, 1e16)
+        for v in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))
+    ] + [9999999999999998.0, 0.00010000000000000002, 123456789012345.67],
+    "ties": _ties(np.random.default_rng(5)),
+    "non_finite": [np.inf, -np.inf, np.nan, *NANS],
+}
+
+
+@pytest.mark.parametrize("name", NAMED_EDGES)
+def test_float_kernel_writes_each_named_edge_as_repr(name):
+    values = np.asarray(NAMED_EDGES[name], dtype=np.float64)
+    _assert_kernel_writes_repr(values)
+    if name in ("zeros", "powers_of_two", "ties", "non_finite"):
+        fallbacks = []
+        _kernel_texts(values, lambda x: fallbacks.append(x) or repr(x))
+        assert len(fallbacks) == len(values)  # none of these is the kernel's
+    # JSON writes null for a value that is not finite
+    finite = lambda x: repr(x) if np.isfinite(x) else "null"
+    assert _kernel_texts(values, finite) == list(map(finite, values.tolist()))
+
+
+def test_float_writers_match_modules_on_half_single_and_non_finite(tmp_path):
+    # every float16 bit pattern and 65536 random float32 ones, widened to
+    # float64, in a CSV column and a JSON array; NaN payloads are written as
+    # nan in CSV and null in JSON
+    rng = np.random.default_rng(16)
+    half = np.arange(2**16, dtype=np.uint16).view(np.float16)
+    single = rng.integers(0, 2**32, 2**16, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    wide = np.concatenate([rng.uniform(-1, 1, 1000), NANS, [np.inf, -np.inf, np.nan]])
+    for column in (half, single, wide):
+        assert len(np.unique(column.view(f"u{column.itemsize}"))) >= serialize._KERNEL_MIN
+        _same_bytes_as_csv_module(tmp_path, ["f"], [column])
+        payload = {"a": column.reshape(-1, 4) if len(column) % 4 == 0 else column}
+        serialize.write_json(tmp_path / "emit.json", payload)
+        oracles.loop_write_json(tmp_path / "loop.json", payload)
+        assert (tmp_path / "emit.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+
+def test_write_csv_keeps_nul_and_writes_utf8(tmp_path):
+    # fields are padded with 0xFF and the padding deleted: a NUL in a control
+    # name stays, and text is written as UTF-8
+    names = np.array(["a\x00b", "\u00e9t\u00e9", "", None], dtype=object)
+    serialize._write_csv(tmp_path / "x.csv", ["name", "v"], [(names, np.arange(4)), np.arange(4.0)])
+    expected = "name,v\r\na\x00b,0.0\r\n\u00e9t\u00e9,1.0\r\n,2.0\r\n,3.0\r\n".encode("utf-8")
+    assert (tmp_path / "x.csv").read_bytes() == expected
+
+
+def test_edge_writers_memory_stays_within_the_block_budget(tmp_path):
+    # the peak a slack and an envelope CSV take above their inputs, 2-D k=1:
+    # within the block budget, and at n=128 no higher than at n=64 but for
+    # the third digit of a node coordinate, one byte per row and coordinate
+    # in each of the block's copies of its text
+    peaks = []
+    for n in (64, 128):
+        grid = build_torus_grid(2, n, 1, 1.0 / n)
+        rng = np.random.default_rng(n)
+        table = LagrangianTable(grid=grid, values=rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets)))
+        env = fiber_convex_envelope(table)
+        cert = SimpleNamespace(grid=grid, slack=rng.uniform(0, 1, table.values.shape))
+        serialize.write_slack_csv(tmp_path / "slack.csv", cert)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            serialize.write_slack_csv(tmp_path / "slack.csv", cert)
+            serialize.write_envelope_csv(tmp_path / "envelope.csv", table, env)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= serialize._BLOCK_BYTES
+    assert peaks[1] <= peaks[0] + serialize._BLOCK_COPIES * serialize._BLOCK_ROWS * grid.dim
 
 
 # (d, n, k) grids whose edge tables fill exactly one block, one block and one
