@@ -28,13 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Potential f on nodes, critical constant c0, and slack g = L - c0 - df."""
 
     grid: object
-    potential: np.ndarray = field(repr=False, compare=False)  # (N,)
-    slack: np.ndarray = field(repr=False, compare=False)  # (N, M)
+    potential: np.ndarray = field(repr=False)  # (N,)
+    slack: np.ndarray = field(repr=False)  # (N, M)
     critical_constant: float = 0.0
     normalization_node: int = 0
     current_pairing: float = 0.0  # <c, f>; zero in the closed case
@@ -48,17 +48,18 @@ class DualCertificate:
         return float(self.slack.ravel()[ids].max()) if len(ids) else 0.0
 
 
-def _finish_certificate(table, pot, c0, normalization_node, pairing=0.0):
+def _finish_certificate(table, pot, c0, support, current=None):
+    """The certificate of ``pot`` shifted to vanish at the first ``support`` node, or node 0."""
+    normalization_node = support[0] if support else 0
     f = pot - pot[normalization_node]
-    df = discrete_differential(f, table.grid)
-    g = table.values - c0 - df
+    g = table.values - c0 - discrete_differential(f, table.grid)
     return DualCertificate(
         grid=table.grid,
         potential=f,
         critical_constant=float(c0),
         slack=g,
         normalization_node=int(normalization_node),
-        current_pairing=float(pairing),
+        current_pairing=float(current.pairing(f)) if current is not None else 0.0,
     )
 
 
@@ -98,9 +99,7 @@ def certify_closed(table: LagrangianTable, solution) -> DualCertificate:
             f"reduced costs h*(L - c0) admit a negative cycle: c0 = {c0!r} is not the "
             f"critical constant of {_describe(table)}, tolerance {tol!r}"
         )
-    support = solution.measure.support_nodes()
-    norm_node = support[0] if support else 0
-    return _finish_certificate(table, pot, c0, norm_node)
+    return _finish_certificate(table, pot, c0, solution.measure.support_nodes())
 
 
 def certify_boundary(
@@ -145,11 +144,7 @@ def certify_boundary(
             "residual graph has a negative cycle: the supplied solution is not optimal "
             f"for {_describe(table)}, tolerance {tol!r}"
         )
-    support = solution.measure.support_nodes()
-    norm_node = support[0] if support else 0
-    f = pot - pot[norm_node]
-    pairing = current.pairing(f)
-    return _finish_certificate(table, pot, 0.0, norm_node, pairing=pairing)
+    return _finish_certificate(table, pot, 0.0, solution.measure.support_nodes(), current)
 
 
 def _checked_start(potential, num_nodes: int):

@@ -61,8 +61,7 @@ def _cmd_certify(args) -> int:
     tol = _tolerance(args)
     grid, table, current = _load_problem(args)
     measure = serialize.read_measure_csv(grid, args.solution)
-    value = float(sum(table.values[e] * w for e, w in measure.weights.items()))
-    solution = OptimalSolution(measure=measure, value=value, status=OPTIMAL)
+    solution = OptimalSolution(measure=measure, value=measure.action(table), status=OPTIMAL)
     try:
         result = verify_measure(table, solution, current)
     except RuntimeError as exc:

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
     """Tabulated finite-horizon problem data on a box grid.
 
@@ -75,11 +75,11 @@ class ControlProblem:
 
     state_dim: int
     nodes_per_axis: int
-    origin: np.ndarray = field(repr=False, compare=False)  # (N,)
+    origin: np.ndarray = field(repr=False)  # (N,)
     spacing: float
     controls: tuple
-    move: np.ndarray = field(repr=False, compare=False)  # (S, A)
-    ell: np.ndarray = field(repr=False, compare=False)  # (S, T, A)
+    move: np.ndarray = field(repr=False)  # (S, A)
+    ell: np.ndarray = field(repr=False)  # (S, T, A)
     horizon: float
     time_step: float
 
@@ -466,7 +466,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlCertificate:
     """Potential u on state x time nodes, constant c0, and slack w; u is the
     DP value function, negated and shifted by c0 (see ``certify_control``).
@@ -480,12 +480,12 @@ class ControlCertificate:
     """
 
     problem: ControlProblem
-    u: np.ndarray = field(repr=False, compare=False)  # (S, T+1)
-    w: np.ndarray = field(repr=False, compare=False)  # (S, T, A); nan inadmissible
+    u: np.ndarray = field(repr=False)  # (S, T+1)
+    w: np.ndarray = field(repr=False)  # (S, T, A); nan inadmissible
     c0: float
     empirical_mean_cost: float
     supplied: tuple
-    reachable: np.ndarray = field(repr=False, compare=False)  # (S, T+1)
+    reachable: np.ndarray = field(repr=False)  # (S, T+1)
 
 
 def _reachable_mask(p: ControlProblem, supplied: np.ndarray) -> np.ndarray:

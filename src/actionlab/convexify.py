@@ -39,7 +39,7 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberEnvelope:
     """Envelope values plus fiber slopes on every edge.
 
@@ -50,9 +50,9 @@ class FiberEnvelope:
     """
 
     grid: PhaseGrid
-    values: np.ndarray = field(repr=False, compare=False)  # (N, M)
-    grad: np.ndarray = field(repr=False, compare=False)  # (N, M, d)
-    endpoint: np.ndarray = field(repr=False, compare=False)  # (N, M) bool
+    values: np.ndarray = field(repr=False)  # (N, M)
+    grad: np.ndarray = field(repr=False)  # (N, M, d)
+    endpoint: np.ndarray = field(repr=False)  # (N, M) bool
 
 
 @functools.cache
@@ -181,7 +181,7 @@ def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure):
     if env.grid != mu.grid:
         raise ValueError("envelope and measure live on different grids")
     n, d = env.grid.num_nodes, env.grid.dim
-    nodes, offs = np.array(sorted(mu.weights), dtype=int).reshape(-1, 2).T
+    nodes, offs = np.divmod(mu.edge_ids(), env.grid.num_offsets)
     rows = env.grad[nodes, offs]
     total = np.zeros((n, d))
     hi = np.full((n, d), -np.inf)

@@ -128,8 +128,8 @@ def full_report(
     """Aggregate verification of one solved instance.
 
     ``current`` is the problem's boundary data (None for the closed case);
-    it enters the duality gap through the pairing <c, f> and the boundary
-    residual.  Inputs must share one grid.
+    it enters the boundary residual, and the duality gap through the
+    certificate's pairing <c, f>.  Inputs must share one grid.
     """
     grid = table.grid
     for other in (solution.measure.grid, cert.grid, envelope.grid):
@@ -139,13 +139,7 @@ def full_report(
         raise ValueError("inputs live on different grids")
 
     mu = solution.measure
-    mass = mu.mass
-    slack_min = cert.slack_min
-    slack_support = cert.slack_on_support(mu)
-
-    action = float(sum(table.values[e] * w for e, w in mu.weights.items()))
-    pairing = current.pairing(cert.potential) if current is not None else 0.0
-    duality_gap = abs(action - (cert.critical_constant * mass + pairing))
+    duality_gap = abs(mu.action(table) - (cert.critical_constant * mu.mass + cert.current_pairing))
 
     bm = boundary_of_measure(mu)
     target = current.to_dense() if current is not None else np.zeros(grid.num_nodes)
@@ -165,8 +159,8 @@ def full_report(
 
     return DiagnosticsReport(
         hamiltonian_residual_max=energy,
-        slack_min=slack_min,
-        slack_on_support_max=slack_support,
+        slack_min=cert.slack_min,
+        slack_on_support_max=cert.slack_on_support(mu),
         duality_gap=duality_gap,
         momentum_lipschitz_estimate=lip,
         boundary_residual_max=boundary_residual,

@@ -5,7 +5,9 @@ dx = 1/n.  Admissible motions form a finite stencil of integer offsets k with
 |k|_inf <= K, so every edge (node, offset) lands exactly on another grid node
 after one time step h, with velocity v = k*dx/h.  Forcing velocities to be
 grid-compatible makes the boundary condition on measures a finite linear
-constraint with no interpolation error.
+constraint with no interpolation error.  Edge ids number the edges
+node * M + offset_index; a measure is built and read by edge id, and how it
+keys its weights is known to this module alone.
 
 All types are immutable after construction and safe to share for concurrent
 reads; construction is single-threaded.
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -155,12 +158,12 @@ def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianTable:
     """Sampled Lagrangian values L(x, v), one per edge of the grid."""
 
     grid: PhaseGrid
-    values: np.ndarray = field(repr=False, compare=False)  # (N, M) float
+    values: np.ndarray = field(repr=False)  # (N, M) float
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -220,15 +223,16 @@ def discrete_differential(f, grid: PhaseGrid) -> np.ndarray:
     return (f[grid.neighbors] - f[:, None]) / grid.time_step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Nonnegative edge weights; a measure on the discrete tangent bundle.
 
-    Stored sparsely: ``weights`` maps (node, offset_index) to a positive weight.
+    Stored sparsely: ``weights`` maps (node, offset_index) to a positive
+    weight; its insertion order is the measure's own, which every sum keeps.
     """
 
     grid: PhaseGrid
-    weights: dict = field(repr=False, compare=False)
+    weights: dict = field(repr=False)
 
     def __post_init__(self):
         edges = list(self.weights)
@@ -252,21 +256,37 @@ class DiscreteMeasure:
         clean = dict(zip(map(tuple, keys[keep].astype(int).tolist()), w[keep].tolist()))
         object.__setattr__(self, "weights", clean)
 
+    @classmethod
+    def on_edges(cls, grid: PhaseGrid, ids, weights) -> DiscreteMeasure:
+        """The measure with weight ``weights[i]`` on edge ``ids[i]``, in this order."""
+        keys = zip(*(a.tolist() for a in np.divmod(np.asarray(ids, dtype=int), grid.num_offsets)))
+        return cls(grid=grid, weights=dict(zip(keys, np.asarray(weights, dtype=float).tolist())))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edge ids node * M + offset_index, weights) of supp mu, in the measure's order."""
+        keys = np.array(list(self.weights), dtype=int).reshape(-1, 2)
+        weights = np.fromiter(self.weights.values(), float, len(keys))
+        return keys[:, 0] * self.grid.num_offsets + keys[:, 1], weights
+
     @property
     def mass(self) -> float:
         return float(sum(self.weights.values()))
 
+    def action(self, table: LagrangianTable) -> float:
+        """sum of L * w over supp mu, one rounding per edge in the measure's order."""
+        ids, weights = self.edges()
+        return reduce(operator.add, (table.values.ravel()[ids] * weights).tolist(), 0.0)
+
     def support_nodes(self) -> list[int]:
         """Sorted projected support pi(supp mu)."""
-        return sorted({node for (node, _m) in self.weights})
+        return np.unique(self.edges()[0] // self.grid.num_offsets).tolist()
 
     def edge_ids(self) -> np.ndarray:
-        """Ascending edge ids node * M + offset_index of supp mu."""
-        keys = np.array(list(self.weights), dtype=int).reshape(-1, 2)
-        return np.sort(keys[:, 0] * self.grid.num_offsets + keys[:, 1])
+        """Ascending edge ids of supp mu."""
+        return np.sort(self.edges()[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurrent:
     """Signed node charges; the discrete boundary of a measure.
 
@@ -275,7 +295,7 @@ class BoundaryCurrent:
     """
 
     grid: PhaseGrid
-    charges: dict = field(repr=False, compare=False)
+    charges: dict = field(repr=False)
 
     def __post_init__(self):
         nodes = list(self.charges)
@@ -318,13 +338,14 @@ def boundary_of_measure(mu: DiscreteMeasure) -> BoundaryCurrent:
 
     Satisfies the summation-by-parts identity
     sum_e mu(e) df(e) = sum_x charges(x) f(x) for every potential f, so a
-    node-balanced measure (circulation) has zero boundary.
+    node-balanced measure (circulation) has zero boundary.  Each edge, in the
+    measure's order, adds w/h to its head's charge and then -w/h to its tail's.
     """
     grid = mu.grid
-    h = grid.time_step
-    charges: dict[int, float] = {}
-    for (node, m), w in mu.weights.items():
-        head = int(grid.neighbors[node, m])
-        charges[head] = charges.get(head, 0.0) + w / h
-        charges[node] = charges.get(node, 0.0) - w / h
-    return BoundaryCurrent(grid=grid, charges=charges)
+    ids, weights = mu.edges()
+    tails, heads = grid.edge_endpoints
+    flow = weights / grid.time_step
+    ends = np.stack([heads[ids], tails[ids]], axis=1).ravel()
+    dense = np.bincount(ends, np.stack([flow, -flow], axis=1).ravel(), minlength=grid.num_nodes)
+    nodes = np.flatnonzero(dense)
+    return BoundaryCurrent(grid=grid, charges=dict(zip(nodes.tolist(), dense[nodes].tolist())))

@@ -55,9 +55,8 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
 
     The feasible set is compact and nonempty (grids always contain cycles), so
     the status is always OPTIMAL.  The returned measure is uniform on one
-    minimum-mean cycle; ties are broken by starting a greedy walk at the
-    smallest tight edge in (node, offset) order, which makes the output
-    deterministic.
+    minimum-mean cycle, in walk order; ties are broken by starting a greedy
+    walk at the smallest tight edge id, which makes the output deterministic.
     """
     grid = table.grid
     # The value is shift-equivariant: solve at the data's own scale, so that
@@ -66,23 +65,20 @@ def solve_closed(table: LagrangianTable) -> OptimalSolution:
     tol = network.cost_tolerance(float(shifted.max()), grid.num_nodes)
     lam, bias = network.minimum_mean_cycle(grid.neighbors, shifted)
     slack = shifted - lam + bias[grid.neighbors] - bias[:, None]
-    cycle_edges = _extract_tight_cycle(grid.neighbors, slack <= tol)
-    if not cycle_edges:
+    cycle = _extract_tight_cycle(grid.neighbors, slack <= tol)
+    if not cycle:
         raise RuntimeError(
             f"no tight cycle at mean {lam + float(table.values.min())!r} in {_describe(table)}, "
             f"tolerance {tol!r}; solver bug"
         )
-    weight = 1.0 / len(cycle_edges)
-    measure = DiscreteMeasure(
-        grid=grid, weights={edge: weight for edge in cycle_edges}
-    )
-    value = float(np.mean([table.values[e] for e in cycle_edges]))
+    measure = DiscreteMeasure.on_edges(grid, cycle, np.full(len(cycle), 1.0 / len(cycle)))
+    value = float(np.mean(table.values.ravel()[cycle]))
     return OptimalSolution(measure=measure, value=value, status=OPTIMAL)
 
 
-def _extract_tight_cycle(heads, tight) -> list[tuple[int, int]]:
-    """One minimum-mean cycle, as edges (node, offset_index); empty when no
-    tight edge lies on a tight cycle.
+def _extract_tight_cycle(heads, tight) -> list[int]:
+    """One minimum-mean cycle, as edge ids in walk order; empty when no tight
+    edge lies on a tight cycle.
 
     ``tight`` masks the grid's (V, M) ``heads`` table at the edges of zero
     slack under a feasible potential of the reduced costs L - lam.  Every
@@ -101,10 +97,10 @@ def _extract_tight_cycle(heads, tight) -> list[tuple[int, int]]:
     first = cyclic.argmax(axis=1).tolist()
     v = int(cyclic.any(axis=1).argmax())
     seen: dict[int, int] = {}
-    walk: list[tuple[int, int]] = []
+    walk: list[int] = []
     while v not in seen:
         seen[v] = len(walk)
-        walk.append((v, first[v]))
+        walk.append(v * heads.shape[1] + first[v])
         v = int(heads[v, first[v]])
     return walk[seen[v]:]
 
@@ -127,15 +123,13 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
 
     result = network.min_cost_flow(grid.num_nodes, tails, heads, costs, b)
     if result.status != OPTIMAL:
-        empty = DiscreteMeasure(grid=grid, weights={})
+        empty = DiscreteMeasure.on_edges(grid, [], [])
         return OptimalSolution(measure=empty, value=result.value, status=result.status)
 
     drop = 1e-12 * max(1.0, float(np.sum(np.abs(b))))
     support = np.flatnonzero(result.flow > drop)  # ascending edge ids
-    flow = result.flow[support].tolist()
-    edges = zip(*(c.tolist() for c in np.divmod(support, grid.num_offsets)))
-    measure = DiscreteMeasure(grid=grid, weights=dict(zip(edges, flow)))
-    value = float(sum(c * w for c, w in zip(costs[support].tolist(), flow)))
+    measure = DiscreteMeasure.on_edges(grid, support, result.flow[support])
+    value = measure.action(table)
     return OptimalSolution(
         measure=measure, value=value, status=OPTIMAL, potential=grid.time_step * result.potentials
     )

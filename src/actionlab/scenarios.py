@@ -191,7 +191,7 @@ def _build_tonelli_pendulum(params):
         supp = res.solution.measure.support_nodes()
         return [
             Check("c0", cert.critical_constant, vmin, dx * dx, "analytic: rest atom at the potential minimum"),
-            Check("support_size", float(len(res.solution.measure.weights)), 1.0, 0.0, "analytic"),
+            Check("support_size", float(len(res.solution.measure.edge_ids())), 1.0, 0.0, "analytic"),
             Check("support_node", float(supp[0]), float(vmin_node), 0.0, "analytic"),
             Check("slack_on_support", rep.slack_on_support_max, 0.0, 1e-8, "identity"),
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
@@ -218,7 +218,7 @@ def _build_rotation(params):
         mom_max = float(np.max(np.abs(rep.momentum[rep.on_support]), initial=0.0))
         return [
             Check("c0", cert.critical_constant, 0.0, 1e-12, "analytic: the v0-cycle is free"),
-            Check("support_size", float(len(mu.weights)), float(n), 0.0, "analytic: one full rotation"),
+            Check("support_size", float(len(mu.edge_ids())), float(n), 0.0, "analytic: one full rotation"),
             Check("momentum_max_abs", mom_max, 0.0, 1e-9, "analytic: fiber derivative vanishes at v0"),
             Check("momentum_lipschitz", rep.momentum_lipschitz_estimate, 0.0, 1e-9, "analytic: constant momenta"),
             Check("energy_residual", rep.hamiltonian_residual_max, 0.0, 1e-8, "identity"),
@@ -290,11 +290,11 @@ def _build_dirac_boundary(params):
     def checks(res):
         mu = res.solution.measure
         cert = res.certificate
-        off = np.ones(cert.slack.shape, dtype=bool)
-        off[tuple(zip(*mu.weights))] = False
-        off_support = cert.slack[off]
+        off = np.ones(cert.slack.size, dtype=bool)
+        off[mu.edge_ids()] = False
+        off_support = cert.slack.ravel()[off]
         return [
-            Check("support_size", float(len(mu.weights)), 1.0, 0.0, "analytic: single rest atom"),
+            Check("support_size", float(len(mu.edge_ids())), 1.0, 0.0, "analytic: single rest atom"),
             Check("support_node", float(mu.support_nodes()[0]), 0.0, 0.0, "analytic"),
             Check("c0", cert.critical_constant, 0.0, 1e-9, "analytic"),
             Check("slack_on_support", cert.slack_on_support(mu), 0.0, 1e-8, "identity"),

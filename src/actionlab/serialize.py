@@ -657,9 +657,7 @@ def _read_edges(grid: PhaseGrid, path) -> tuple[np.ndarray, np.ndarray]:
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     grid = mu.grid
     header = _coord_header(grid.dim, "node", "offset") + ["weight"]
-    nodes, m = np.array(list(mu.weights), dtype=int).reshape(-1, 2).T
-    ids = nodes * grid.num_offsets + m
-    weights = np.fromiter(mu.weights.values(), float, len(ids))
+    ids, weights = mu.edges()
     order = np.argsort(ids)
     columns = _coord_columns(grid, ids[order], edges=True) + [weights[order]]
     _write_csv(path, header, columns)
@@ -667,9 +665,7 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
 
 def read_measure_csv(grid: PhaseGrid, path) -> DiscreteMeasure:
     ids, rows = _read_edges(grid, path)
-    nodes, m = divmod(ids, grid.num_offsets)
-    weights = dict(zip(zip(nodes.tolist(), m.tolist()), rows[:, -1].tolist()))
-    return DiscreteMeasure(grid=grid, weights=weights)
+    return DiscreteMeasure.on_edges(grid, ids, rows[:, -1])
 
 
 def write_current_csv(path, current: BoundaryCurrent) -> None:

@@ -168,6 +168,26 @@ def grid_edges(table):
     return out
 
 
+def loop_action(table, mu) -> float:
+    """sum of L * w over a measure, one edge at a time in the measure's order."""
+    total = 0.0
+    for (node, m), w in mu.weights.items():
+        total += float(table.values[node, m]) * w
+    return total
+
+
+def loop_boundary_of_measure(mu) -> dict:
+    """Nonzero node charges (inflow - outflow)/h of a measure: each edge in
+    the measure's order adds w/h to its head's charge, then -w/h to its tail's."""
+    h = mu.grid.time_step
+    charges: dict = {}
+    for (node, m), w in mu.weights.items():
+        head = int(mu.grid.neighbors[node, m])
+        charges[head] = charges.get(head, 0.0) + w / h
+        charges[node] = charges.get(node, 0.0) - w / h
+    return {x: c for x, c in charges.items() if c != 0.0}
+
+
 # The lattice numbering by explicit per-axis arithmetic: nodes (and control
 # states) in [0, n)^d and stencil offsets in [-K, K]^d, each in lexicographic
 # order.

@@ -6,14 +6,25 @@ import pytest
 from actionlab import (
     BoundaryCurrent,
     DiscreteMeasure,
+    LagrangianTable,
     boundary_of_measure,
     build_torus_grid,
+    certify_closed,
     discrete_differential,
+    fiber_convex_envelope,
+    make_control_problem,
     sample_lagrangian,
+    solve_closed,
 )
+from actionlab.control import certify_control, solve_relaxed_lp
 from actionlab.grid import callback_points, sample_callback
 
-from oracles import LATTICES, loop_sample_lagrangian, loop_torus_grid
+from oracles import (
+    LATTICES,
+    loop_boundary_of_measure,
+    loop_sample_lagrangian,
+    loop_torus_grid,
+)
 
 
 def test_counts_1d():
@@ -335,6 +346,103 @@ def test_stokes_identity_random_pairs():
         mu = DiscreteMeasure(grid=grid, weights=weights)
         df = discrete_differential(f, grid)
         lhs = sum(w * df[e] for e, w in mu.weights.items())
-        rhs = boundary_of_measure(mu).pairing(f)
+        bm = boundary_of_measure(mu)
+        rhs = bm.pairing(f)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-10 * scale, f"trial {trial}"
+        # the array paths add in the measure's (random) order, as the loops do
+        assert _bits(bm.charges) == _bits(loop_boundary_of_measure(mu)), f"trial {trial}"
+        assert mu.action(LagrangianTable(grid=grid, values=df)) == lhs, f"trial {trial}"
+
+
+def _bits(charges: dict) -> list:
+    return sorted((x, float(c).hex()) for x, c in charges.items())
+
+
+def _boundary_case(name):
+    """A measure on which ``boundary_of_measure`` must match the loop reference."""
+    if name == "descending":
+        grid = build_torus_grid(2, 4, 2, 0.3)
+        rng = np.random.default_rng(8)
+        ids = np.sort(rng.choice(grid.num_edges, size=120, replace=False))[::-1]
+        return DiscreteMeasure.on_edges(grid, ids, rng.lognormal(size=len(ids)))
+    grid = build_torus_grid(1, 5, 1, 4.0)
+    rest, plus = grid.zero_offset_index, grid.offset_index(1)
+    weights = {
+        # node 1 is a head, then carries a self-loop (whose +w/h and -w/h
+        # round differently in the other order), then is a tail
+        "self_loop": {(0, plus): 0.3, (1, rest): 0.7, (1, plus): 0.3, (4, rest): 0.1},
+        # node 2 is the head of one edge and the tail of the next
+        "head_and_tail": {(1, plus): 0.1, (2, plus): 0.2, (3, plus): 0.3},
+        # w/h rounds to zero: the head gains +0.0, the tail -0.0
+        "signed_zero": {(2, plus): 5e-324, (0, plus): 0.5},
+    }[name]
+    return DiscreteMeasure(grid=grid, weights=weights)
+
+
+@pytest.mark.parametrize("name", ["self_loop", "head_and_tail", "signed_zero", "descending"])
+def test_boundary_of_measure_matches_the_loop_reference(name):
+    mu = _boundary_case(name)
+    bm = boundary_of_measure(mu)
+    loop = loop_boundary_of_measure(mu)
+    assert _bits(bm.charges) == _bits(loop)
+    dense = np.zeros(mu.grid.num_nodes)
+    dense[list(loop)] = list(loop.values())
+    assert bm.to_dense().tobytes() == dense.tobytes()
+
+
+def test_measure_on_edges_keeps_its_order():
+    grid = build_torus_grid(1, 4, 1, 0.25)  # 3 offsets
+    mu = DiscreteMeasure.on_edges(grid, [7, 2, 9, 4], [0.5, 0.25, 0.0, 1.0])
+    assert list(mu.weights.items()) == [((2, 1), 0.5), ((0, 2), 0.25), ((1, 1), 1.0)]
+    ids, weights = mu.edges()
+    assert ids.tolist() == [7, 2, 4] and weights.tolist() == [0.5, 0.25, 1.0]
+    assert mu.edge_ids().tolist() == [2, 4, 7]
+    assert mu.support_nodes() == [0, 1, 2]
+    table = LagrangianTable(grid=grid, values=np.arange(12.0).reshape(4, 3))
+    assert mu.action(table) == 7 * 0.5 + 2 * 0.25 + 4 * 1.0
+
+
+@pytest.mark.parametrize("make", ["dict", "on_edges", "zero_weight"])
+def test_empty_measure_reads_as_empty(make):
+    grid = build_torus_grid(2, 3, 1, 0.5)
+    mu = {
+        "dict": lambda: DiscreteMeasure(grid=grid, weights={}),
+        "on_edges": lambda: DiscreteMeasure.on_edges(grid, [], []),
+        "zero_weight": lambda: DiscreteMeasure(grid=grid, weights={(4, 0): 0.0}),
+    }[make]()
+    assert mu.support_nodes() == []
+    ids, weights = mu.edges()
+    assert ids.shape == weights.shape == (0,)
+    assert mu.edge_ids().shape == (0,) and mu.edge_ids().dtype.kind == "i"
+    table = LagrangianTable(grid=grid, values=np.ones((grid.num_nodes, grid.num_offsets)))
+    assert mu.action(table) == 0.0 and mu.mass == 0.0
+    assert boundary_of_measure(mu).charges == {}
+
+
+def test_data_types_compare_by_identity():
+    # their arrays are their data: two instances that differ only there are
+    # different, and an instance equals (and hashes as) itself
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    assert grid == build_torus_grid(1, 4, 1, 0.25)  # a grid is its scalars
+    zeros, ones = (LagrangianTable(grid=grid, values=np.full((4, 3), v)) for v in (0.0, 1.0))
+    pairs = [
+        (zeros, ones),
+        (DiscreteMeasure(grid=grid, weights={(0, 1): 1.0}), DiscreteMeasure(grid=grid, weights={(2, 1): 1.0})),
+        (BoundaryCurrent(grid=grid, charges={0: 1.0, 1: -1.0}), BoundaryCurrent(grid=grid, charges={0: 2.0, 1: -2.0})),
+        (fiber_convex_envelope(zeros), fiber_convex_envelope(ones)),
+        (certify_closed(zeros, solve_closed(zeros)), certify_closed(ones, solve_closed(ones))),
+    ]
+    problems = [
+        make_control_problem(
+            state_dim=1, nodes_per_axis=3, origin=[0.0], spacing=1.0, controls=(0,),
+            dynamics=lambda x, a: 0.0, running_cost=lambda x, t, a: cost,
+            horizon=1.0, time_step=1.0,
+        )
+        for cost in (0.0, 7.0)
+    ]
+    pairs.append(tuple(problems))
+    pairs.append(tuple(certify_control(p, solve_relaxed_lp(p, [1.0, 0.0, 0.0])) for p in problems))
+    for a, b in pairs:
+        assert a != b, type(a).__name__
+        assert a == a and hash(a) == hash(a), type(a).__name__

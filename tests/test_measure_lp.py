@@ -13,7 +13,13 @@ from actionlab import (
 from actionlab.grid import lattice_index
 from actionlab.measure_lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
-from oracles import grid_edges, random_closed_instance, scan_dijkstra, simple_cycle_min_mean
+from oracles import (
+    grid_edges,
+    loop_action,
+    random_closed_instance,
+    scan_dijkstra,
+    simple_cycle_min_mean,
+)
 
 
 def two_node_table():
@@ -49,6 +55,26 @@ def test_pendulum_rest_atom():
     sol = solve_closed(table)
     assert sol.value == pytest.approx(-1.0, abs=1e-12)
     assert sol.measure.weights == {(8, grid.zero_offset_index): 1.0}
+
+
+def test_closed_cycle_is_in_walk_order_and_its_action_adds_in_that_order():
+    # the cheap -1 steps make the full leftward rotation the one optimal
+    # cycle; its walk 0 -> 15 -> 14 -> ... is not ascending edge order
+    grid = build_torus_grid(1, 16, 1, 1.0 / 16)
+    rng = np.random.default_rng(0)
+    values = rng.uniform(1.0, 2.0, (16, 3))
+    left = grid.offset_index(-1)
+    values[:, left] = rng.uniform(0, 1e-3, 16) * 10.0 ** rng.integers(-3, 3, 16)
+    table = LagrangianTable(grid=grid, values=values)
+    mu = solve_closed(table).measure
+    ids, weights = mu.edges()
+    assert ids.tolist() == [0 * 3 + left] + [x * 3 + left for x in range(15, 0, -1)]
+    assert weights.tolist() == [1 / 16] * 16
+    assert mu.action(table) == loop_action(table, mu)
+    ascending = 0.0
+    for e in sorted(ids.tolist()):
+        ascending += float(values.ravel()[e]) / 16
+    assert mu.action(table) != ascending  # the order shows in the bits
 
 
 def test_closed_matches_brute_force_small():

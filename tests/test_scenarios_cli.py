@@ -274,6 +274,61 @@ def test_cli_boundary_solve_with_current(tmp_path):
     assert abs(certificate["current_pairing"] - 0.5) <= 1e-9
 
 
+def _shuffled_certify_problem(closed):
+    """A closed table whose optimal cycle has 16 edges, or a boundary problem
+    whose flow has edges of many weights."""
+    from actionlab import BoundaryCurrent, LagrangianTable, build_torus_grid
+
+    rng = np.random.default_rng(0)
+    if closed:
+        grid = build_torus_grid(1, 16, 1, 1.0 / 16)
+        values = rng.uniform(1.0, 2.0, (16, 3))
+        values[:, 0] = rng.uniform(0, 1e-3, 16) * 10.0 ** rng.integers(-3, 3, 16)
+        return LagrangianTable(grid=grid, values=values), None
+    grid = build_torus_grid(2, 8, 1, 0.125)
+    table = LagrangianTable(grid=grid, values=rng.uniform(0.1, 3.0, (64, 9)))
+    charges = {1: -0.75, 9: -1.5, 30: -0.3, 44: 1.1, 52: 0.45, 63: 1.0}
+    return table, BoundaryCurrent(grid=grid, charges=charges)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
+def test_cli_certify_reads_a_shuffled_solution_in_file_order(tmp_path, capsys, closed):
+    # the measure keeps the file's row order, and its mass and action add in
+    # that order: each output equals that of the loop reader's measure
+    from actionlab import DiscreteMeasure, serialize
+    from actionlab.diagnostics import verify_measure
+    from actionlab.measure_lp import OPTIMAL, OptimalSolution
+
+    table, current = _shuffled_certify_problem(closed)
+    grid = table.grid
+    serialize.write_json(tmp_path / "grid.json", serialize.grid_to_json(grid))
+    serialize.write_lagrangian_csv(tmp_path / "lag.csv", table)
+    argv = ["--grid", str(tmp_path / "grid.json"), "--lagrangian", str(tmp_path / "lag.csv")]
+    if current is not None:
+        serialize.write_current_csv(tmp_path / "cur.csv", current)
+        argv += ["--current", str(tmp_path / "cur.csv")]
+    assert main(["solve", *argv, "--outdir", str(tmp_path / "solved")]) == 0
+    header, *rows = (tmp_path / "solved" / "solution.csv").read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(1).permutation(len(rows))))
+    capsys.readouterr()
+    assert main(["certify", *argv, "--solution", str(shuffled), "--outdir", str(tmp_path / "cli")]) == 0
+
+    mu = DiscreteMeasure(grid=grid, weights=oracles.loop_read_measure_csv(grid, shuffled))
+    assert len(mu.weights) == len(rows) > 10 and list(mu.weights) != sorted(mu.weights)
+    assert capsys.readouterr().out.endswith(f"  mass {sum(mu.weights.values())!r}\n")
+    value = oracles.loop_action(table, mu)
+    if closed:
+        in_order = DiscreteMeasure(grid=grid, weights=dict(sorted(mu.weights.items())))
+        assert value != oracles.loop_action(table, in_order)  # the order shows in the bits
+    ref = verify_measure(table, OptimalSolution(measure=mu, value=value, status=OPTIMAL), current)
+    serialize.write_measure_result(tmp_path / "ref", ref)
+    names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
 def test_cli_non_finite_charge_is_a_usage_error(tmp_path, capsys):
     from actionlab import build_torus_grid, sample_lagrangian
     from actionlab import serialize
@@ -425,6 +480,28 @@ def test_cli_control_roundtrip(tmp_path, capsys):
     assert abs(report["lp_value"] - report["dp_total"]) <= 1e-9
     assert abs(report["lp_value"] - 0.25 * 0.25) <= 1e-12
     assert (outdir / "value_function.csv").exists()
+
+
+def test_cli_control_with_duplicate_controls_passes_and_counts_them(tmp_path):
+    # "stay" and "idle" make the same step at every state: each of the 5
+    # states and 3 steps has one duplicate, and the min over controls keeps
+    # the cheaper "idle"
+    from actionlab import serialize
+
+    serialize.write_json(tmp_path / "problem.json", {
+        "state_dim": 1, "n": 5, "origin": [-1.0], "spacing": 0.5,
+        "controls": ["left", "stay", "right", "idle"], "t0": 1.5, "dt": 0.5,
+        "dynamics_csv": "dynamics.csv", "costs_csv": "costs.csv",
+    })
+    steps, extra = (-1, 0, 1, 0), (0.5, 0.25, 0.5, 0.125)
+    dynamics = [[i, a, m] for i in range(5) for a, m in enumerate(steps)]
+    oracles._loop_write_csv(tmp_path / "dynamics.csv", ["x0", "control", "step"], dynamics)
+    costs = [[i, t, a, (i - 2) ** 2 + e] for i in range(5) for t in range(3) for a, e in enumerate(extra)]
+    oracles._loop_write_csv(tmp_path / "costs.csv", ["x0", "t_index", "control", "ell"], costs)
+    oracles._loop_write_csv(tmp_path / "init.csv", ["x0", "mass"], [[0, 1.0], [4, 0.5]])
+    argv = ["control", "--problem", str(tmp_path / "problem.json"), "--init", str(tmp_path / "init.csv")]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "control_report.json").read_text())["duplicate_collapses"] == 3 * 5
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
