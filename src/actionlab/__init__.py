@@ -31,11 +31,7 @@ from .certificates import (
     certify_boundary,
     certify_closed,
 )
-from .convexify import (
-    FiberEnvelope,
-    fiber_convex_envelope,
-    momentum_field,
-)
+from .convexify import fiber_convex_envelope, momentum_field
 from .diagnostics import (
     DiagnosticsReport,
     MeasureResult,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _integral, callback_points, lattice_index, lattice_points, sample_callback
+from .grid import _integral, callback_points, lattice_index, lattice_points, ordered_sum, sample_callback
 from .network import OPTIMAL
 
 __all__ = [
@@ -335,6 +335,8 @@ def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray):
 
     label[0] = start and label[j+1, h] = min over the arcs (s, a) into h of
     label[j, s] + costs[s, j, a]: one (S, K) gather and argmin per layer.
+    Only the admissible arcs of ``in_arcs`` are gathered, so the costs of
+    inadmissible arcs are never read.
     Returns the (T+1, S) labels and, per layer, the (T, S) flat id s*A + a of
     the arc each state's label came through, the lowest of equal ones.
     """
@@ -351,14 +353,6 @@ def _sweep(start: np.ndarray, costs: np.ndarray, in_arcs: np.ndarray):
         in_arcs.take(best, out=pred[j])
         reach.take(pred[j], out=labels[j + 1])
     return labels, pred
-
-
-def _arc_costs(p: ControlProblem) -> np.ndarray:
-    """The (S, T, A) arc costs dt*ell of the layered graph, +inf on an
-    inadmissible arc."""
-    costs = p.time_step * p.ell
-    costs[~p.active] = np.inf
-    return costs
 
 
 @dataclass
@@ -410,7 +404,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     mass takes a cheapest path from it.  Every arc goes from time node j to
     j + 1, so that path is set one time layer at a time ("reaching", Ahuja,
     Magnanti & Orlin, Network Flows, 1993, sec. 4.4), on the costs dt*ell
-    with +inf on inadmissible arcs; negative costs need no reweighting.
+    of the admissible arcs; negative costs need no reweighting.
     Atom i is swept alone from 0; its path ends at the final state of least
     label and runs back through the arcs the sweep came by (ties: the lowest
     final state, and the lowest s*A + a).
@@ -424,7 +418,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     init = _initial_distribution(initial, S)
     atoms = np.flatnonzero(init > 0)
     in_arcs = _in_arcs(p.move)
-    costs = _arc_costs(p)
+    costs = p.time_step * p.ell
 
     paths = np.empty((len(atoms), T + 1), dtype=int)
     controls = np.empty((len(atoms), T), dtype=int)
@@ -443,8 +437,7 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     j, s, a = np.unravel_index(ids[keep], (T, S, A))
     measure = np.zeros((S, T, A))
     measure[s, j, a] = arc_flow[keep] * p.time_step
-    # a Python sum in arc order, so the value does not depend on numpy's summation
-    value = float(sum((measure[s, j, a] * p.ell[s, j, a]).tolist()))
+    value = ordered_sum((measure[s, j, a] * p.ell[s, j, a]).tolist())  # in arc order
 
     coords = p.coords
     on_edge = ((coords == 0) | (coords == p.nodes_per_axis - 1)).any(axis=1)
@@ -533,7 +526,7 @@ def _certificate(p: ControlProblem, lp: RelaxedSolution, vf: ValueFunction) -> C
     w = np.where(adm[:, None, :], p.ell - c0 - du.transpose(0, 2, 1), np.nan)
 
     mu = lp.measure.transpose(1, 0, 2)  # summed in (j, s, a) arc order, as the value
-    mass = sum(mu[mu > 0].tolist())
+    mass = ordered_sum(mu[mu > 0].tolist())
     return ControlCertificate(
         problem=p,
         u=u,
@@ -630,7 +623,7 @@ def check_u_v_relation(cert: ControlCertificate, vf: ValueFunction, trajectory) 
 
     start = np.full(S, np.inf)
     start[y[0]] = 0.0
-    arrival, _ = _sweep(start, _arc_costs(p)[:, : len(y) - 1], _in_arcs(p.move))
+    arrival, _ = _sweep(start, p.time_step * p.ell[:, : len(y) - 1], _in_arcs(p.move))
     times = np.arange(len(y))
     reached = arrival[times, y]
     missed = np.flatnonzero(~np.isfinite(reached))

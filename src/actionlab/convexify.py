@@ -10,25 +10,24 @@ and stencil radius.  A 1-D stencil is placed on an axis of the plane, so one
 path serves both dimensions.  Stencils are small: (2k + 1)**d points, 49 at
 d=2, k=3, but a point can have thousands of representations (3,699 there).
 
-Fibers are independent, so the envelope, its slopes and the support table
-are computed a block at a time, with the block's temporaries held within
+Fibers are independent, so the envelope and the support table are computed
+a block at a time, with the block's temporaries held within
 ``_BLOCK_BYTES``: the transient memory does not grow with the grid.  Each
 weighted sum is added in the fixed order (y_i w_i + y_j w_j) + y_k w_k, so
-the values do not depend on the block size.  Everything here is pure.
+the values do not depend on the block size.  The envelope is a Lagrangian
+table; its fiber slopes are read only at a measure's edges (``momentum_field``).
+Everything here is pure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .grid import DiscreteMeasure, LagrangianTable, PhaseGrid, lattice_points
+from .grid import DiscreteMeasure, LagrangianTable, lattice_points
 
 __all__ = [
-    "FiberEnvelope",
     "fiber_convex_envelope",
     "momentum_field",
 ]
@@ -37,22 +36,6 @@ __all__ = [
 # points, in ``_supports``); it bounds the layer's transient memory whatever
 # the grid size.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class FiberEnvelope:
-    """Envelope values plus fiber slopes on every edge.
-
-    ``grad`` is the midpoint of the backward and forward difference quotients
-    of the envelope along each velocity axis, the deterministic subgradient
-    selection used for momenta.  At the stencil boundary, where ``endpoint``
-    is set, only one quotient exists and ``grad`` is that one-sided slope.
-    """
-
-    grid: PhaseGrid
-    values: np.ndarray = field(repr=False)  # (N, M)
-    grad: np.ndarray = field(repr=False)  # (N, M, d)
-    endpoint: np.ndarray = field(repr=False)  # (N, M) bool
 
 
 @functools.cache
@@ -112,8 +95,8 @@ def _supports(dim: int, radius: int) -> list[tuple[np.ndarray, np.ndarray]]:
     ))
 
 
-def fiber_convex_envelope(table: LagrangianTable) -> FiberEnvelope:
-    """Lower convex envelope of each fiber's sampled points.
+def fiber_convex_envelope(table: LagrangianTable) -> LagrangianTable:
+    """Lower convex envelope L~ of each fiber's sampled points, as a table.
 
     At each stencil point, the minimum over its cached convex representations
     (``_supports``) of the weighted sample values
@@ -137,7 +120,7 @@ def fiber_convex_envelope(table: LagrangianTable) -> FiberEnvelope:
             # + 0.0 maps -0.0 (all three terms -0.0) to 0.0, as a sum started
             # from zero does, and leaves every other value as it is
             env[start : start + rows, t] = total.min(axis=1) + 0.0
-    return _fiber_slopes(grid, env)
+    return LagrangianTable(grid=grid, values=env)
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -145,44 +128,46 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _fiber_slopes(grid: PhaseGrid, env: np.ndarray) -> FiberEnvelope:
-    n, m, d = grid.num_nodes, grid.num_offsets, grid.dim
+def _edge_slopes(envelope: LagrangianTable, ids: np.ndarray) -> np.ndarray:
+    """(len(ids), d) fiber slopes of the envelope at the edges ``ids``: along
+    each velocity axis, the midpoint of the backward and forward difference
+    quotients over dv = dx / h, the subgradient selection used for momenta.
+    At a stencil end the one quotient that exists stands for both."""
+    grid = envelope.grid
+    values = envelope.values.ravel()
     dv = grid.spacing / grid.time_step
-    K = grid.stencil_radius
-
-    grad = np.empty((n, m, d))
-    # a node's temporaries: about six fiber-sized float arrays per axis
-    rows = _block_rows(6 * m * env.itemsize)
-    for start in range(0, n, rows):
-        # (node, velocity axis 0, ...)
-        cube = env[start : start + rows].reshape((-1,) + (2 * K + 1,) * d)
-        for axis in range(d):
-            # difference quotients along this velocity axis, moved to axis 1; at
-            # the two stencil ends only one of them exists
-            dif = np.moveaxis(np.diff(cube, axis=1 + axis) / dv, 1 + axis, 1)
-            lo = np.concatenate([dif[:, :1], dif], axis=1)
-            hi = np.concatenate([dif, dif[:, -1:]], axis=1)
-            slope = np.moveaxis(0.5 * (lo + hi), 1, 1 + axis)
-            grad[start : start + rows, :, axis] = slope.reshape(len(cube), m)
-    endpoint = (np.abs(grid.offsets) == K).any(axis=1)[None, :].repeat(n, axis=0)
-    return FiberEnvelope(grid=grid, values=env, grad=grad, endpoint=endpoint)
+    side = 2 * grid.stencil_radius + 1
+    coords = grid.offsets[ids % grid.num_offsets] + grid.stencil_radius
+    slopes = np.empty((len(ids), grid.dim))
+    for axis in range(grid.dim):
+        # each quotient is (L~[a + stride] - L~[a]) / dv: backward from
+        # a = ids - stride, forward from a = ids, either moved at an end
+        stride = side ** (grid.dim - 1 - axis)
+        back = ids - stride * (coords[:, axis] > 0)
+        fore = ids - stride * (coords[:, axis] == side - 1)
+        lo = (values[back + stride] - values[back]) / dv
+        hi = (values[fore + stride] - values[fore]) / dv
+        slopes[:, axis] = 0.5 * (lo + hi)
+    return slopes
 
 
-def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure):
+def momentum_field(env: LagrangianTable, mu: DiscreteMeasure):
     """Envelope fiber derivatives at the supported velocities, per node.
 
-    Returns ``(momentum, spread, any_endpoint)``: the mean of ``env.grad``
+    Returns ``(momentum, spread, any_endpoint)``: the mean of ``_edge_slopes``
     over each node's supported offsets, shape (N, d); the largest component
     of max - min over those rows, the largest pairwise distance between the
-    momenta, shape (N,); and whether any of them is a stencil endpoint.
-    Momentum and spread are NaN off the projected support.  The mean adds the
-    rows in ascending offset order.
+    momenta, shape (N,); and whether any offset is a stencil end
+    (``PhaseGrid.stencil_end``).  Momentum and spread are NaN off the
+    projected support.  The mean adds the rows in ascending offset order.
     """
-    if env.grid != mu.grid:
+    grid = env.grid
+    if grid != mu.grid:
         raise ValueError("envelope and measure live on different grids")
-    n, d = env.grid.num_nodes, env.grid.dim
-    nodes, offs = np.divmod(mu.edge_ids(), env.grid.num_offsets)
-    rows = env.grad[nodes, offs]
+    n, d = grid.num_nodes, grid.dim
+    ids = mu.edge_ids()
+    nodes, offs = np.divmod(ids, grid.num_offsets)
+    rows = _edge_slopes(env, ids)
     total = np.zeros((n, d))
     hi = np.full((n, d), -np.inf)
     lo = np.full((n, d), np.inf)
@@ -190,7 +175,7 @@ def momentum_field(env: FiberEnvelope, mu: DiscreteMeasure):
     np.maximum.at(hi, nodes, rows)
     np.minimum.at(lo, nodes, rows)
     any_endpoint = np.zeros(n, dtype=bool)
-    np.logical_or.at(any_endpoint, nodes, env.endpoint[nodes, offs])
+    np.logical_or.at(any_endpoint, nodes, grid.stencil_end[offs])
 
     count = np.bincount(nodes, minlength=n)
     on = count > 0

@@ -25,7 +25,7 @@ from .grid import (
     discrete_differential,
 )
 from .certificates import DualCertificate, certify_boundary, certify_closed
-from .convexify import FiberEnvelope, fiber_convex_envelope, momentum_field
+from .convexify import fiber_convex_envelope, momentum_field
 from .measure_lp import OptimalSolution, solve_boundary, solve_closed
 
 __all__ = [
@@ -122,7 +122,7 @@ def full_report(
     table: LagrangianTable,
     solution,
     cert: DualCertificate,
-    envelope: FiberEnvelope,
+    envelope: LagrangianTable,
     current: BoundaryCurrent | None = None,
 ) -> DiagnosticsReport:
     """Aggregate verification of one solved instance.
@@ -180,7 +180,7 @@ class MeasureResult:
     current: BoundaryCurrent | None
     solution: OptimalSolution
     certificate: DualCertificate
-    envelope: FiberEnvelope
+    envelope: LagrangianTable
     report: DiagnosticsReport
 
     def criteria(self, tol: float) -> dict[str, bool]:

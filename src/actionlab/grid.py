@@ -32,6 +32,7 @@ __all__ = [
     "build_torus_grid",
     "lattice_points",
     "lattice_index",
+    "ordered_sum",
     "callback_points",
     "sample_callback",
     "sample_lagrangian",
@@ -51,6 +52,12 @@ def lattice_points(dim: int, side: int) -> np.ndarray:
     radius) and of control states.
     """
     return np.indices((side,) * dim).reshape(dim, -1).T
+
+
+def ordered_sum(terms) -> float:
+    """The floats of ``terms`` added in order from 0.0, one rounding per term, on
+    every Python version (builtin ``sum`` adds floats compensated from 3.12)."""
+    return reduce(operator.add, terms, 0.0)
 
 
 def _integral(x) -> np.ndarray:
@@ -111,6 +118,11 @@ class PhaseGrid:
         heads = self.neighbors.ravel()
         tails.flags.writeable = heads.flags.writeable = False
         return tails, heads
+
+    @property
+    def stencil_end(self) -> np.ndarray:
+        """(M,) mask of the offsets on the stencil's boundary |k|_inf = K."""
+        return (np.abs(self.offsets) == self.stencil_radius).any(axis=1)
 
     @property
     def zero_offset_index(self) -> int:
@@ -270,12 +282,13 @@ class DiscreteMeasure:
 
     @property
     def mass(self) -> float:
-        return float(sum(self.weights.values()))
+        """sum of w over supp mu, in the measure's order (``ordered_sum``)."""
+        return ordered_sum(self.weights.values())
 
     def action(self, table: LagrangianTable) -> float:
-        """sum of L * w over supp mu, one rounding per edge in the measure's order."""
+        """sum of L * w over supp mu, in the measure's order (``ordered_sum``)."""
         ids, weights = self.edges()
-        return reduce(operator.add, (table.values.ravel()[ids] * weights).tolist(), 0.0)
+        return ordered_sum((table.values.ravel()[ids] * weights).tolist())
 
     def support_nodes(self) -> list[int]:
         """Sorted projected support pi(supp mu)."""
@@ -313,8 +326,8 @@ class BoundaryCurrent:
         if len(bad):
             raise ValueError(f"charge on node {nodes[bad[0]]} outside the grid: node in [0, {N})")
         clean = dict(zip(x[keep].astype(int).tolist(), values[keep].tolist()))
-        total = sum(clean.values())
-        scale = sum(abs(c) for c in clean.values())
+        total = ordered_sum(clean.values())
+        scale = ordered_sum(map(abs, clean.values()))
         if abs(total) > CHARGE_BALANCE_TOL * max(1.0, scale):
             raise ValueError(f"boundary charges must sum to zero, got total {total:g}")
         object.__setattr__(self, "charges", clean)
@@ -328,9 +341,10 @@ class BoundaryCurrent:
         return dense
 
     def pairing(self, f) -> float:
-        """<c, f> = sum_x c(x) f(x)."""
-        f = np.asarray(f, dtype=float)
-        return float(sum(c * f[x] for x, c in self.charges.items()))
+        """<c, f> = sum_x c(x) f(x), in the charges' order (``ordered_sum``)."""
+        nodes = np.fromiter(self.charges, int, len(self.charges))
+        charges = np.fromiter(self.charges.values(), float, len(nodes))
+        return ordered_sum((charges * np.asarray(f, dtype=float)[nodes]).tolist())
 
 
 def boundary_of_measure(mu: DiscreteMeasure) -> BoundaryCurrent:

@@ -701,11 +701,13 @@ def write_slack_csv(path, cert) -> None:
     _write_edge_csv(path, cert.grid, ["g"], [cert.slack])
 
 
-def write_envelope_csv(path, table: LagrangianTable, env) -> None:
-    """L_tilde and the endpoint flag per edge.  L itself is the Lagrangian
-    CSV, and the one-sided slopes are differences of L_tilde (``_fiber_slopes``)."""
-    endpoint = (np.arange(2), env.endpoint.view(np.int8))  # 0 or 1, the flags not copied
-    _write_edge_csv(path, table.grid, ["L_tilde", "endpoint"], [env.values, endpoint])
+def write_envelope_csv(path, table: LagrangianTable, env: LagrangianTable) -> None:
+    """The envelope L_tilde and the stencil-end flag (``PhaseGrid.stencil_end``,
+    by row % M) per edge.  L is the Lagrangian CSV; the fiber slopes are
+    differences of L_tilde (``convexify._edge_slopes``)."""
+    grid = table.grid
+    endpoint = (grid.stencil_end.astype(int), lambda rows: rows % grid.num_offsets)
+    _write_edge_csv(path, grid, ["L_tilde", "endpoint"], [env.values, endpoint])
 
 
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:

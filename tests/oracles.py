@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from actionlab.convexify import _fiber_slopes
-
 
 def simple_cycle_min_mean(num_nodes: int, edges) -> float | None:
     """Minimum mean over all node-simple directed cycles, by exhaustive DFS.
@@ -194,6 +192,15 @@ def loop_boundary_of_measure(mu) -> dict:
 
 # the lattices the numbering is checked on: d, nodes per axis, stencil radius
 LATTICES = [(d, n, k) for d in (1, 2) for n in (2, 3, 5, 8) for k in (1, 2, 3)]
+
+
+def loop_sum(terms) -> float:
+    """The floats added one at a time from 0.0, each sum rounded: the plain
+    order that Python before 3.12 gives ``sum`` over floats."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def loop_node_index(coords, n: int) -> int:
@@ -628,6 +635,7 @@ def loop_write_slack_csv(path, cert):
 
 def loop_write_envelope_csv(path, table, env):
     grid = table.grid
+    K = grid.stencil_radius
     header = _loop_node_header(grid) + _loop_offset_header(grid) + ["L_tilde", "endpoint"]
     rows = []
     for node in range(grid.num_nodes):
@@ -635,14 +643,15 @@ def loop_write_envelope_csv(path, table, env):
             rows.append(
                 _loop_node_cols(grid, node)
                 + [int(k) for k in grid.offsets[m]]
-                + [float(env.values[node, m]), int(env.endpoint[node, m])]
+                + [float(env.values[node, m]), int(any(abs(c) == K for c in grid.offsets[m]))]
             )
     _loop_write_csv(path, header, rows)
 
 
 def read_envelope_csv(grid, path):
-    """The envelope of an envelope CSV: L_tilde and the endpoint flag as
-    written, the one-sided slopes and their midpoint rebuilt from L_tilde."""
+    """(values, grad, endpoint) of an envelope CSV: L_tilde and the endpoint
+    flag as written, the fiber slopes rebuilt from L_tilde by
+    ``loop_fiber_slopes``."""
     d = grid.dim
     values = np.full((grid.num_nodes, grid.num_offsets), np.nan)
     endpoint = np.zeros(values.shape, dtype=bool)
@@ -655,7 +664,7 @@ def read_envelope_csv(grid, path):
             values[node, m] = float(row[2 * d])
             endpoint[node, m] = {"0": False, "1": True}[row[2 * d + 1]]
     assert not np.isnan(values).any(), "envelope CSV does not cover every edge"
-    return dataclasses.replace(_fiber_slopes(grid, values), endpoint=endpoint)
+    return values, loop_fiber_slopes(grid, values)[0], endpoint
 
 
 def loop_node_table(table, solution, cert, envelope):
@@ -669,6 +678,7 @@ def loop_node_table(table, solution, cert, envelope):
     """
     grid = table.grid
     h = grid.time_step
+    grad, endpoint = loop_fiber_slopes(grid, envelope.values)
     f = [float(v) for v in cert.potential]
     c0 = float(cert.critical_constant)
     offsets = {}
@@ -683,7 +693,7 @@ def loop_node_table(table, solution, cert, envelope):
         row = {"node": x, "f": f[x], "momentum": None, "momentum_spread": None,
                "H_residual": ham + c0, "on_support": x in offsets, "any_endpoint": False}
         if x in offsets:
-            slopes = [[float(g) for g in envelope.grad[x, m]] for m in offsets[x]]
+            slopes = [[float(g) for g in grad[x, m]] for m in offsets[x]]
             total = [0.0] * grid.dim
             for slope in slopes:
                 for c in range(grid.dim):
@@ -695,7 +705,7 @@ def loop_node_table(table, solution, cert, envelope):
             row.update(
                 momentum=mean[0] if grid.dim == 1 else mean,
                 momentum_spread=spread,
-                any_endpoint=any(bool(envelope.endpoint[x, m]) for m in offsets[x]),
+                any_endpoint=any(bool(endpoint[x, m]) for m in offsets[x]),
             )
         rows.append(row)
     return rows

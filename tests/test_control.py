@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     loop_maximum_principle,
     loop_reachable,
     loop_node_index,
+    loop_sum,
     loop_torus_grid,
     loop_u_v_residual,
     loop_value_function,
@@ -1141,3 +1143,30 @@ def test_array_checks_equal_loop_references():
         assert loop_hjb_residual(vf, p) == hjb_residual(vf, p)
         for states, _m in extract_optimal_trajectories(p, lp):
             assert loop_u_v_residual(cert, states) == check_u_v_relation(cert, vf, states)
+
+
+def _rest_problem(cost):
+    """An atom of mass 0.1 at rest for ten unit steps at a constant running cost."""
+    p = make_control_problem(
+        state_dim=1, nodes_per_axis=3, origin=[0.0], spacing=1.0, controls=(0,),
+        dynamics=lambda x, a: 0.0, running_cost=lambda x, t, a: cost,
+        horizon=10.0, time_step=1.0,
+    )
+    return p, solve_relaxed_lp(p, {1: 0.1})
+
+
+def test_lp_value_adds_the_arcs_in_order():
+    # ten arcs of weight 0.1 at cost 0.3: in order 0.30000000000000004,
+    # compensated (builtin sum from Python 3.12) 0.3
+    p, lp = _rest_problem(0.3)
+    terms = [0.1 * 0.3] * 10
+    assert math.fsum(terms) != loop_sum(terms)
+    assert lp.value == loop_sum(terms) == 0.30000000000000004
+
+
+def test_empirical_mean_cost_divides_by_the_mass_added_in_order():
+    # the mass, ten weights 0.1, is 0.9999999999999999 in order, 1.0 compensated
+    p, lp = _rest_problem(0.3)
+    cert = certify_control(p, lp)
+    assert math.fsum([0.1] * 10) != loop_sum([0.1] * 10)
+    assert cert.empirical_mean_cost == lp.value / loop_sum([0.1] * 10) == 0.3000000000000001

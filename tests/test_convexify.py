@@ -15,7 +15,7 @@ from actionlab import (
 )
 
 from actionlab import convexify
-from actionlab.convexify import _fiber_slopes, _supports
+from actionlab.convexify import _edge_slopes, _supports
 
 from oracles import (
     LATTICES,
@@ -26,6 +26,13 @@ from oracles import (
     loop_lower_hull_1d,
     loop_supports,
 )
+
+
+def all_slopes(env):
+    """The fibre slopes of every edge as an (N, M, d) table, by ``_edge_slopes``."""
+    grid = env.grid
+    slopes = _edge_slopes(env, np.arange(grid.num_edges))
+    return slopes.reshape(grid.num_nodes, grid.num_offsets, grid.dim)
 
 
 def double_well_table(n=4):
@@ -151,8 +158,8 @@ def test_envelope_blocks_match_loop_reference(d, n, k, rows, monkeypatch):
         assert n_fibres % convexify._block_rows(3 * 8 * c_max) != 0
     got = fiber_convex_envelope(table)
     assert np.array_equal(got.values, want)
-    assert np.array_equal(got.grad, grad)
-    assert np.array_equal(got.endpoint, endpoint)
+    assert np.array_equal(all_slopes(got), grad)
+    assert np.array_equal(np.broadcast_to(grid.stencil_end, endpoint.shape), endpoint)
 
 
 def test_envelope_zero_is_positive_zero():
@@ -200,14 +207,14 @@ def _envelope_transient_bytes(n):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current >= env.values.nbytes + env.grad.nbytes + env.endpoint.nbytes
+    assert current >= env.values.nbytes
     return peak - current
 
 
 def test_envelope_transient_memory_is_bounded():
-    # Blocks keep the temporaries of the sums and of the slopes within one
-    # budget each, and the two never coexist.  A per-stencil-point
-    # (N, C, 3) gather would take 41 MB at n=64 and grow with N.
+    # Blocks keep the temporaries of the sums within one budget.  A
+    # per-stencil-point (N, C, 3) gather would take 41 MB at n=64 and grow
+    # with N.
     at_64 = _envelope_transient_bytes(64)
     assert at_64 < 2 * convexify._BLOCK_BYTES
     assert _envelope_transient_bytes(128) <= at_64
@@ -235,41 +242,41 @@ def test_envelope_1d_within_rounding_of_monotone_chain(k):
 @pytest.mark.parametrize("d,n,k", LATTICES)
 def test_fiber_slopes_match_loop_reference(d, n, k):
     # seeded tables with no symmetry between the velocity axes or their ends,
-    # taken raw and after convexification
+    # taken raw and after convexification; every edge, in a seeded order
     rng = np.random.default_rng([d, n, k])
     grid = build_torus_grid(d, n, k, 1.0 / n)
     values = rng.uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
     table = LagrangianTable(grid=grid, values=values)
-    for env in (table.values, fiber_convex_envelope(table).values):
-        got = _fiber_slopes(grid, env)
-        grad, endpoint = loop_fiber_slopes(grid, env)
-        assert np.array_equal(got.grad, grad)
-        assert np.array_equal(got.endpoint, endpoint)
+    ids = rng.permutation(grid.num_edges)
+    for env in (table, fiber_convex_envelope(table)):
+        grad, endpoint = loop_fiber_slopes(grid, env.values)
+        assert np.array_equal(_edge_slopes(env, ids), grad.reshape(-1, d)[ids])
+        assert np.array_equal(np.broadcast_to(grid.stencil_end, endpoint.shape), endpoint)
 
 
 def test_derivative_parabola_interior_and_endpoint():
     grid = build_torus_grid(1, 4, 1, 0.25)  # velocities -1, 0, 1
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
-    env = fiber_convex_envelope(table)
+    grad = all_slopes(fiber_convex_envelope(table))
     mid = grid.offset_index(0)
     # hull slopes around v=0 are -1/2 and 1/2: midpoint 0
-    assert env.grad[0, mid, 0] == pytest.approx(0.0, abs=1e-15)
-    assert not env.endpoint[0, mid]
+    assert grad[0, mid, 0] == pytest.approx(0.0, abs=1e-15)
+    assert not grid.stencil_end[mid]
     end = grid.offset_index(1)
-    assert env.endpoint[0, end]
-    assert env.grad[0, end, 0] == pytest.approx(0.5)  # the one-sided slope
+    assert grid.stencil_end[end]
+    assert grad[0, end, 0] == pytest.approx(0.5)  # the one-sided slope
 
 
 def test_derivative_flat_section_and_affine():
     grid, table = double_well_table()
-    env = fiber_convex_envelope(table)
-    assert env.grad[0, grid.offset_index(0), 0] == pytest.approx(0.0, abs=1e-15)
+    grad = all_slopes(fiber_convex_envelope(table))
+    assert grad[0, grid.offset_index(0), 0] == pytest.approx(0.0, abs=1e-15)
 
     grid2 = build_torus_grid(1, 4, 2, 0.25)
     aff = sample_lagrangian(grid2, lambda x, v: 2.0 * v + 1.0)
-    env2 = fiber_convex_envelope(aff)
+    grad2 = all_slopes(fiber_convex_envelope(aff))
     for m in range(grid2.num_offsets):
-        assert env2.grad[1, m, 0] == pytest.approx(2.0, abs=1e-12)
+        assert grad2[1, m, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_momentum_pendulum_rest_atom():
@@ -307,8 +314,9 @@ def test_momentum_two_velocities_reports_spread():
     mu = DiscreteMeasure(grid=grid, weights={(0, plus): 0.5, (0, minus): 0.5})
     env = fiber_convex_envelope(table)
     # hull slopes: (-9, 0) around v=-1 and (0, 9) around v=+1, midpoints +-4.5
-    assert env.grad[0, minus, 0] == pytest.approx(-4.5)
-    assert env.grad[0, plus, 0] == pytest.approx(4.5)
+    grad = all_slopes(env)
+    assert grad[0, minus, 0] == pytest.approx(-4.5)
+    assert grad[0, plus, 0] == pytest.approx(4.5)
     momentum, spread, any_endpoint = momentum_field(env, mu)
     assert spread[0] == pytest.approx(9.0)
     assert momentum[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -323,10 +331,10 @@ def _adjacent_slope_variation(n):
     table = sample_lagrangian(
         grid, lambda x, v: 0.5 * (v - 0.3 * np.sin(2 * np.pi * x)) ** 2
     )
-    env = fiber_convex_envelope(table)
+    grad = all_slopes(fiber_convex_envelope(table))
     worst = 0.0
     for m in range(1, grid.num_offsets - 1):
-        col = env.grad[:, m, 0]
+        col = grad[:, m, 0]
         jump = np.abs(col - np.roll(col, -1)).max()
         worst = max(worst, float(jump) / grid.spacing)
     return worst

@@ -21,6 +21,7 @@ from actionlab import (
     solve_closed,
 )
 from actionlab import diagnostics, serialize
+from actionlab.convexify import _edge_slopes
 from actionlab.diagnostics import LIPSCHITZ_BLOCK
 
 from oracles import (
@@ -204,7 +205,7 @@ def _node_table_case(case):
         weights.update({(4, 0): 0.5, (4, 3): 0.5})
         mu = dataclasses.replace(sol.measure, weights=weights)
         env = fiber_convex_envelope(table)
-        slopes = env.grad[2, :, 0]
+        slopes = _edge_slopes(env, 2 * grid.num_offsets + np.arange(grid.num_offsets))[:, 0]
         assert slopes.reshape(-1, 1).mean(axis=0)[0] != sum(slopes.tolist()) / len(slopes)
         return table, dataclasses.replace(sol, measure=mu), certify_closed(table, sol), env, None
     ends = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
