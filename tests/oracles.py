@@ -471,7 +471,7 @@ def loop_hjb_residual(vf, p):
         for a in range(A):
             if p.move[s, a] >= 0:
                 f_vel = p.steps[s, a] * dx / dt
-                slope = sum(float(f) * float(g) for f, g in zip(f_vel, grad))
+                slope = loop_sum(float(f) * float(g) for f, g in zip(f_vel, grad))
                 ham = max(ham, -slope - p.ell[s, min(j, T - 1), a])
         worst = max(worst, abs(v_t + ham))
     return float(worst)
@@ -505,8 +505,8 @@ def flow_relaxed_lp(p, init):
     into a sink that demands the whole initial mass ``init`` (S,), solved
     by ``network.min_cost_flow``.  ``flow`` is (S, T, A) with arc flows at or
     below 1e-12 * max(1, mass) dropped, ``potentials`` the flow's node
-    potentials (the sink last) and ``value`` sum(flow * dt * ell), summed in
-    arc order.
+    potentials (the sink last) and ``value`` sum(flow * dt * ell), added
+    plainly in arc order (``loop_sum``).
     """
     from actionlab import network
 
@@ -525,8 +525,8 @@ def flow_relaxed_lp(p, init):
     keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
     flow = np.zeros((S, T, A))
     flow[s[keep], j[keep], a[keep]] = arc_flow[keep]
-    value = sum((p.time_step * arc_flow[keep] * p.ell[s[keep], j[keep], a[keep]]).tolist())
-    return flow, result.potentials, float(value)
+    value = loop_sum((p.time_step * arc_flow[keep] * p.ell[s[keep], j[keep], a[keep]]).tolist())
+    return flow, result.potentials, value
 
 
 def _loop_clean(obj):

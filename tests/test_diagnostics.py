@@ -28,6 +28,7 @@ from oracles import (
     loop_energy_residual,
     loop_momentum_lipschitz,
     loop_node_table,
+    loop_sum,
     loop_write_node_table_csv,
     random_closed_instance,
     torus_distance,
@@ -206,7 +207,7 @@ def _node_table_case(case):
         mu = dataclasses.replace(sol.measure, weights=weights)
         env = fiber_convex_envelope(table)
         slopes = _edge_slopes(env, 2 * grid.num_offsets + np.arange(grid.num_offsets))[:, 0]
-        assert slopes.reshape(-1, 1).mean(axis=0)[0] != sum(slopes.tolist()) / len(slopes)
+        assert slopes.reshape(-1, 1).mean(axis=0)[0] != loop_sum(slopes.tolist()) / len(slopes)
         return table, dataclasses.replace(sol, measure=mu), certify_closed(table, sol), env, None
     ends = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
     charges = {int(x): -1.0 for x in ends[:pairs]}

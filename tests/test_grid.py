@@ -464,6 +464,8 @@ def test_mass_adds_the_weights_in_order():
 
 
 def test_pairing_adds_the_terms_in_the_charges_order():
+    # an order check: builtin sum over the numpy products c * f[x] is plain
+    # on every version, so this case does not depend on the Python version
     grid = build_torus_grid(1, 11, 1, 1.0 / 11)
     current = BoundaryCurrent(grid=grid, charges={**{x: 0.1 for x in range(10)}, 10: -1.0})
     f = np.ones(11)
