@@ -407,7 +407,8 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     of the admissible arcs; negative costs need no reweighting.
     Atom i is swept alone from 0; its path ends at the final state of least
     label and runs back through the arcs the sweep came by (ties: the lowest
-    final state, and the lowest s*A + a).
+    final state, and the lowest s*A + a).  Each path arc carries the summed
+    mass of its atoms, so every atom, however light, is in the measure.
 
     Its dual is the DP value function (see ``certify_control``), which
     ``solve_value_function`` computes backward from the horizon, sharing no
@@ -433,10 +434,9 @@ def solve_relaxed_lp(p: ControlProblem, initial) -> RelaxedSolution:
     # each path arc as one (j, s, a) flat id, so the ids ascend in arc order
     ids, arc = np.unique((np.arange(T) * S + paths[:, :-1]) * A + controls, return_inverse=True)
     arc_flow = np.bincount(arc.ravel(), np.repeat(init[atoms], T), minlength=len(ids))
-    keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
-    j, s, a = np.unravel_index(ids[keep], (T, S, A))
+    j, s, a = np.unravel_index(ids, (T, S, A))
     measure = np.zeros((S, T, A))
-    measure[s, j, a] = arc_flow[keep] * p.time_step
+    measure[s, j, a] = arc_flow * p.time_step
     value = ordered_sum((measure[s, j, a] * p.ell[s, j, a]).tolist())  # in arc order
 
     coords = p.coords

@@ -40,7 +40,7 @@ __all__ = [
     "boundary_of_measure",
 ]
 
-# Absolute floor for the zero-total-charge check; scaled by the charge size.
+# The zero-total-charge check allows this times the total |charge|, no floor.
 CHARGE_BALANCE_TOL = 1e-12
 
 
@@ -328,7 +328,7 @@ class BoundaryCurrent:
         clean = dict(zip(x[keep].astype(int).tolist(), values[keep].tolist()))
         total = ordered_sum(clean.values())
         scale = ordered_sum(map(abs, clean.values()))
-        if abs(total) > CHARGE_BALANCE_TOL * max(1.0, scale):
+        if abs(total) > CHARGE_BALANCE_TOL * scale:
             raise ValueError(f"boundary charges must sum to zero, got total {total:g}")
         object.__setattr__(self, "charges", clean)
 

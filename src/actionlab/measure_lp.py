@@ -111,8 +111,9 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     UNBOUNDED whenever any negative-cost directed cycle exists (adding that
     circulation preserves the boundary and lowers the cost without limit);
     INFEASIBLE when supply cannot reach demand; otherwise the min-cost flow
-    with node imbalances h*c(x).  The flow's node potentials, scaled by h to
-    the certificate's costs h*L, ride along as ``potential``.
+    with node imbalances h*c(x), on the edges with flow > 0.  The flow's node
+    potentials, scaled by h to the certificate's costs h*L, ride along as
+    ``potential``.
     """
     grid = table.grid
     if grid != current.grid:
@@ -126,8 +127,7 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
         empty = DiscreteMeasure.on_edges(grid, [], [])
         return OptimalSolution(measure=empty, value=result.value, status=result.status)
 
-    drop = 1e-12 * max(1.0, float(np.sum(np.abs(b))))
-    support = np.flatnonzero(result.flow > drop)  # ascending edge ids
+    support = np.flatnonzero(result.flow)  # ascending edge ids
     measure = DiscreteMeasure.on_edges(grid, support, result.flow[support])
     value = measure.action(table)
     return OptimalSolution(

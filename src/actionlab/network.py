@@ -7,15 +7,14 @@ sizes, exact combinatorial algorithms instead of general-purpose LP: Tarjan's
 strongly connected components, Howard's policy iteration for the minimum mean
 cycle, Bellman-Ford and Dijkstra for potentials, and the uncapacitated
 min-cost flow by successive shortest paths, run in phases that augment every
-deficit node one multi-source Dijkstra settles.  The searches scan a CSR
-table without self-loops, exactly: a self-loop changes no Tarjan low-link and
+deficit node one multi-source Dijkstra settles.  The searches scan CSR
+tables without self-loops, exactly: a self-loop changes no Tarjan low-link and
 shortens no path under nonnegative reduced costs, and Bellman-Ford still
 relaxes every edge, so a negative self-loop stays a negative cycle.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
 INFEASIBLE = "INFEASIBLE"
 
-# Imbalances below MASS_TOL * max(1, total |imbalance|) count as settled.
+# Imbalances and flows at or below MASS_TOL * total |imbalance| count as zero.
 MASS_TOL = 1e-13
 # Successive shortest paths stop with an error after this many phases per node
 # and edge; every phase augments at least once, so at least as many
@@ -282,7 +281,7 @@ def dijkstra_fixpoint(num_nodes, tails, heads, costs, guide) -> np.ndarray:
 @dataclass
 class FlowResult:
     status: str
-    flow: np.ndarray  # per edge
+    flow: np.ndarray  # per edge: 0 or above MASS_TOL * total |imbalance|
     # per node, in the units of ``costs`` (L for solve_boundary, not the
     # certificate's h*L): costs + potentials[tails] - potentials[heads] >= 0
     # on every edge and = 0 on the edges with flow, up to the rounding of one
@@ -318,17 +317,21 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     support do not change under costs -> a * costs (a > 0): the negative-cycle
     test allows ``cost_tolerance`` of the cost spread, and Dijkstra compares
     distances exactly.  Imbalances below ``MASS_TOL`` times the total
-    |imbalance| count as settled.
+    |imbalance| count as settled, and a flow an augmentation leaves at or
+    below that is set to 0, so imbalances times a > 0 keep the support too.
 
     Dijkstra reads the arcs through memoryviews, so its inner loop handles
-    Python scalars: forward arcs from a CSR table without self-loops (one
-    would lead a node settled at d back to itself at d or more), with reduced
-    costs (cost + pot[tail]) - pot[head], clamped at 0, computed per phase in
-    one array expression; reverse arcs from each node's list of in-edges that
-    carry flow.  Of equal distances a node keeps the first found, scanning
-    out-edges and then in-edges in ascending id; the heap pops equal
-    distances by node index.  Pushes are strictly below the node's label, so
-    a popped entry above the label is stale.
+    Python scalars, from CSR tables without self-loops (one would lead a
+    node settled at d back to itself at d or more) built per phase with
+    their reduced costs, clamped at 0, in array expressions: forward arcs by
+    tail, and the reverse arcs of the edges with flow > 0, by head.  An
+    augmentation changes only edges between settled nodes; the one arc the
+    table misses, a new reverse arc out of the deficit node being settled,
+    leads to a node settled no farther, so it would relax nothing.  Of equal
+    distances a node keeps the first found, scanning out-edges and then
+    in-edges in ascending id; the heap pops equal distances by node index.
+    Pushes are strictly below the node's label, so a popped entry above the
+    label is stale.
     """
     tails = np.ascontiguousarray(tails, dtype=int)
     heads = np.ascontiguousarray(heads, dtype=int)
@@ -346,16 +349,13 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
     supply_scale = float(np.sum(np.abs(b)))
     if supply_scale == 0.0:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
-    zero = MASS_TOL * max(1.0, supply_scale)
+    zero = MASS_TOL * supply_scale
 
     arc_ids, first = _csr(num_nodes, tails, heads)
     arc_heads, arc_costs, degree = heads[arc_ids], costs[arc_ids], np.diff(first)
     succ, edge_of, first = memoryview(arc_heads), memoryview(arc_ids), first.tolist()
-    # node -> ascending ids of its in-edges with flow above ``zero``, the
-    # only reverse arcs of the residual graph
-    carrying: dict[int, list[int]] = {}
-    tail_of, head_of, cost_of = memoryview(tails), memoryview(heads), memoryview(costs)
-    flow_of, pot_of, b_of = memoryview(flow), memoryview(pot), memoryview(b)
+    tail_of, head_of = memoryview(tails), memoryview(heads)
+    flow_of, b_of = memoryview(flow), memoryview(b)
     inf = float("inf")
     limit = AUGMENTATIONS_PER_ELEMENT * (num_nodes + num_edges + 1)
     for _ in range(limit):
@@ -366,6 +366,14 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
         # pot[tail] in CSR order is pot repeated by out-degree; where keeps -0.0
         red = (arc_costs + np.repeat(pot, degree)) - pot[arc_heads]
         red = memoryview(np.where(red < 0.0, 0.0, red))
+        # the reverse arcs, one per edge with flow, by head
+        carrying = np.flatnonzero(flow)
+        order, back_first = _csr(num_nodes, heads[carrying], tails[carrying])
+        back = carrying[order]
+        back_red = (-costs[back] + pot[heads[back]]) - pot[tails[back]]
+        back_red = memoryview(np.where(back_red < 0.0, 0.0, back_red))
+        back_to, back_of = memoryview(tails[back]), memoryview(~back)
+        back_first = back_first.tolist()
 
         # One Dijkstra on the residual graph with reduced costs, from every
         # supply node at distance 0; the heap pops equal distances by index.
@@ -385,8 +393,7 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
             last = dv
             if b_of[v] > zero:
                 # Augment along v's tree path from its root at once: every
-                # node on it is settled, so the changes to ``carrying``
-                # cannot reach the rest of the search.
+                # node on it is settled, so the phase's reverse arcs stay exact.
                 path: list[tuple[int, int]] = []
                 amount = b_of[v]
                 u = v
@@ -404,15 +411,8 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
                 if amount > zero:
                     for e, direction in path:
                         flow_of[e] += direction * amount
-                        if flow_of[e] < 0.0:
+                        if flow_of[e] <= zero:
                             flow_of[e] = 0.0
-                        into = carrying.setdefault(head_of[e], [])
-                        i = bisect.bisect_left(into, e)
-                        listed = i < len(into) and into[i] == e
-                        if flow_of[e] > zero and not listed:
-                            into.insert(i, e)
-                        elif flow_of[e] <= zero and listed:
-                            del into[i]
                     b_of[u] += amount
                     b_of[v] -= amount
                 settled += 1
@@ -425,16 +425,12 @@ def min_cost_flow(num_nodes, tails, heads, costs, imbalance) -> FlowResult:
                     dist[w] = nd
                     pred[w] = edge_of[i]
                     heapq.heappush(heap, (nd, w))
-            pv = pot_of[v]
-            for e in carrying.get(v, ()):
-                w = tail_of[e]
-                rc = -cost_of[e] + pv - pot_of[w]
-                if rc < 0.0:  # max(rc, 0.0) without the call
-                    rc = 0.0
-                nd = dv + rc
+            for i in range(back_first[v], back_first[v + 1]):
+                w = back_to[i]
+                nd = dv + back_red[i]
                 if nd < dist[w]:
                     dist[w] = nd
-                    pred[w] = ~e
+                    pred[w] = back_of[i]
                     heapq.heappush(heap, (nd, w))
         if not settled:
             return FlowResult(INFEASIBLE, flow, pot, float("inf"))

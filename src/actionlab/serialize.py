@@ -704,8 +704,10 @@ def write_slack_csv(path, cert) -> None:
 def write_envelope_csv(path, table: LagrangianTable, env: LagrangianTable) -> None:
     """The envelope L_tilde and the stencil-end flag (``PhaseGrid.stencil_end``,
     by row % M) per edge.  L is the Lagrangian CSV; the fiber slopes are
-    differences of L_tilde (``convexify._edge_slopes``)."""
-    grid = table.grid
+    differences of L_tilde (``convexify._edge_slopes``).  ``table`` and ``env`` share a grid."""
+    grid = env.grid
+    if table.grid != grid:
+        raise ValueError(f"envelope on {grid!r} does not match the table on {table.grid!r}")
     endpoint = (grid.stencil_end.astype(int), lambda rows: rows % grid.num_offsets)
     _write_edge_csv(path, grid, ["L_tilde", "endpoint"], [env.values, endpoint])
 

@@ -503,8 +503,8 @@ def flow_relaxed_lp(p, init):
     The layered graph as flat arcs in (j, s, a) order, node j*S + s for
     state s at time node j, then one zero-cost arc from every final node
     into a sink that demands the whole initial mass ``init`` (S,), solved
-    by ``network.min_cost_flow``.  ``flow`` is (S, T, A) with arc flows at or
-    below 1e-12 * max(1, mass) dropped, ``potentials`` the flow's node
+    by ``network.min_cost_flow``.  ``flow`` is (S, T, A), the min-cost flow's
+    arc flows (0 off its support), ``potentials`` the flow's node
     potentials (the sink last) and ``value`` sum(flow * dt * ell), added
     plainly in arc order (``loop_sum``).
     """
@@ -522,7 +522,7 @@ def flow_relaxed_lp(p, init):
     result = network.min_cost_flow(sink + 1, tails, heads, costs, b)
     assert result.status == network.OPTIMAL, result.status
     arc_flow = result.flow[: len(s)]
-    keep = arc_flow > 1e-12 * max(1.0, float(init.sum()))
+    keep = arc_flow > 0.0
     flow = np.zeros((S, T, A))
     flow[s[keep], j[keep], a[keep]] = arc_flow[keep]
     value = loop_sum((p.time_step * arc_flow[keep] * p.ell[s[keep], j[keep], a[keep]]).tolist())
@@ -783,7 +783,8 @@ def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
     starts at (``root``), and augments the tree path of every deficit node
     as it settles; it stops after min(#supply, #deficit) deficit nodes have
     settled and raises the potential by the distances capped at the last
-    one settled.
+    one settled.  It reads each in-edge's flow as it scans the edge, where
+    the solver reads its reverse arcs off the flow once per phase.
     """
     import heapq
 
@@ -814,7 +815,7 @@ def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
     supply_scale = float(np.sum(np.abs(b)))
     if supply_scale == 0.0:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
-    zero = MASS_TOL * max(1.0, supply_scale)
+    zero = MASS_TOL * supply_scale
 
     out_edges = _loop_adjacency(num_nodes, tails)
     in_edges = _loop_adjacency(num_nodes, heads)
@@ -858,7 +859,7 @@ def loop_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
                 if amount > zero:
                     for e, direction in path:
                         flow[e] += direction * amount
-                        if flow[e] < 0.0:
+                        if flow[e] <= zero:
                             flow[e] = 0.0
                     b[s] += amount
                     b[v] -= amount
@@ -932,7 +933,7 @@ def loop_ssp_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
     supply_scale = float(np.sum(np.abs(b)))
     if supply_scale == 0.0:
         return FlowResult(OPTIMAL, flow, pot, 0.0)
-    zero = MASS_TOL * max(1.0, supply_scale)
+    zero = MASS_TOL * supply_scale
 
     out_edges = _loop_adjacency(num_nodes, tails)
     in_edges = _loop_adjacency(num_nodes, heads)
@@ -990,7 +991,7 @@ def loop_ssp_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
                 v = int(tails[e])
         for e, direction in path:
             flow[e] += direction * amount
-            if flow[e] < 0.0:
+            if flow[e] <= zero:
                 flow[e] = 0.0
         b[s] += amount
         b[target] -= amount

@@ -866,6 +866,18 @@ def test_sweep_from_one_atom_equals_the_flow_oracle_bit_for_bit():
             assert extract_optimal_trajectories(p, lp) == [(path, init[atom])]
 
 
+def test_lp_keeps_an_atom_of_any_positive_mass():
+    # 9-state Legendre box; the atom at 7 is 13 decades lighter than the one
+    # at 2 and their paths share no arc, so the measure is the sum of the two
+    # single-atom measures and the LP value is the DP's
+    p = legendre_problem(1)
+    heavy, light = solve_relaxed_lp(p, {2: 1.0}), solve_relaxed_lp(p, {7: 1e-13})
+    assert light.measure[7, 0].max() == 1e-13 * p.time_step
+    result = run_control(p, {2: 1.0, 7: 1e-13})
+    assert np.array_equal(result.lp.measure, heavy.measure + light.measure)
+    assert result.lp.value == pytest.approx(result.dp_total, rel=1e-15)
+
+
 def test_sweep_from_several_atoms_is_optimal_and_certified():
     # a few atoms, then a mass on every state: the dual is no longer the
     # flow's, but the value is the oracle's and the DP's, and the checks hold

@@ -264,6 +264,14 @@ def test_boundary_current_rejects_unbalanced():
         BoundaryCurrent(grid=grid, charges={0: 1.0, 1: -0.5})
 
 
+def test_charge_balance_is_relative_to_the_charges():
+    # charges of 1e-14 are judged as charges of 1 are: no absolute floor
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    with pytest.raises(ValueError, match="sum to zero"):
+        BoundaryCurrent(grid=grid, charges={0: 1e-14, 1: -2e-14})
+    assert BoundaryCurrent(grid=grid, charges={0: 1e-14, 1: -1e-14}).charges == {0: 1e-14, 1: -1e-14}
+
+
 def test_measure_rejects_negative_weight():
     grid = build_torus_grid(1, 4, 1, 0.25)
     with pytest.raises(ValueError, match="negative"):

@@ -204,6 +204,37 @@ def test_boundary_status_and_support_invariant_under_scaling():
         assert sol.value / a == pytest.approx(base.value, rel=1e-12), a
 
 
+def _homogeneity_case(d):
+    # d=2: a seeded n=12 table with five unit charge pairs; d=1: the |v| ring
+    # of finsler_distance with one pair
+    if d == 1:
+        grid = build_torus_grid(1, 10, 1, 1.0)
+        return sample_lagrangian(grid, lambda x, v: abs(v)), {0: -1.0, 5: 1.0}
+    rng = np.random.default_rng(211)
+    grid = build_torus_grid(2, 12, 1, 1.0 / 12)
+    table = LagrangianTable(grid=grid, values=rng.uniform(0.0, 1.0, (grid.num_nodes, grid.num_offsets)))
+    ends = rng.choice(grid.num_nodes, size=10, replace=False).tolist()
+    return table, {x: (-1.0 if i < 5 else 1.0) for i, x in enumerate(ends)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_boundary_solution_is_homogeneous_in_the_current(d):
+    # the boundary problem is linear in the current: a power of two a scales
+    # the charges, the weights and the value exactly and keeps the support,
+    # from a = 2^-60 to 2^20.  Supports are compared, not criteria: at tiny a
+    # an absolute tolerance passes the empty measure too.
+    table, charges = _homogeneity_case(d)
+    base = solve_boundary(table, BoundaryCurrent(grid=table.grid, charges=charges))
+    assert base.status == OPTIMAL and base.measure.weights
+    for k in (-60, -45, -40, -30, -20, 0, 20):
+        a = 2.0**k
+        scaled = BoundaryCurrent(grid=table.grid, charges={x: a * c for x, c in charges.items()})
+        sol = solve_boundary(table, scaled)
+        assert sol.status == OPTIMAL, k
+        assert sol.measure.weights == {e: a * w for e, w in base.measure.weights.items()}, k
+        assert sol.value == a * base.value, k
+
+
 def test_boundary_zero_current_with_negative_cycle_is_unbounded():
     grid = build_torus_grid(1, 6, 1, 0.5)
     table = sample_lagrangian(grid, lambda x, v: -1.0 if v == 0 else 1.0)

@@ -495,6 +495,18 @@ def test_envelope_csv_rebuilds_every_envelope_array(tmp_path, d, n, k):
         assert np.array_equal(endpoint, np.broadcast_to(grid.stencil_end, endpoint.shape))
 
 
+def test_envelope_csv_rejects_an_envelope_of_another_grid(tmp_path):
+    # same shape, other time step: the flag and coordinates would come from
+    # the table's grid and the values from the envelope's
+    grid, other = build_torus_grid(1, 5, 1, 0.2), build_torus_grid(1, 5, 1, 0.25)
+    values = np.random.default_rng(3).uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
+    env = fiber_convex_envelope(LagrangianTable(grid=other, values=values))
+    path = tmp_path / "envelope.csv"
+    with pytest.raises(ValueError, match=r"envelope on PhaseGrid\(.*time_step=0.25\).*table on PhaseGrid\(.*time_step=0.2\)"):
+        serialize.write_envelope_csv(path, LagrangianTable(grid=grid, values=values), env)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("state_dim", [1, 2])
 def test_value_function_writer_matches_loop_reference(tmp_path, state_dim):
     rng = np.random.default_rng(state_dim)
