@@ -202,10 +202,11 @@ def _velocities(dynamics, xs, controls, state_dim: int) -> np.ndarray:
     finite numbers (a scalar or a length-1 array when N=1).
     """
     found = [dynamics(x, a) for x in xs for a in controls]
-    try:
-        vel = np.array([np.atleast_1d(v) for v in found], dtype=float)
-    except (TypeError, ValueError):
-        vel = None
+    vel = _float_array(found)  # one conversion when the velocities stack
+    if vel is not None and state_dim == 1 and vel.shape == (len(found),):
+        vel = vel[:, None]
+    if vel is None or vel.shape != (len(found), state_dim):
+        vel = _float_array([np.atleast_1d(v) for v in found])
     if vel is None or vel.shape != (len(found), state_dim) or not np.isfinite(vel).all():
         for e, value in enumerate(found):
             try:
@@ -220,6 +221,15 @@ def _velocities(dynamics, xs, controls, state_dim: int) -> np.ndarray:
                     f"expected {state_dim} finite number{'s' if state_dim > 1 else ''}"
                 )
     return vel.reshape(len(xs), len(controls), state_dim)
+
+
+def _float_array(items: list):
+    """``np.array(items, dtype=float)``, or None when the items do not
+    convert or do not stack."""
+    try:
+        return np.array(items, dtype=float)
+    except (TypeError, ValueError):
+        return None
 
 
 def _running_costs(running_cost, xs, times, controls) -> np.ndarray:

@@ -137,6 +137,10 @@ def minimum_mean_cycle(heads, costs) -> tuple[float, np.ndarray]:
     its first out-edge of smallest eta; when no node has one, nodes switch to
     their first out-edge e = (u, w) of equal eta minimizing c(e) - eta + x(w),
     if that is below x(u) by more than ``cost_tolerance`` of the cost spread.
+    Once every node reaches a cycle of one mean, as on a strongly connected
+    graph near the end, no out-edge leads to a smaller eta and the eta
+    comparison over all (V, M) edges is skipped: the second test then reads
+    c - eta + x(w) directly, the same floats in the same order.
 
     Returns ``(value, bias)``, the bias finite at every node.
     costs - value + bias[heads] - bias[:, None] >= -cost_tolerance on every
@@ -154,15 +158,20 @@ def minimum_mean_cycle(heads, costs) -> tuple[float, np.ndarray]:
     for _ in range(num_nodes + heads.size):
         eta, bias = _evaluate_policy(heads[node, policy], costs[node, policy])
         # argmin keeps the first of equal minima, as edge order breaks ties
-        ahead = eta[heads]
-        choice = ahead.argmin(axis=1)
-        better = ahead[node, choice] < eta
-        if not better.any():
+        if eta.min() == eta.max():  # one mean everywhere: every out-edge has equal eta
+            candidate = (costs - eta[0]) + bias[heads]
+        else:
+            ahead = eta[heads]
+            choice = ahead.argmin(axis=1)
+            better = ahead[node, choice] < eta
+            if better.any():
+                policy[better] = choice[better]
+                continue
             candidate = np.where(ahead == eta[:, None], costs - eta[:, None] + bias[heads], np.inf)
-            choice = candidate.argmin(axis=1)
-            better = candidate[node, choice] < bias - tol
-            if not better.any():
-                break
+        choice = candidate.argmin(axis=1)
+        better = candidate[node, choice] < bias - tol
+        if not better.any():
+            break
         policy[better] = choice[better]
     else:
         raise RuntimeError(

@@ -11,10 +11,11 @@ ndarray has its fields formatted and then grouped into rows.
 
 CSV tables are written as text columns, byte for byte what ``csv.writer``
 writes, UTF-8.  A column is an array with one field per entry, or a lookup
-``(table, index)`` whose table rows (stencil offsets, state coordinates,
-times, control names) are formatted once and then indexed; a column that
-follows from the row number (an edge's node coordinates) is computed a
-block at a time.  Rows are written a block at a time (``_BLOCK_ROWS``, fewer
+``(table, index)`` whose table rows (node coordinates along one axis,
+stencil offsets, state coordinates, times, control names, a node table's
+supported momenta) are formatted once and then indexed; an index that
+follows from the row number (an edge's node and offset) is computed a block
+at a time.  Rows are written a block at a time (``_BLOCK_ROWS``, fewer
 when rows are wide), so memory stays flat: each field of a block is a row of
 a byte matrix, the matrices are laid side by side and the padding between
 fields is deleted from the block's bytes.
@@ -188,15 +189,15 @@ def _text_matrix(texts: list[str]) -> np.ndarray:
     return out
 
 
-def _join(fields: list[np.ndarray], end: bytes = b"") -> np.ndarray:
-    """Field matrices of equal height side by side, a comma between two and
+def _join(fields: list[np.ndarray], end: bytes = b"", sep: str = ",") -> np.ndarray:
+    """Field matrices of equal height side by side, ``sep`` between two and
     ``end`` after the last: one matrix row per text row."""
     width = sum(f.shape[1] for f in fields) + len(fields) - 1 + len(end)
     out = np.empty((len(fields[0]), width), dtype=np.uint8)
     at = 0
     for i, f in enumerate(fields):
         if i:
-            out[:, at] = ord(",")
+            out[:, at] = ord(sep)
             at += 1
         out[:, at : at + f.shape[1]] = f
         at += f.shape[1]
@@ -253,7 +254,9 @@ def _fields(values: np.ndarray) -> np.ndarray:
 def _table_fields(table) -> np.ndarray:
     """The rows of a lookup table formatted once, as a field matrix to index:
     one field per entry of a 1-D table, a 2-D row as its fields joined by
-    ","."""
+    ","; a uint8 matrix is a field matrix formatted already."""
+    if isinstance(table, np.ndarray) and table.dtype == np.uint8 and table.ndim == 2:
+        return table
     return _join([_fields(column) for column in np.atleast_2d(np.asarray(table).T)])
 
 
@@ -273,12 +276,13 @@ def _write_csv(path, header: list[str], columns) -> None:
 
     A column is an array with one field per entry (see ``_fields``), or a
     lookup pair ``(table, index)``: each row of ``table`` is formatted once
-    (see ``_table_fields``) and each entry of ``index`` picks one, so a 2-D
-    table gives several fields per row.  Arrays are read flat, in C order.
-    An array or index may also be a function of the row numbers, asked for
-    one block of rows at a time, so a column that follows from the row
-    number is never held whole.  Each block (see ``_BLOCK_ROWS``) has its
-    fields built as byte matrices, laid side by side and written.
+    (see ``_table_fields``), unless it is a field matrix already, and each
+    entry of ``index`` picks one, so a 2-D table gives several fields per
+    row.  Arrays are read flat, in C order.  An index may also be a function
+    of the row numbers, asked for one block of rows at a time, so a column
+    that follows from the row number is never held whole.  Each block (see
+    ``_BLOCK_ROWS``) has its fields built as byte matrices, laid side by side
+    and written.
     """
     cols = []
     for col in columns:
@@ -300,10 +304,10 @@ def _write_csv(path, header: list[str], columns) -> None:
             fh.write(_lines([_fields(v) if t is None else t[v] for (t, _), v in zip(cols, picked)]))
 
 
-def _width(column) -> int:
+def _width(column: np.ndarray) -> int:
     """The widest field a column that is not a lookup may hold, as far as its
-    kind tells: a function of the row numbers gives integers."""
-    return 20 if callable(column) else _WIDTHS.get(column.dtype.kind, _FLOAT_WIDTH)
+    kind tells."""
+    return _WIDTHS.get(column.dtype.kind, _FLOAT_WIDTH)
 
 
 # The shortest round-trip digits of a float64, by exact integer arithmetic
@@ -559,10 +563,13 @@ def _json_fields(desc, kinds: dict, source) -> list:
 
 def _write_edge_csv(path, grid: PhaseGrid, names: list[str], columns: list) -> None:
     """One row per edge id node * num_offsets + m: the node's coordinates and
-    the offset's, then ``columns``.  The coordinates follow from the row
-    number, so the writer holds nothing per edge."""
+    the offset's, then ``columns``.  Each coordinate is a lookup: the n
+    values of one axis, or the offsets, are formatted once per file and
+    indexed by a function of the row number, so the writer holds nothing per
+    edge."""
     d, n, M = grid.dim, grid.nodes_per_dim, grid.num_offsets
-    axes = [lambda rows, step=M * n ** (d - 1 - a): rows // step % n for a in range(d)]
+    axis = np.arange(n)
+    axes = [(axis, lambda rows, step=M * n ** (d - 1 - a): rows // step % n) for a in range(d)]
     edges = axes + [(grid.offsets, lambda rows: rows % M)]
     _write_csv(path, _coord_header(d, "node", "offset") + names, edges + columns)
 
@@ -715,20 +722,28 @@ def write_envelope_csv(path, table: LagrangianTable, env: LagrangianTable) -> No
 def write_node_table_csv(path, grid: PhaseGrid, report) -> None:
     """One row per node from the report's node-table columns.  Momentum and
     spread are empty off the support; a 2-D momentum is one field, its
-    components joined by "|"."""
+    components joined by "|".  Both are lookups into the fields of the
+    supported nodes, formatted as any float column (see ``_on_support``)."""
     on = report.on_support
-    supported = report.momentum[on]
-    momentum = np.full(grid.num_nodes, None)
-    spread = np.full(grid.num_nodes, None)
-    if grid.dim == 1:
-        momentum[on] = supported[:, 0]
-    else:
-        momentum[on] = ["|".join(map(repr, m)) for m in supported.tolist()]
-    spread[on] = report.momentum_spread[on]
     header = _coord_header(grid.dim, "node")
     header += ["f", "momentum", "momentum_spread", "H_residual", "on_support"]
+    momentum, spread = _on_support(report.momentum, on), _on_support(report.momentum_spread, on)
     columns = [report.f, momentum, spread, report.H_residual, on.astype(int)]
     _write_csv(path, header, _coord_columns(grid, np.arange(grid.num_nodes)) + columns)
+
+
+def _on_support(values: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A lookup of float ``values`` (a row of components per node, or one
+    each) written where ``on`` holds and empty elsewhere: a field matrix of
+    the supported rows, each distinct value formatted once (``_distinct``)
+    and a row's components joined by "|", then one empty row for the rest."""
+    supported = values.reshape(len(values), -1)[on]
+    texts, inverse = _distinct(supported.ravel(), repr)
+    fields = _join([texts[c] for c in inverse.reshape(supported.shape).T], sep="|")
+    table = np.vstack([fields, np.full((1, fields.shape[1]), _PAD, dtype=np.uint8)])
+    index = np.full(len(on), len(fields))
+    index[on] = np.arange(len(fields))
+    return table, index
 
 
 def write_measure_result(dest, result) -> None:

@@ -357,6 +357,40 @@ def loop_lower_hull_1d(y) -> np.ndarray:
     return env
 
 
+def loop_minimum_mean_cycle(heads, costs):
+    """Howard's policy iteration with the eta test in every round: each round
+    gathers eta over all (V, M) out-edges, even when one mean holds
+    everywhere.  Policies are evaluated by ``network._evaluate_policy``, so
+    ``network.minimum_mean_cycle`` must give the same value and bias bit for
+    bit in the same number of evaluations."""
+    from actionlab import network
+
+    heads = np.asarray(heads, dtype=int)
+    costs = np.asarray(costs, dtype=float)
+    num_nodes = len(heads)
+    node = np.arange(num_nodes)
+    spread = float(costs.max() - costs.min())
+    tol = network.cost_tolerance(spread, num_nodes)
+
+    policy = costs.argmin(axis=1)
+    for _ in range(num_nodes + heads.size):
+        eta, bias = network._evaluate_policy(heads[node, policy], costs[node, policy])
+        # argmin keeps the first of equal minima, as edge order breaks ties
+        ahead = eta[heads]
+        choice = ahead.argmin(axis=1)
+        better = ahead[node, choice] < eta
+        if not better.any():
+            candidate = np.where(ahead == eta[:, None], costs - eta[:, None] + bias[heads], np.inf)
+            choice = candidate.argmin(axis=1)
+            better = candidate[node, choice] < bias - tol
+            if not better.any():
+                break
+        policy[better] = choice[better]
+    else:
+        raise RuntimeError("policy iteration did not settle")
+    return float(eta.min()), bias
+
+
 def random_closed_instance(rng, max_n=64, max_k=2):
     """Random d=1 torus instance with costs in [-1, 1]."""
     from actionlab import LagrangianTable, build_torus_grid

@@ -712,9 +712,16 @@ def test_rejects_state_without_controls():
             2,
             "dynamics at state 0, control 'a' returned 0.0; expected 2 finite numbers",
         ),
+        (
+            # stacks as an (S*A, 1, 1) table, which a reshape to (S*A, 1) would take
+            lambda x, a: np.zeros((1, 1)),
+            lambda x, t, a: 1.0,
+            1,
+            "dynamics at state 0, control 'a' returned array([[0.]]); expected 1 finite number",
+        ),
     ],
     ids=["cost-array", "cost-size-1-array", "cost-none", "velocity-length-2", "velocity-none",
-         "velocity-scalar-in-2d"],
+         "velocity-scalar-in-2d", "velocity-1x1-in-1d"],
 )
 def test_rejects_callback_values_of_the_wrong_kind(dynamics, running_cost, state_dim, message):
     with pytest.raises(ValueError) as info:
@@ -730,6 +737,21 @@ def test_rejects_callback_values_of_the_wrong_kind(dynamics, running_cost, state
             time_step=1.0,
         )
     assert str(info.value) == message
+
+
+def test_one_axis_velocities_may_mix_floats_and_length_1_arrays():
+    # the values do not stack into one array, and each is still one number
+    def build(dynamics):
+        return make_control_problem(
+            state_dim=1, nodes_per_axis=5, origin=[0.0], spacing=1.0, controls=(-1, 0, 1),
+            dynamics=dynamics, running_cost=lambda x, t, a: x * x + a * a,
+            horizon=2.0, time_step=1.0,
+        )
+
+    mixed = build(lambda x, a: np.array([float(a)]) if x == 2.0 else float(a))
+    plain = build(lambda x, a: float(a))
+    assert np.array_equal(mixed.move, plain.move)
+    assert np.array_equal(mixed.ell, plain.ell)
 
 
 def duplicate_problem(rng):

@@ -1,10 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import independent_karp, loop_min_cost_flow, loop_ssp_min_cost_flow
+from oracles import (
+    independent_karp,
+    loop_min_cost_flow,
+    loop_minimum_mean_cycle,
+    loop_ssp_min_cost_flow,
+)
 
+from actionlab import build_torus_grid, network
 from actionlab.network import (
     INFEASIBLE,
     OPTIMAL,
@@ -84,8 +91,7 @@ def test_minimum_mean_cycle_matches_independent_karp():
             assert (slack <= tol).any(axis=1).all()
 
 
-@pytest.mark.parametrize("upstream_mean", [1.0, 3.0])
-def test_minimum_mean_cycle_two_components_of_different_means(upstream_mean):
+def _two_components(upstream_mean):
     # component {0, 1} feeds component {2, 3} through the bridge 1 -> 2; the
     # other component has mean 4 - upstream_mean, and the answer is 1 either
     # way; nodes 0 and 2 have one out-edge each, padded with a parallel copy
@@ -95,6 +101,13 @@ def test_minimum_mean_cycle_two_components_of_different_means(upstream_mean):
         [[upstream_mean - 0.5] * 2, [upstream_mean + 0.5, 10.0],
          [downstream_mean + 1.0] * 2, [downstream_mean - 1.0, 9.0]]
     )
+    return heads, costs
+
+
+@pytest.mark.parametrize("upstream_mean", [1.0, 3.0])
+def test_minimum_mean_cycle_two_components_of_different_means(upstream_mean):
+    heads, costs = _two_components(upstream_mean)
+    downstream_mean = 4.0 - upstream_mean
     found = minimum_mean_cycle(heads, costs)
     assert found[0] == pytest.approx(1.0)
     assert np.isfinite(found[1]).all()
@@ -103,6 +116,50 @@ def test_minimum_mean_cycle_two_components_of_different_means(upstream_mean):
     reaches = [0, 1, 2, 3] if downstream_mean == 1.0 else [0, 1]
     into = np.isin(heads, reaches)
     assert slack[into].min() >= -1e-12
+
+
+def _howard_tables():
+    # torus tables of three kinds: iid uniform, {0, 1} (many tied cycles) and
+    # 1/2 |v|^2 plus a trigonometric potential; then the two-component graphs
+    # above, whose means differ until the policy leaves the costlier one
+    rng = np.random.default_rng(33)
+    for d, k, kind in itertools.product((1, 2), (1, 2), ("uniform", "binary", "trig")):
+        grid = build_torus_grid(d, 24 if d == 1 else 8, k, 0.125)
+        shape = (grid.num_nodes, grid.num_offsets)
+        if kind == "uniform":
+            values = rng.uniform(-1, 1, shape)
+        elif kind == "binary":
+            values = rng.integers(0, 2, shape).astype(float)
+        else:
+            phase = rng.uniform(0, 2 * np.pi, d)
+            potential = np.cos(2 * np.pi * grid.positions + phase).sum(axis=1)
+            kinetic = 0.5 * (grid.velocities**2).sum(axis=1)
+            values = potential[:, None] + kinetic[None, :]
+        yield f"{kind}-d{d}-k{k}", grid.neighbors, values - values.min()
+    for upstream_mean in (1.0, 3.0):
+        yield f"two-components-{upstream_mean}", *_two_components(upstream_mean)
+
+
+def test_minimum_mean_cycle_matches_the_loop_that_tests_eta_every_round(monkeypatch):
+    # skipping the eta test once every node reaches one mean changes no float
+    # and no round: value and bias bit for bit, policy evaluations counted
+    evaluate = network._evaluate_policy
+    calls = []
+
+    def counted(succ, weight):
+        calls.append(len(succ))
+        return evaluate(succ, weight)
+
+    monkeypatch.setattr(network, "_evaluate_policy", counted)
+    for name, heads, costs in _howard_tables():
+        calls.clear()
+        value, bias = minimum_mean_cycle(heads, costs)
+        rounds = len(calls)
+        calls.clear()
+        loop_value, loop_bias = loop_minimum_mean_cycle(heads, costs)
+        assert value == loop_value, name
+        assert bias.tobytes() == loop_bias.tobytes(), name
+        assert rounds == len(calls), name
 
 
 def test_relax_to_fixpoint_detects_negative_cycle():

@@ -767,8 +767,9 @@ def test_edge_writers_memory_stays_within_the_block_budget(tmp_path):
 
 
 # (d, n, k) grids whose edge tables fill exactly one block, one block and one
-# node's edges, and several blocks with a partial last one
-BLOCK_GRIDS = [(1, B // 3, 1), (1, B // 3 + 1, 1), (2, 64, 1)]
+# node's edges, and several blocks with a partial last one; node coordinates
+# reach four digits in the first two and three in the last
+BLOCK_GRIDS = [(1, B // 3, 1), (1, B // 3 + 1, 1), (2, 64, 1), (2, 128, 1)]
 
 
 @pytest.mark.parametrize("d,n,k", BLOCK_GRIDS)
@@ -820,6 +821,36 @@ def test_sparse_writers_match_loop_references_across_blocks(tmp_path):
         for x, mom in enumerate(momentum[:, 0].tolist())
     ]
     serialize.write_node_table_csv(tmp_path / "columns.csv", grid, report)
+    oracles.loop_write_node_table_csv(tmp_path / "loop.csv", grid, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("d,n", [(1, 600), (2, 24)])
+def test_node_table_of_a_wide_boundary_support_matches_loop_reference(tmp_path, d, n):
+    # every node charged: the support covers most nodes, and their hundreds of
+    # distinct momenta go through the float kernel; then scattered on-support
+    # momenta and spreads set to values the kernel leaves to repr
+    rng = np.random.default_rng([d, n, 33])
+    grid = build_torus_grid(d, n, 1, 1.0 / n)
+    table = LagrangianTable(grid=grid, values=rng.uniform(0, 1, (grid.num_nodes, grid.num_offsets)))
+    nodes = rng.permutation(grid.num_nodes).tolist()
+    current = BoundaryCurrent(grid=grid, charges={x: (-1.0) ** i for i, x in enumerate(nodes)})
+    result = run_measure(table, current)
+    report, on = result.report, result.report.on_support
+    assert on.mean() > 0.5 and len(np.unique(report.momentum[on])) >= serialize._KERNEL_MIN
+    rows = oracles.loop_node_table(table, result.solution, result.certificate, result.envelope)
+    serialize.write_node_table_csv(tmp_path / "columns.csv", grid, report)
+    oracles.loop_write_node_table_csv(tmp_path / "loop.csv", grid, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    fallback = [-0.0, 0.0, 5e-324, 1e-300, 1e300, 0.1]
+    momentum, spread = report.momentum.copy(), rng.uniform(0, 1, grid.num_nodes)
+    supported = np.flatnonzero(on)
+    momentum[supported[::3]] = np.resize(fallback, momentum[supported[::3]].shape)
+    spread[supported[::2]] = np.resize(fallback, len(supported[::2]))
+    for x, mom, gap in zip(supported.tolist(), momentum[on].tolist(), spread[on].tolist()):
+        rows[x].update(momentum=mom[0] if d == 1 else mom, momentum_spread=gap)
+    extreme = dataclasses.replace(report, momentum=momentum, momentum_spread=spread)
+    serialize.write_node_table_csv(tmp_path / "columns.csv", grid, extreme)
     oracles.loop_write_node_table_csv(tmp_path / "loop.csv", grid, rows)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
