@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BoundaryCurrent, DiscreteMeasure, LagrangianTable, discrete_differential
+from .grid import BoundaryCurrent, DiscreteMeasure, LagrangianTable, discrete_differential, same_grid
 from . import network
 from .network import OPTIMAL
 
@@ -82,7 +82,7 @@ def certify_closed(table: LagrangianTable, solution) -> DualCertificate:
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
-    grid = table.grid
+    grid = same_grid(table.grid, solution.measure.grid)
     c0 = solution.value
     n = grid.num_nodes
     tails, heads = grid.edge_endpoints
@@ -124,7 +124,7 @@ def certify_boundary(
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
-    grid = table.grid
+    grid = same_grid(table.grid, current.grid, solution.measure.grid)
     n = grid.num_nodes
     start = _checked_start(solution.potential, n)
 

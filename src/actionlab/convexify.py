@@ -25,7 +25,7 @@ import functools
 import itertools
 import numpy as np
 
-from .grid import DiscreteMeasure, LagrangianTable, lattice_points
+from .grid import DiscreteMeasure, LagrangianTable, lattice_points, same_grid
 
 __all__ = [
     "fiber_convex_envelope",
@@ -161,9 +161,7 @@ def momentum_field(env: LagrangianTable, mu: DiscreteMeasure):
     (``PhaseGrid.stencil_end``).  Momentum and spread are NaN off the
     projected support.  The mean adds the rows in ascending offset order.
     """
-    grid = env.grid
-    if grid != mu.grid:
-        raise ValueError("envelope and measure live on different grids")
+    grid = same_grid(env.grid, mu.grid)
     n, d = grid.num_nodes, grid.dim
     ids = mu.edge_ids()
     nodes, offs = np.divmod(ids, grid.num_offsets)

@@ -23,6 +23,7 @@ from .grid import (
     PhaseGrid,
     boundary_of_measure,
     discrete_differential,
+    same_grid,
 )
 from .certificates import DualCertificate, certify_boundary, certify_closed
 from .convexify import fiber_convex_envelope, momentum_field
@@ -131,12 +132,8 @@ def full_report(
     it enters the boundary residual, and the duality gap through the
     certificate's pairing <c, f>.  Inputs must share one grid.
     """
-    grid = table.grid
-    for other in (solution.measure.grid, cert.grid, envelope.grid):
-        if grid != other:
-            raise ValueError("inputs live on different grids")
-    if current is not None and grid != current.grid:
-        raise ValueError("inputs live on different grids")
+    current_grid = None if current is None else current.grid
+    grid = same_grid(table.grid, solution.measure.grid, cert.grid, envelope.grid, current_grid)
 
     mu = solution.measure
     duality_gap = abs(mu.action(table) - (cert.critical_constant * mu.mass + cert.current_pairing))

@@ -9,17 +9,20 @@ constraint with no interpolation error.  Edge ids number the edges
 node * M + offset_index; a measure is built and read by edge id, and how it
 keys its weights is known to this module alone.
 
-All types are immutable after construction and safe to share for concurrent
-reads; construction is single-threaded.
+Grids, measures and currents are read-only and safe to share for concurrent
+reads (two threads may both build a grid table, with equal bits); a table's
+values are a read-only view of the caller's array, which must not be written.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "DiscreteMeasure",
     "BoundaryCurrent",
     "build_torus_grid",
+    "same_grid",
     "lattice_points",
     "lattice_index",
     "ordered_sum",
@@ -80,20 +84,35 @@ def lattice_index(coords, side: int):
 class PhaseGrid:
     """Periodic spatial grid plus velocity stencil defining the discrete phase space.
 
-    Edges are pairs (node, offset_index).  The edge with tail node ``x`` and
-    integer offset ``k`` has head ``x (+) k*dx`` (periodic wraparound) and
-    velocity ``k*dx/h``.  Offsets are stored sorted lexicographically, which
-    fixes a global deterministic edge order ``edge_id = node*num_offsets + offset_index``.
+    The four fields are the whole grid, checked at every construction
+    (``dataclasses.replace`` included); the read-only tables are derived from
+    them on first use.  The stencil is the box of integer offsets k with
+    |k|_inf <= stencil_radius, sorted lexicographically, which fixes the edge
+    order ``edge_id = node*num_offsets + offset_index``.  The edge with tail
+    node ``x`` and offset ``k`` has head ``x (+) k*dx`` (periodic wraparound)
+    and velocity ``k*dx/h``.
     """
 
     dim: int
     nodes_per_dim: int
     stencil_radius: int
     time_step: float
-    offsets: np.ndarray = field(repr=False, compare=False)  # (M, dim) int
-    neighbors: np.ndarray = field(repr=False, compare=False)  # (N, M) int
-    positions: np.ndarray = field(repr=False, compare=False)  # (N, dim) float
-    velocities: np.ndarray = field(repr=False, compare=False)  # (M, dim) float
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
+        if self.nodes_per_dim < 2:
+            raise ValueError(f"need at least 2 nodes per axis, got {self.nodes_per_dim}")
+        if self.stencil_radius < 1:
+            raise ValueError(f"stencil radius must be >= 1, got {self.stencil_radius}")
+        if not (0 < self.time_step < math.inf):
+            raise ValueError(f"time step must be positive and finite, got {self.time_step}")
+        sizes = (self.dim, self.nodes_per_dim, self.stencil_radius)
+        if not all(isinstance(size, numbers.Integral) for size in sizes):
+            raise TypeError(f"dimension, nodes per axis and stencil radius must be integers, got {sizes}")
+
+    def __reduce__(self):  # the four numbers: a copy derives its own read-only tables
+        return type(self), (self.dim, self.nodes_per_dim, self.stencil_radius, self.time_step)
 
     @property
     def spacing(self) -> float:
@@ -112,12 +131,32 @@ class PhaseGrid:
         return self.num_nodes * self.num_offsets
 
     @cached_property
+    def offsets(self) -> np.ndarray:
+        """(M, dim) integer offsets k, sorted; read-only."""
+        K = self.stencil_radius
+        return _read_only(lattice_points(self.dim, 2 * K + 1) - K)
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        """(N, M) head node of every edge; read-only."""
+        n, coords = self.nodes_per_dim, lattice_points(self.dim, self.nodes_per_dim)
+        return _read_only(lattice_index((coords.T[:, :, None] + self.offsets.T[:, None, :]) % n, n))
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(N, dim) node positions in [0, 1)^dim; read-only."""
+        return _read_only(lattice_points(self.dim, self.nodes_per_dim) * self.spacing)
+
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        """(M, dim) edge velocities k*dx/h; read-only."""
+        return _read_only(self.offsets * self.spacing / self.time_step)
+
+    @cached_property
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) of every edge, both indexed by ``edge_id``; read-only."""
         tails = np.repeat(np.arange(self.num_nodes), self.num_offsets)
-        heads = self.neighbors.ravel()
-        tails.flags.writeable = heads.flags.writeable = False
-        return tails, heads
+        return _read_only(tails), self.neighbors.ravel()
 
     @property
     def stencil_end(self) -> np.ndarray:
@@ -129,45 +168,23 @@ class PhaseGrid:
         # Offsets are sorted, so the zero vector sits exactly in the middle.
         return (self.num_offsets - 1) // 2
 
-    def offset_index(self, offset) -> int:
-        """Index of an integer offset vector in the sorted stencil."""
-        k = np.atleast_1d(np.asarray(offset, dtype=int))
-        K = self.stencil_radius
-        if np.any(np.abs(k) > K):
-            raise ValueError(f"offset {tuple(k.tolist())} outside stencil radius {K}")
-        return int(lattice_index(k + K, 2 * K + 1))
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_torus_grid(d: int, n: int, stencil_radius: int, h: float) -> PhaseGrid:
-    """Build the phase grid for the d-torus with n nodes per axis.
+    """The phase grid of the d-torus with n nodes per axis (see ``PhaseGrid``)."""
+    return PhaseGrid(d, n, stencil_radius, h)
 
-    The stencil is the full box of integer offsets with |k|_inf <= stencil_radius;
-    it always contains the zero offset (rest is representable) and is symmetric
-    under negation.
-    """
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes per axis, got {n}")
-    if stencil_radius < 1:
-        raise ValueError(f"stencil radius must be >= 1, got {stencil_radius}")
-    if not (0 < h < math.inf):
-        raise ValueError(f"time step must be positive and finite, got {h}")
 
-    K = stencil_radius
-    offsets = lattice_points(d, 2 * K + 1) - K
-    coords = lattice_points(d, n)
-    dx = 1.0 / n
-    return PhaseGrid(
-        dim=d,
-        nodes_per_dim=n,
-        stencil_radius=K,
-        time_step=h,
-        offsets=offsets,
-        neighbors=lattice_index((coords.T[:, :, None] + offsets.T[:, None, :]) % n, n),
-        positions=coords * dx,
-        velocities=offsets * dx / h,
-    )
+def same_grid(first: PhaseGrid, *rest: PhaseGrid | None) -> PhaseGrid:
+    """``first``, once every grid of ``rest`` but None equals it; else a ValueError names both."""
+    for grid in rest:
+        if grid is not None and grid != first:
+            raise ValueError(f"inputs live on different grids: {first!r} and {grid!r}")
+    return first
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +195,18 @@ class LagrangianTable:
     values: np.ndarray = field(repr=False)  # (N, M) float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.num_nodes, self.grid.num_offsets):
+        grid, vals = self.grid, np.asarray(self.values, dtype=float)
+        if vals.shape != (grid.num_nodes, grid.num_offsets):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid "
-                f"({self.grid.num_nodes} nodes x {self.grid.num_offsets} offsets)"
+                f"({grid.num_nodes} nodes x {grid.num_offsets} offsets)"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("Lagrangian table contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals.view()))
+
+    def __reduce__(self):  # a copy is checked and read-only too
+        return type(self), (self.grid, self.values)
 
 
 def callback_points(points: np.ndarray):
@@ -239,8 +259,9 @@ def discrete_differential(f, grid: PhaseGrid) -> np.ndarray:
 class DiscreteMeasure:
     """Nonnegative edge weights; a measure on the discrete tangent bundle.
 
-    Stored sparsely: ``weights`` maps (node, offset_index) to a positive
-    weight; its insertion order is the measure's own, which every sum keeps.
+    Stored sparsely: ``weights`` is a read-only mapping of (node, offset_index)
+    to a positive weight; its insertion order is the measure's own, which
+    every sum keeps.
     """
 
     grid: PhaseGrid
@@ -266,7 +287,10 @@ class DiscreteMeasure:
                 f"edge {edges[bad[0]]} outside the grid: node in [0, {N}), offset index in [0, {M})"
             )
         clean = dict(zip(map(tuple, keys[keep].astype(int).tolist()), w[keep].tolist()))
-        object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "weights", MappingProxyType(clean))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from a dict
+        return type(self), (self.grid, dict(self.weights))
 
     @classmethod
     def on_edges(cls, grid: PhaseGrid, ids, weights) -> DiscreteMeasure:
@@ -303,8 +327,9 @@ class DiscreteMeasure:
 class BoundaryCurrent:
     """Signed node charges; the discrete boundary of a measure.
 
-    A current is a boundary iff its charges sum to zero, which is enforced here
-    up to roundoff.
+    ``charges`` is a read-only mapping of node to nonzero charge.  A current
+    is a boundary iff its charges sum to zero, which is enforced here up to
+    roundoff.
     """
 
     grid: PhaseGrid
@@ -330,7 +355,10 @@ class BoundaryCurrent:
         scale = ordered_sum(map(abs, clean.values()))
         if abs(total) > CHARGE_BALANCE_TOL * scale:
             raise ValueError(f"boundary charges must sum to zero, got total {total:g}")
-        object.__setattr__(self, "charges", clean)
+        object.__setattr__(self, "charges", MappingProxyType(clean))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from a dict
+        return type(self), (self.grid, dict(self.charges))
 
     def support(self) -> list[int]:
         return sorted(self.charges)

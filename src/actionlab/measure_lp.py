@@ -12,7 +12,7 @@ Two exact combinatorial solvers, per the two feasible sets:
   Bellman-Ford negative-cycle pre-check; each phase runs one Dijkstra from
   every charge of supply and augments every demand charge it settles.
 
-Solvers are pure functions of immutable inputs and safe to run concurrently.
+Solvers are pure functions of read-only inputs and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import _describe
-from .grid import BoundaryCurrent, DiscreteMeasure, LagrangianTable
+from .grid import BoundaryCurrent, DiscreteMeasure, LagrangianTable, same_grid
 from . import network
 from .network import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -115,9 +115,7 @@ def solve_boundary(table: LagrangianTable, current: BoundaryCurrent) -> OptimalS
     potentials, scaled by h to the certificate's costs h*L, ride along as
     ``potential``.
     """
-    grid = table.grid
-    if grid != current.grid:
-        raise ValueError("Lagrangian table and current live on different grids")
+    grid = same_grid(table.grid, current.grid)
     tails, heads = grid.edge_endpoints
     costs = table.values.ravel()
     b = grid.time_step * current.to_dense()

@@ -55,6 +55,7 @@ from .grid import (
     build_torus_grid,
     lattice_index,
     lattice_points,
+    same_grid,
 )
 from .control import ControlProblem, _control_problem, _box, _num_steps
 
@@ -712,9 +713,7 @@ def write_envelope_csv(path, table: LagrangianTable, env: LagrangianTable) -> No
     """The envelope L_tilde and the stencil-end flag (``PhaseGrid.stencil_end``,
     by row % M) per edge.  L is the Lagrangian CSV; the fiber slopes are
     differences of L_tilde (``convexify._edge_slopes``).  ``table`` and ``env`` share a grid."""
-    grid = env.grid
-    if table.grid != grid:
-        raise ValueError(f"envelope on {grid!r} does not match the table on {table.grid!r}")
+    grid = same_grid(table.grid, env.grid)
     endpoint = (grid.stencil_end.astype(int), lambda rows: rows % grid.num_offsets)
     _write_edge_csv(path, grid, ["L_tilde", "endpoint"], [env.values, endpoint])
 

@@ -211,6 +211,16 @@ def loop_node_index(coords, n: int) -> int:
     return int(i) * n + int(j)
 
 
+def loop_offset_index(grid, offset) -> int:
+    """Row of ``grid.offsets`` equal to the integer offset vector ``offset``
+    (a number in 1-D), by a scan of the rows."""
+    k = tuple(np.atleast_1d(offset).tolist())
+    for m, row in enumerate(grid.offsets.tolist()):
+        if tuple(row) == k:
+            return m
+    raise ValueError(f"offset {k} outside stencil radius {grid.stencil_radius}")
+
+
 def loop_torus_grid(d: int, n: int, K: int) -> dict:
     """Node coordinates, offsets, neighbors and positions of the d-torus grid
     with n nodes per axis and stencil radius K, one entry at a time."""
@@ -694,7 +704,7 @@ def read_envelope_csv(grid, path):
         assert next(reader)[2 * d :] == ["L_tilde", "endpoint"]
         for row in reader:
             node = loop_node_index([int(c) for c in row[:d]], grid.nodes_per_dim)
-            m = grid.offset_index([int(c) for c in row[d : 2 * d]])
+            m = loop_offset_index(grid, [int(c) for c in row[d : 2 * d]])
             values[node, m] = float(row[2 * d])
             endpoint[node, m] = {"0": False, "1": True}[row[2 * d + 1]]
     assert not np.isnan(values).any(), "envelope CSV does not cover every edge"
@@ -1164,7 +1174,7 @@ def _loop_edge_rows(grid, path):
     for line, row in _loop_csv_rows(path):
         node = _loop_point(path, line, row[:d], grid.nodes_per_dim)
         try:
-            m = grid.offset_index(_loop_integers(path, line, row[d : 2 * d]))
+            m = loop_offset_index(grid, _loop_integers(path, line, row[d : 2 * d]))
         except ValueError as exc:
             raise ValueError(f"{path} line {line}: {exc}") from None
         yield node, m, float(row[2 * d])

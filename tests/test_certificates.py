@@ -18,7 +18,7 @@ from actionlab import (
 from actionlab import network
 from actionlab.measure_lp import OptimalSolution, OPTIMAL
 
-from oracles import lax_oleinik_backward, random_closed_instance, weak_kam_iterate
+from oracles import lax_oleinik_backward, loop_offset_index, random_closed_instance, weak_kam_iterate
 
 
 def two_node_table():
@@ -380,7 +380,7 @@ def test_certificates_reject_suboptimal_measures_at_every_scale(a):
     shifted = LagrangianTable(grid=grid, values=table.values + a)
     current = BoundaryCurrent(grid=grid, charges={0: -1.0, 3: 1.0})
     h = grid.time_step
-    left = grid.offset_index([-1])
+    left = loop_offset_index(grid, [-1])
     long_way = DiscreteMeasure(grid=grid, weights={(x, left): h for x in (0, 7, 6, 5, 4)})
     value = float(sum(shifted.values[e] * w for e, w in long_way.weights.items()))
     with pytest.raises(RuntimeError, match="negative cycle"):

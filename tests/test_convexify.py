@@ -24,6 +24,7 @@ from oracles import (
     loop_convex_envelope,
     loop_fiber_slopes,
     loop_lower_hull_1d,
+    loop_offset_index,
     loop_supports,
 )
 
@@ -258,11 +259,11 @@ def test_derivative_parabola_interior_and_endpoint():
     grid = build_torus_grid(1, 4, 1, 0.25)  # velocities -1, 0, 1
     table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v)
     grad = all_slopes(fiber_convex_envelope(table))
-    mid = grid.offset_index(0)
+    mid = loop_offset_index(grid, 0)
     # hull slopes around v=0 are -1/2 and 1/2: midpoint 0
     assert grad[0, mid, 0] == pytest.approx(0.0, abs=1e-15)
     assert not grid.stencil_end[mid]
-    end = grid.offset_index(1)
+    end = loop_offset_index(grid, 1)
     assert grid.stencil_end[end]
     assert grad[0, end, 0] == pytest.approx(0.5)  # the one-sided slope
 
@@ -270,7 +271,7 @@ def test_derivative_parabola_interior_and_endpoint():
 def test_derivative_flat_section_and_affine():
     grid, table = double_well_table()
     grad = all_slopes(fiber_convex_envelope(table))
-    assert grad[0, grid.offset_index(0), 0] == pytest.approx(0.0, abs=1e-15)
+    assert grad[0, loop_offset_index(grid, 0), 0] == pytest.approx(0.0, abs=1e-15)
 
     grid2 = build_torus_grid(1, 4, 2, 0.25)
     aff = sample_lagrangian(grid2, lambda x, v: 2.0 * v + 1.0)
@@ -309,8 +310,8 @@ def test_momentum_rotation_vanishes_on_cycle():
 
 def test_momentum_two_velocities_reports_spread():
     grid, table = double_well_table()
-    plus = grid.offset_index(1)
-    minus = grid.offset_index(-1)
+    plus = loop_offset_index(grid, 1)
+    minus = loop_offset_index(grid, -1)
     mu = DiscreteMeasure(grid=grid, weights={(0, plus): 0.5, (0, minus): 0.5})
     env = fiber_convex_envelope(table)
     # hull slopes: (-9, 0) around v=-1 and (0, 9) around v=+1, midpoints +-4.5

@@ -348,6 +348,44 @@ def test_full_report_rejects_mismatched_grids():
         full_report(table, sol, cert, env)
 
 
+# Each entry point given the table (or envelope) of one grid and the rest from
+# another with the same nodes and a wider stencil.
+_MISMATCHED = {
+    "solve_boundary": lambda a, b, path: solve_boundary(a.table, b.current),
+    "certify_closed": lambda a, b, path: certify_closed(a.table, b.closed),
+    "certify_boundary": lambda a, b, path: certify_boundary(a.table, b.current, b.solution),
+    "full_report": lambda a, b, path: full_report(a.table, b.solution, b.cert, b.env, b.current),
+    "momentum_field": lambda a, b, path: momentum_field(a.env, b.solution.measure),
+    "write_envelope_csv": lambda a, b, path: serialize.write_envelope_csv(path, a.table, b.env),
+}
+
+
+def _solved_instance(grid):
+    table = sample_lagrangian(grid, lambda x, v: 0.5 * v * v + np.cos(2 * np.pi * x) + 1)
+    current = BoundaryCurrent(grid=grid, charges={0: -1.0, 3: 1.0})
+    solution = solve_boundary(table, current)
+    return SimpleNamespace(
+        table=table,
+        current=current,
+        solution=solution,
+        closed=solve_closed(table),
+        cert=certify_boundary(table, current, solution),
+        env=fiber_convex_envelope(table),
+    )
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHED))
+def test_entry_points_reject_inputs_of_two_grids(tmp_path, entry):
+    # same nodes, other stencil: unchecked, a certificate would read the k=2
+    # edge ids on the k=1 graph and call the solution not optimal
+    grid, other = build_torus_grid(1, 6, 1, 1 / 6), build_torus_grid(1, 6, 2, 1 / 6)
+    a, b = _solved_instance(grid), _solved_instance(other)
+    with pytest.raises(ValueError) as err:
+        _MISMATCHED[entry](a, b, tmp_path / "envelope.csv")
+    assert str(err.value) == f"inputs live on different grids: {grid!r} and {other!r}"
+    assert not (tmp_path / "envelope.csv").exists()
+
+
 def test_full_report_random_instances_populated():
     rng = np.random.default_rng(59)
     for _ in range(5):

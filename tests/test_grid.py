@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from actionlab.measure_lp import OPTIMAL, OptimalSolution
 from oracles import (
     LATTICES,
     loop_boundary_of_measure,
+    loop_offset_index,
     loop_sample_lagrangian,
     loop_sum,
     loop_torus_grid,
@@ -62,6 +66,101 @@ def test_build_names_a_time_step_that_is_not_positive_and_finite(h):
     assert str(err.value) == f"time step must be positive and finite, got {h}"
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"dim": 3}, "dimension must be 1 or 2, got 3"),
+        ({"nodes_per_dim": 1}, "need at least 2 nodes per axis, got 1"),
+        ({"stencil_radius": 0}, "stencil radius must be >= 1, got 0"),
+        ({"time_step": -1.0}, "time step must be positive and finite, got -1.0"),
+        ({"nodes_per_dim": 1, "stencil_radius": 0, "time_step": -1.0}, "need at least 2 nodes per axis, got 1"),
+    ],
+    ids=["dim", "nodes", "radius", "time_step", "first_of_three"],
+)
+def test_replace_checks_the_grid_with_the_build_messages(changes, message):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(build_torus_grid(1, 8, 1, 1 / 8), **changes)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("changes", [{"dim": 1.0}, {"nodes_per_dim": 8.0}, {"stencil_radius": 1.5}])
+def test_grid_sizes_must_be_integers(changes):
+    # 8.0 == 8, so such a grid would equal a valid one and fail at its tables
+    with pytest.raises(TypeError, match="must be integers"):
+        dataclasses.replace(build_torus_grid(1, 8, 1, 1 / 8), **changes)
+
+
+GRID_TABLES = ("offsets", "neighbors", "positions", "velocities", "edge_endpoints")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"time_step": 0.5}, {"nodes_per_dim": 16}, {"dim": 2, "stencil_radius": 2}],
+    ids=["time_step", "nodes", "dim_and_radius"],
+)
+def test_replace_derives_the_tables_of_the_built_grid(changes):
+    grid = build_torus_grid(1, 8, 1, 1 / 8)
+    for name in GRID_TABLES:
+        getattr(grid, name)  # built before the replace
+    replaced = dataclasses.replace(grid, **changes)
+    fields = {**dataclasses.asdict(grid), **changes}
+    built = build_torus_grid(*fields.values())
+    assert replaced == built
+    for name in GRID_TABLES:
+        new, ref = np.asarray(getattr(replaced, name)), np.asarray(getattr(built, name))
+        assert new.dtype == ref.dtype and np.array_equal(new, ref), name
+
+
+@pytest.mark.parametrize("name", GRID_TABLES)
+def test_grid_tables_are_read_only(name):
+    grid = build_torus_grid(2, 4, 1, 0.25)
+    getattr(grid, name)  # built, so the copies below start from a grid that holds it
+    for g in (grid, pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+        tables = getattr(g, name)
+        for table in tables if isinstance(tables, tuple) else (tables,):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+        assert g == grid
+    fresh = build_torus_grid(2, 4, 1, 0.25)
+    assert np.array_equal(np.asarray(getattr(grid, name)), np.asarray(getattr(fresh, name)))
+
+
+def test_measures_and_currents_are_read_only():
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    mu = DiscreteMeasure(grid=grid, weights={(1, 1): 1.0})
+    current = BoundaryCurrent(grid=grid, charges={0: -1.0, 3: 1.0})
+    with pytest.raises(TypeError):
+        mu.weights[(1, 1)] = -5.0
+    with pytest.raises(TypeError):
+        current.charges[3] = 7.0
+    assert mu.mass == 1.0 and current.charges == {0: -1.0, 3: 1.0}
+
+
+def test_measures_and_currents_pickle_and_deep_copy():
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    mu = DiscreteMeasure(grid=grid, weights={(2, 0): 0.5, (1, 1): 1.0})
+    current = BoundaryCurrent(grid=grid, charges={3: 1.0, 0: -1.0})
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        mu2, current2 = clone(mu), clone(current)
+        assert mu2.grid == grid and list(mu2.weights.items()) == list(mu.weights.items())
+        assert current2.grid == grid and list(current2.charges.items()) == list(current.charges.items())
+        with pytest.raises(TypeError):
+            mu2.weights[(1, 1)] = 2.0
+
+
+def test_table_values_are_a_read_only_view_of_the_callers_array():
+    grid = build_torus_grid(1, 4, 1, 0.25)
+    values = np.zeros((4, 3))
+    table = LagrangianTable(grid=grid, values=values)
+    assert np.shares_memory(table.values, values)
+    for t in (table, pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0, 0] = 1.0
+    assert values.flags.writeable
+
+
 def test_stencil_contains_zero_and_is_symmetric():
     for d in (1, 2):
         grid = build_torus_grid(d, 4, 2, 0.5)
@@ -77,22 +176,12 @@ def test_edge_heads_are_nodes():
     assert grid.neighbors.max() < grid.num_nodes
 
 
-def test_offset_index_roundtrip_and_bounds():
-    grid = build_torus_grid(2, 4, 2, 0.5)
-    for m in range(grid.num_offsets):
-        assert grid.offset_index(grid.offsets[m]) == m
-    with pytest.raises(ValueError, match="outside stencil"):
-        grid.offset_index((3, 0))
-
-
 @pytest.mark.parametrize("d,n,k", LATTICES)
 def test_grid_numbering_matches_loop_reference(d, n, k):
     grid = build_torus_grid(d, n, k, 0.5)
     ref = loop_torus_grid(d, n, k)
     for name in ("offsets", "neighbors", "positions"):
         assert np.array_equal(getattr(grid, name), ref[name]), name
-    for m, offset in enumerate(ref["offsets"].tolist()):
-        assert grid.offset_index(offset) == m
 
 
 def test_sample_lagrangian_zero_and_kinetic():
@@ -215,7 +304,7 @@ def test_discrete_differential_hand_value():
     f = np.array([0.0, 1.0, 0.0, -1.0])
     df = discrete_differential(f, grid)
     # edge (node 0, offset +1): (f(1) - f(0)) / h = 4
-    assert df[0, grid.offset_index(1)] == pytest.approx(4.0)
+    assert df[0, loop_offset_index(grid, 1)] == pytest.approx(4.0)
 
 
 def test_discrete_differential_translation_invariance_and_linearity():
@@ -235,7 +324,7 @@ def test_discrete_differential_translation_invariance_and_linearity():
 
 def test_boundary_of_cycle_is_zero():
     grid = build_torus_grid(1, 5, 1, 0.2)
-    plus = grid.offset_index(1)
+    plus = loop_offset_index(grid, 1)
     mu = DiscreteMeasure(grid=grid, weights={(x, plus): 0.2 for x in range(5)})
     bm = boundary_of_measure(mu)
     assert bm.charges == {}
@@ -243,7 +332,7 @@ def test_boundary_of_cycle_is_zero():
 
 def test_boundary_of_atom_is_dipole():
     grid = build_torus_grid(1, 4, 1, 0.25)
-    mu = DiscreteMeasure(grid=grid, weights={(1, grid.offset_index(1)): 1.0})
+    mu = DiscreteMeasure(grid=grid, weights={(1, loop_offset_index(grid, 1)): 1.0})
     bm = boundary_of_measure(mu)
     assert bm.charges.get(2, 0.0) == pytest.approx(1.0 / 0.25)
     assert bm.charges.get(1, 0.0) == pytest.approx(-1.0 / 0.25)
@@ -251,7 +340,7 @@ def test_boundary_of_atom_is_dipole():
 
 def test_boundary_of_two_cycles_is_zero():
     grid = build_torus_grid(1, 6, 1, 0.5)
-    plus, minus = grid.offset_index(1), grid.offset_index(-1)
+    plus, minus = loop_offset_index(grid, 1), loop_offset_index(grid, -1)
     weights = {(x, plus): 0.3 for x in range(6)}
     weights.update({(x, minus): 0.7 for x in range(6)})
     bm = boundary_of_measure(DiscreteMeasure(grid=grid, weights=weights))
@@ -376,7 +465,7 @@ def _boundary_case(name):
         ids = np.sort(rng.choice(grid.num_edges, size=120, replace=False))[::-1]
         return DiscreteMeasure.on_edges(grid, ids, rng.lognormal(size=len(ids)))
     grid = build_torus_grid(1, 5, 1, 4.0)
-    rest, plus = grid.zero_offset_index, grid.offset_index(1)
+    rest, plus = grid.zero_offset_index, loop_offset_index(grid, 1)
     weights = {
         # node 1 is a head, then carries a self-loop (whose +w/h and -w/h
         # round differently in the other order), then is a tail

@@ -16,6 +16,7 @@ from actionlab.measure_lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from oracles import (
     grid_edges,
     loop_action,
+    loop_offset_index,
     random_closed_instance,
     scan_dijkstra,
     simple_cycle_min_mean,
@@ -63,7 +64,7 @@ def test_closed_cycle_is_in_walk_order_and_its_action_adds_in_that_order():
     grid = build_torus_grid(1, 16, 1, 1.0 / 16)
     rng = np.random.default_rng(0)
     values = rng.uniform(1.0, 2.0, (16, 3))
-    left = grid.offset_index(-1)
+    left = loop_offset_index(grid, -1)
     values[:, left] = rng.uniform(0, 1e-3, 16) * 10.0 ** rng.integers(-3, 3, 16)
     table = LagrangianTable(grid=grid, values=values)
     mu = solve_closed(table).measure
@@ -267,7 +268,7 @@ def test_boundary_nonzero_current_with_remote_negative_cycle_unbounded():
 def test_wraparound_offsets_make_velocity_self_loops():
     # n = 2 with K = 2: offsets +-2 wrap onto the tail node itself
     grid = build_torus_grid(1, 2, 2, 1.0)
-    idx = grid.offset_index(2)
+    idx = loop_offset_index(grid, 2)
     assert grid.neighbors[0, idx] == 0
     values = np.full((2, 5), 1.0)
     values[1, idx] = -1.0  # cheap full-wrap loop at node 1

@@ -458,7 +458,7 @@ def test_measure_result_of_a_reversible_table_matches_loop_references(tmp_path, 
     potential = rng.choice([0.0, -0.0, 0.25, 1.0], grid.num_nodes)
     potential[:2] = [0.0, -0.0]
     table = LagrangianTable(grid=grid, values=potential[:, None] + kinetic[None, :])
-    reverse = [grid.offset_index(-m) for m in grid.offsets]
+    reverse = [oracles.loop_offset_index(grid, -m) for m in grid.offsets]
     assert np.array_equal(table.values, table.values[:, reverse])
     result = run_measure(table)
     rest = result.certificate.slack[:, grid.zero_offset_index]
@@ -502,7 +502,7 @@ def test_envelope_csv_rejects_an_envelope_of_another_grid(tmp_path):
     values = np.random.default_rng(3).uniform(-1, 1, (grid.num_nodes, grid.num_offsets))
     env = fiber_convex_envelope(LagrangianTable(grid=other, values=values))
     path = tmp_path / "envelope.csv"
-    with pytest.raises(ValueError, match=r"envelope on PhaseGrid\(.*time_step=0.25\).*table on PhaseGrid\(.*time_step=0.2\)"):
+    with pytest.raises(ValueError, match=r"different grids: PhaseGrid\(.*time_step=0.2\) and PhaseGrid\(.*time_step=0.25\)"):
         serialize.write_envelope_csv(path, LagrangianTable(grid=grid, values=values), env)
     assert not path.exists()
 
