@@ -113,30 +113,33 @@ def certify_boundary(
     cycle means the input was not optimal and is reported as a fault.  Also
     records the pairing <c, f>, which equals the optimal value exactly.
 
-    A solution from ``solve_boundary`` carries the flow's dual for the costs
-    h*L as ``solution.potential``.  The dual holds the rounding of every
-    augmentation, so it is not the start itself: it orders one Dijkstra that
-    finds the fixpoint the relaxation would reach from zero, summing costs
-    along the search tree, and the relaxation starts there and settles in
-    one round.  A supplied solution (potential None) starts from zero.  The
-    start changes the rounds, not the test: from any finite start the
-    relaxation converges only without a negative cycle.
+    One route, wherever the solution came from.  The flow's dual for h*L,
+    ``solution.potential`` or, when that is None (a file), the dual of the
+    flow ``solve_boundary`` solves, is tight on the support of every optimal
+    measure (complementary slackness), so it orders one Dijkstra to the
+    fixpoint the relaxation reaches from zero; it carries each augmentation's
+    rounding, so it is not the start itself.  The relaxation is the test.
     """
     if solution.status != OPTIMAL:
         raise ValueError(f"cannot certify a solution with status {solution.status}")
     grid = same_grid(table.grid, current.grid, solution.measure.grid)
     n = grid.num_nodes
-    start = _checked_start(solution.potential, n)
-
+    h = grid.time_step
     fwd_tails, fwd_heads = grid.edge_endpoints
-    fwd_costs = grid.time_step * table.values.ravel()
+    values = table.values.ravel()
+    if solution.potential is None:
+        flow = network.min_cost_flow(n, fwd_tails, fwd_heads, values, h * current.to_dense())
+        guide = h * flow.potentials
+    else:
+        guide = _checked_guide(solution.potential, n)
+
+    fwd_costs = h * values
     back = solution.measure.edge_ids()
     tails = np.concatenate([fwd_tails, fwd_heads[back]])
     heads = np.concatenate([fwd_heads, fwd_tails[back]])
     costs = np.concatenate([fwd_costs, -fwd_costs[back]])
 
-    if start is not None:
-        start = network.dijkstra_fixpoint(n, tails, heads, costs, start)
+    start = network.dijkstra_fixpoint(n, tails, heads, costs, guide)
     tol = network.cost_tolerance(float(costs.max() - costs.min()), n)
     pot, ok = network.relax_to_fixpoint(n, tails, heads, costs, tol=tol, start=start)
     if not ok:
@@ -147,10 +150,8 @@ def certify_boundary(
     return _finish_certificate(table, pot, 0.0, solution.measure.support_nodes(), current)
 
 
-def _checked_start(potential, num_nodes: int):
-    """The solver's potential as a relaxation start, or None; never a silent zero."""
-    if potential is None:
-        return None
+def _checked_guide(potential, num_nodes: int) -> np.ndarray:
+    """The solver's potential as the search guide; a bad one is an error, never ignored."""
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (num_nodes,):
         raise ValueError(

@@ -294,8 +294,13 @@ class DiscreteMeasure:
 
     @classmethod
     def on_edges(cls, grid: PhaseGrid, ids, weights) -> DiscreteMeasure:
-        """The measure with weight ``weights[i]`` on edge ``ids[i]``, in this order."""
-        keys = zip(*(a.tolist() for a in np.divmod(np.asarray(ids, dtype=int), grid.num_offsets)))
+        """The measure with weight ``weights[i]`` on edge ``ids[i]``, in order; each id once."""
+        ids = np.asarray(ids, dtype=int)
+        _, first = np.unique(ids, return_index=True)
+        if len(first) < len(ids):
+            e = int(ids[np.setdiff1d(np.arange(len(ids)), first)[0]])
+            raise ValueError(f"edge id {e} {divmod(e, grid.num_offsets)} is given more than once")
+        keys = zip(*(a.tolist() for a in np.divmod(ids, grid.num_offsets)))
         return cls(grid=grid, weights=dict(zip(keys, np.asarray(weights, dtype=float).tolist())))
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:

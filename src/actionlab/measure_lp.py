@@ -41,9 +41,9 @@ class OptimalSolution:
     measure: DiscreteMeasure
     value: float
     status: str
-    # the solver's node potential for the costs h*L, dual-feasible and tight
-    # on the support up to rounding; None for the closed problem and for
-    # solutions read from a file
+    # the flow's node potential for the costs h*L, dual-feasible and tight on
+    # the support up to rounding; None for the closed problem and for a
+    # solution read from a file, whose certificate solves the flow again
     potential: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def summary(self) -> dict:

@@ -243,13 +243,15 @@ def dijkstra_fixpoint(num_nodes, tails, heads, costs, guide) -> np.ndarray:
     every node at cost 0.  ``guide`` is a potential under which the reduced
     costs costs + guide[tails] - guide[heads] are nonnegative up to rounding,
     such as the node potentials of ``min_cost_flow``, and it only orders the
-    search: each node settles once, in order of its value minus its guide,
-    at 0 or at its search-tree parent's value plus the edge cost.  Tree edges
-    are therefore tight up to one rounding, whatever rounding ``guide``
-    carries.  Nothing is checked here: the result is meant as the start of
-    ``relax_to_fixpoint``, which settles in one round when the guide was
-    right and in at most num_nodes rounds from any finite start.  Self-loops
-    are not scanned: a node's own value is final before its out-edges are.
+    search: one heap holds every node's start value and each improved value,
+    keyed by the value minus the guide, ties by index, and each node settles
+    once, at 0 or at its search-tree parent's value plus the edge cost.
+    Tree edges are therefore tight up to one rounding, whatever rounding
+    ``guide`` carries.  Nothing is checked here: the result is meant as the
+    start of ``relax_to_fixpoint``, which settles in one round when the
+    guide was right and in at most num_nodes rounds from any finite start.
+    Self-loops are not scanned: a node's own value is final before its
+    out-edges are.
     """
     heads = np.asarray(heads, dtype=int)
     costs = np.asarray(costs, dtype=float)
@@ -258,24 +260,14 @@ def dijkstra_fixpoint(num_nodes, tails, heads, costs, guide) -> np.ndarray:
     # memoryviews hand out Python scalars without building lists of them
     succ, step, shift = memoryview(heads[order]), memoryview(costs[order]), memoryview(guide)
     first = first.tolist()
-    # every node starts at 0 and waits in the order of that value's key,
-    # -guide, ties by index; the heap holds only the values improved since
-    waiting = memoryview(np.argsort(-guide, kind="stable"))
+    heap = list(zip((-guide).tolist(), range(num_nodes)))
+    heapq.heapify(heap)
     walk = [0.0] * num_nodes
     done = bytearray(num_nodes)
-    heap: list[tuple[float, int]] = []
-    k = 0
-    while True:
-        while k < num_nodes and done[waiting[k]]:
-            k += 1
-        if heap and (k == num_nodes or heap[0] < (-shift[waiting[k]], waiting[k])):
-            v = heapq.heappop(heap)[1]
-            if done[v]:
-                continue
-        elif k < num_nodes:
-            v = waiting[k]
-        else:
-            break
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if done[v]:
+            continue
         done[v] = 1
         fv = walk[v]
         for i in range(first[v], first[v + 1]):

@@ -803,7 +803,8 @@ def loop_write_value_function_csv(path, vf):
 
 
 # Loop forms of the boundary hot paths: per-node edge lists and numpy-scalar
-# reads for the min-cost flow, a Python pair loop for the Lipschitz estimate.
+# reads for the min-cost flow and the certificate's search, a Python pair
+# loop for the Lipschitz estimate.
 # The package's CSR and array code must match them bit for bit: the float
 # operations and their order are the same.  ``loop_ssp_min_cost_flow``, one
 # augmenting path per Dijkstra, is the exception: it checks the status and
@@ -1045,6 +1046,51 @@ def loop_ssp_min_cost_flow(num_nodes, tails, heads, costs, imbalance):
 
     value = float(np.dot(costs, flow))
     return FlowResult(OPTIMAL, flow, pot, value)
+
+
+def loop_dijkstra_fixpoint(num_nodes, tails, heads, costs, guide):
+    """``network.dijkstra_fixpoint`` with two queues, one Python float per read.
+
+    Every node starts at 0 and waits in a list sorted by that value's key
+    -guide, ties by index; a heap holds only the values improved since, at
+    the value minus the guide.  Each step settles the smaller of the two
+    heads, compared as (key, node) tuples, and a tie goes to the list (equal
+    tuples name the same node at the same key).  The walk is the one the
+    package's single heap gives, bit for bit: same tie-breaks, same sums.
+    """
+    import heapq
+
+    tails = np.asarray(tails, dtype=int)
+    heads = np.asarray(heads, dtype=int)
+    costs = np.asarray(costs, dtype=float)
+    guide = np.asarray(guide, dtype=float)
+    adj = _loop_adjacency(num_nodes, tails)
+    waiting = np.argsort(-guide, kind="stable").tolist()
+    walk = [0.0] * num_nodes
+    done = [False] * num_nodes
+    heap: list[tuple[float, int]] = []
+    k = 0
+    while True:
+        while k < num_nodes and done[waiting[k]]:
+            k += 1
+        if heap and (k == num_nodes or heap[0] < (-float(guide[waiting[k]]), waiting[k])):
+            v = heapq.heappop(heap)[1]
+            if done[v]:
+                continue
+        elif k < num_nodes:
+            v = waiting[k]
+        else:
+            break
+        done[v] = True
+        for e in adj[v]:
+            w = int(heads[e])
+            if w == v:
+                continue
+            nd = walk[v] + float(costs[e])
+            if nd < walk[w] and not done[w]:
+                walk[w] = nd
+                heapq.heappush(heap, (nd - float(guide[w]), w))
+    return np.array(walk)
 
 
 def torus_distance(grid, x: int, y: int) -> float:

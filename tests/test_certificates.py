@@ -4,11 +4,13 @@ import pytest
 from actionlab import (
     BoundaryCurrent,
     DiscreteMeasure,
+    DualCertificate,
     LagrangianTable,
     build_torus_grid,
     certify_boundary,
     certify_closed,
     discrete_differential,
+    full_report,
     run_measure,
     sample_lagrangian,
     solve_boundary,
@@ -18,7 +20,13 @@ from actionlab import (
 from actionlab import network
 from actionlab.measure_lp import OptimalSolution, OPTIMAL
 
-from oracles import lax_oleinik_backward, loop_offset_index, random_closed_instance, weak_kam_iterate
+from oracles import (
+    lax_oleinik_backward,
+    loop_dijkstra_fixpoint,
+    loop_offset_index,
+    random_closed_instance,
+    weak_kam_iterate,
+)
 
 
 def two_node_table():
@@ -174,9 +182,10 @@ def test_certify_boundary_rejects_a_bad_solver_potential():
 @pytest.mark.parametrize("a", [1e-6, 1.0])
 @pytest.mark.parametrize("d, n, k, pairs", [(1, 96, 2, 7), (2, 12, 1, 5), (2, 9, 2, 4)])
 def test_seeded_and_supplied_boundary_certificates_agree(d, n, k, pairs, a):
-    # the relaxation start changes the rounds, not the verdict: the solver's
-    # own dual, no dual (a solution read from a file) and a random finite
-    # start all certify the same optimum at the same value
+    # the guide changes the search, not the verdict: the solver's own dual,
+    # no dual (a solution read from a file, guided by the flow's duals,
+    # solved again) and a random finite guide all certify the same optimum
+    # at the same value
     rng = np.random.default_rng([59, d, n, k])
     grid = build_torus_grid(d, n, k, 1.0 / n)
     table = LagrangianTable(
@@ -200,14 +209,43 @@ def test_seeded_and_supplied_boundary_certificates_agree(d, n, k, pairs, a):
         assert abs(result.certificate.current_pairing - sol.value) <= 1e-8 * a
 
 
+def _residual_graph(table, measure):
+    """(tails, heads, costs) of the boundary certificate's graph: every edge
+    at h*L, and the reverse of each support edge at -h*L."""
+    fwd_tails, fwd_heads = table.grid.edge_endpoints
+    fwd_costs = table.grid.time_step * table.values.ravel()
+    back = measure.edge_ids()
+    tails = np.concatenate([fwd_tails, fwd_heads[back]])
+    heads = np.concatenate([fwd_heads, fwd_tails[back]])
+    return tails, heads, np.concatenate([fwd_costs, -fwd_costs[back]])
+
+
+def _zero_start_certificate(table, current, solution):
+    """The boundary certificate of the relaxation from zero on the residual
+    graph, normalized at the first support node like ``certify_boundary``'s."""
+    grid = table.grid
+    tails, heads, costs = _residual_graph(table, solution.measure)
+    tol = network.cost_tolerance(float(np.ptp(costs)), grid.num_nodes)
+    pot, ok = network.relax_to_fixpoint(grid.num_nodes, tails, heads, costs, tol=tol)
+    assert ok
+    node = solution.measure.support_nodes()[0]
+    f = pot - pot[node]
+    return DualCertificate(
+        grid=grid,
+        potential=f,
+        slack=table.values - discrete_differential(f, grid),
+        normalization_node=node,
+        current_pairing=float(current.pairing(f)),
+    )
+
+
 def test_seeded_boundary_certificate_is_as_precise_as_the_zero_start():
     # eight seeded 2-D n=24 trigonometric tables, 12 unit charge pairs each:
-    # summed over the tables, the worst criterion residual of the seeded
-    # certificate stays within 3x that of the zero start (0.75x here).
-    # Starting the relaxation at the flow's dual itself, whose values carry
-    # the rounding of every augmentation, reads 7x
-    def worst(result):
-        rep = result.report
+    # summed over the tables, the worst criterion residual of the certificate
+    # stays within 3x that of the relaxation from zero, which the test builds
+    # itself (it reads 0.75x).  Starting the relaxation at the flow's dual
+    # itself, whose values carry the rounding of every augmentation, reads 7x
+    def worst(rep):
         return max(-rep.slack_min, rep.slack_on_support_max, rep.hamiltonian_residual_max,
                    rep.duality_gap)
 
@@ -227,11 +265,40 @@ def test_seeded_boundary_certificate_is_as_precise_as_the_zero_start():
         charges.update({int(x): -1.0 for x in nodes[12:]})
         current = BoundaryCurrent(grid=grid, charges=charges)
         result = run_measure(table, current)
-        sol = result.solution
-        seeded += worst(result)
-        supplied = OptimalSolution(sol.measure, sol.value, OPTIMAL)
-        zero += worst(verify_measure(table, supplied, current))
+        seeded += worst(result.report)
+        cert = _zero_start_certificate(table, current, result.solution)
+        zero += worst(full_report(table, result.solution, cert, result.envelope, current=current))
     assert seeded <= 3.0 * zero, (seeded, zero)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "d, n, k, pairs", [(1, 96, 2, 7), (2, 12, 1, 5), (2, 9, 2, 4), (1, 256, 1, 16), (2, 16, 1, 8)]
+)
+def test_boundary_certificate_of_a_file_is_the_solved_one_bit_for_bit(d, n, k, pairs, seed):
+    # one route whatever the solution's source: a solution read from a file
+    # has no dual, and the flow solved again guides the same search, so its
+    # certificate is the solver's own; and that search, one heap, walks as
+    # the two queues of the loop reference do on the certificate's graph
+    rng = np.random.default_rng([seed, d, n, k])
+    grid = build_torus_grid(d, n, k, 1.0 / n)
+    table = LagrangianTable(
+        grid=grid, values=rng.uniform(0.0, 1.0, size=(grid.num_nodes, grid.num_offsets))
+    )
+    nodes = rng.choice(grid.num_nodes, size=2 * pairs, replace=False)
+    charges = {int(x): 1.0 for x in nodes[:pairs]}
+    charges.update({int(x): -1.0 for x in nodes[pairs:]})
+    current = BoundaryCurrent(grid=grid, charges=charges)
+    sol = solve_boundary(table, current)
+    solved = certify_boundary(table, current, sol)
+    read = certify_boundary(table, current, OptimalSolution(sol.measure, sol.value, OPTIMAL))
+    assert read.potential.tobytes() == solved.potential.tobytes()
+    assert read.slack.tobytes() == solved.slack.tobytes()
+    assert repr(read.critical_constant) == repr(solved.critical_constant)
+    assert repr(read.current_pairing) == repr(solved.current_pairing)
+
+    graph = (grid.num_nodes, *_residual_graph(table, sol.measure), sol.potential)
+    assert network.dijkstra_fixpoint(*graph).tobytes() == loop_dijkstra_fixpoint(*graph).tobytes()
 
 
 def test_lax_oleinik_kinetic_fixed_point():
@@ -386,6 +453,12 @@ def test_certificates_reject_suboptimal_measures_at_every_scale(a):
     with pytest.raises(RuntimeError, match="negative cycle"):
         verify_measure(shifted, OptimalSolution(long_way, value, OPTIMAL), current)
     assert all(run_measure(shifted, current).criteria(1e-8 * a).values())
+    # unshifted, the rest loops in the valley cost below zero, so the problem
+    # is unbounded: the flow that guides the search reports UNBOUNDED, and
+    # the relaxation still rejects the measure
+    assert solve_boundary(table, current).status == "UNBOUNDED"
+    with pytest.raises(RuntimeError, match="negative cycle"):
+        verify_measure(table, OptimalSolution(long_way, value, OPTIMAL), current)
 
 
 @pytest.mark.parametrize("b", [1e6, 1e9])

@@ -501,6 +501,17 @@ def test_measure_on_edges_keeps_its_order():
     assert mu.action(table) == 7 * 0.5 + 2 * 0.25 + 4 * 1.0
 
 
+def test_measure_on_edges_rejects_a_repeated_edge():
+    # a dict keeps the last weight of a repeated key in the first one's
+    # place, which would drop mass silently: name the first repeat instead
+    grid = build_torus_grid(1, 8, 1, 0.125)  # 3 offsets: edge 5 is (1, 2)
+    with pytest.raises(ValueError, match=r"edge id 5 \(1, 2\) is given more than once"):
+        DiscreteMeasure.on_edges(grid, [5, 1, 5], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"edge id 1 \(0, 1\) is given more than once"):
+        DiscreteMeasure.on_edges(grid, [7, 1, 4, 1, 7], [1.0, 0.0, 2.0, 0.0, 3.0])
+    assert DiscreteMeasure.on_edges(grid, [5, 1], [1.0, 2.0]).mass == 3.0
+
+
 @pytest.mark.parametrize("make", ["dict", "on_edges", "zero_weight"])
 def test_empty_measure_reads_as_empty(make):
     grid = build_torus_grid(2, 3, 1, 0.5)

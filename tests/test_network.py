@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     independent_karp,
+    loop_dijkstra_fixpoint,
     loop_min_cost_flow,
     loop_minimum_mean_cycle,
     loop_ssp_min_cost_flow,
@@ -261,6 +262,25 @@ def test_dijkstra_fixpoint_from_any_guide_is_a_start_that_reaches_the_fixpoint()
         assert np.all(np.isfinite(found)) and np.all(found <= 0.0)
         pot, ok = relax_to_fixpoint(n, tails, heads, costs, start=found)
         assert ok and np.allclose(pot, fixpoint, rtol=0, atol=1e-9)
+
+
+def test_dijkstra_fixpoint_single_heap_walks_as_the_two_queues_on_tied_guides():
+    # guides and costs on a half-integer lattice tie often, 0.0 against -0.0
+    # included, and the graphs have self-loops, parallel arcs and negative
+    # cycles: the one heap must settle the nodes in the order of the two
+    # queues, so the walks agree bit for bit
+    rng = np.random.default_rng(89)
+    signed_zeros = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 4 * n + 1))
+        tails, heads = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        costs = 0.5 * rng.integers(-3, 4, size=m)
+        guide = 0.5 * rng.integers(-2, 3, size=n) * rng.choice([-1.0, 1.0], size=n)
+        signed_zeros.update(np.signbit(guide[guide == 0.0]).tolist())
+        found = dijkstra_fixpoint(n, tails, heads, costs, guide)
+        assert found.tobytes() == loop_dijkstra_fixpoint(n, tails, heads, costs, guide).tobytes()
+    assert signed_zeros == {False, True}
 
 
 def test_min_cost_flow_simple_transport():
