@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import Check
 from .grid import _integral, callback_points, lattice_index, lattice_points, ordered_sum, sample_callback
 from .network import OPTIMAL
 
@@ -659,15 +660,19 @@ class ControlResult:
     u_v_residual: float
     hjb_residual: float
 
-    def criteria(self, tol: float) -> dict[str, bool]:
-        """Named pass/fail checks: DP = LP, and the certificate's optimality conditions."""
+    def checks(self, tol: float) -> list[Check]:
+        """DP = LP, and the certificate's optimality conditions, at the bound ``tol``."""
         on_support, off_support = self.max_principle
-        return {
-            "lp_dp_gap": abs(self.lp.value - self.dp_total) <= tol,
-            "max_principle_on_support": on_support <= tol,
-            "max_principle_off_support": off_support >= -tol,
-            "u_v_residual": self.u_v_residual <= tol,
-        }
+        return [
+            Check("lp_dp_gap", abs(self.lp.value - self.dp_total), 0.0, tol, "identity: two solvers", "le"),
+            Check("max_principle_on_support", on_support, 0.0, tol, "identity: w = 0 on supp", "le"),
+            Check("max_principle_off_support", off_support, 0.0, tol, "dual feasibility: w >= 0", "ge"),
+            Check("u_v_residual", self.u_v_residual, 0.0, tol, "identity: accumulated cost", "le"),
+        ]
+
+    def criteria(self, tol: float) -> dict[str, bool]:
+        """``checks(tol)`` as a map of name to passed."""
+        return {c.name: c.passed for c in self.checks(tol)}
 
 
 def run_control(p: ControlProblem, initial) -> ControlResult:

@@ -13,7 +13,7 @@ choice and keeps index arithmetic exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .convexify import fiber_convex_envelope, momentum_field
 from .measure_lp import OptimalSolution, solve_boundary, solve_closed
 
 __all__ = [
+    "Check",
     "DiagnosticsReport",
     "discrete_hamiltonian",
     "estimate_momentum_lipschitz",
@@ -38,6 +39,31 @@ __all__ = [
     "run_measure",
     "verify_measure",
 ]
+
+
+@dataclass
+class Check:
+    """One named condition, ``actual`` against ``expected`` within the bound ``tol``:
+    |actual - expected| <= tol for ``kind`` "abs", actual <= expected + tol
+    for "le", actual >= expected - tol for "ge"."""
+
+    name: str
+    actual: float
+    expected: float
+    tol: float
+    source: str
+    kind: str = "abs"
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "ge":
+            return self.actual >= self.expected - self.tol
+        if self.kind == "le":
+            return self.actual <= self.expected + self.tol
+        return abs(self.actual - self.expected) <= self.tol
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -180,25 +206,25 @@ class MeasureResult:
     envelope: LagrangianTable
     report: DiagnosticsReport
 
-    def criteria(self, tol: float) -> dict[str, bool]:
-        """Named pass/fail checks that together prove the solution optimal.
-
-        Dual feasibility, complementary slackness, energy conservation and a
-        zero duality gap, plus primal feasibility: the measure's boundary
-        matches the current (node balance in the closed case), and a closed
-        measure has mass one.
-        """
-        rep = self.report
-        out = {
-            "slack_min": rep.slack_min >= -tol,
-            "slack_on_support_max": rep.slack_on_support_max <= tol,
-            "hamiltonian_residual_max": rep.hamiltonian_residual_max <= tol,
-            "duality_gap": rep.duality_gap <= tol,
-            "boundary_residual_max": rep.boundary_residual_max <= tol,
-        }
+    def checks(self, tol: float) -> list[Check]:
+        """The conditions that prove the solution optimal, at the bound ``tol``:
+        dual feasibility, complementary slackness, energy conservation, a zero
+        duality gap, the current as the boundary, and mass one if closed."""
+        r = self.report
+        out = [
+            Check("slack_min", r.slack_min, 0.0, tol, "dual feasibility: g >= 0", "ge"),
+            Check("slack_on_support_max", r.slack_on_support_max, 0.0, tol, "identity: g = 0 on supp", "le"),
+            Check("hamiltonian_residual_max", r.hamiltonian_residual_max, 0.0, tol, "identity: energy", "le"),
+            Check("duality_gap", r.duality_gap, 0.0, tol, "identity: zero duality gap", "le"),
+            Check("boundary_residual_max", r.boundary_residual_max, 0.0, tol, "feasibility: boundary", "le"),
+        ]
         if self.current is None:
-            out["mass_one"] = abs(self.solution.measure.mass - 1.0) <= tol
+            out.append(Check("mass_one", self.solution.measure.mass, 1.0, tol, "feasibility: mass"))
         return out
+
+    def criteria(self, tol: float) -> dict[str, bool]:
+        """``checks(tol)`` as a map of name to passed."""
+        return {c.name: c.passed for c in self.checks(tol)}
 
 
 def run_measure(table: LagrangianTable, current: BoundaryCurrent | None = None) -> MeasureResult:

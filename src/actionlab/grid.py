@@ -294,14 +294,26 @@ class DiscreteMeasure:
 
     @classmethod
     def on_edges(cls, grid: PhaseGrid, ids, weights) -> DiscreteMeasure:
-        """The measure with weight ``weights[i]`` on edge ``ids[i]``, in order; each id once."""
-        ids = np.asarray(ids, dtype=int)
+        """The measure with weight ``weights[i]`` on edge ``ids[i]``, in order; each id
+        once, as an integer-dtype entry or an integral float (as the dict keys)."""
+        ids, weights = np.asarray(ids), np.asarray(weights, dtype=float)
+        if len(ids) != len(weights):
+            i = min(len(ids), len(weights))
+            entry = f"edge id {ids[i].item()!r}" if i < len(ids) else f"weight {weights[i].item()!r}"
+            raise ValueError(
+                f"{len(ids)} edge ids and {len(weights)} weights: {entry} at position {i} has no partner"
+            )
+        kind = ids.dtype.kind
+        bad = np.flatnonzero(~(_integral(ids) if kind == "f" else np.full(ids.shape, kind in "iu")))
+        if len(bad):
+            raise ValueError(f"edge id {ids[bad[0]].item()!r} at position {bad[0]} is not an integer")
+        ids = ids.astype(int)
         _, first = np.unique(ids, return_index=True)
         if len(first) < len(ids):
             e = int(ids[np.setdiff1d(np.arange(len(ids)), first)[0]])
             raise ValueError(f"edge id {e} {divmod(e, grid.num_offsets)} is given more than once")
         keys = zip(*(a.tolist() for a in np.divmod(ids, grid.num_offsets)))
-        return cls(grid=grid, weights=dict(zip(keys, np.asarray(weights, dtype=float).tolist())))
+        return cls(grid=grid, weights=dict(zip(keys, weights.tolist())))
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(edge ids node * M + offset_index, weights) of supp mu, in the measure's order."""

@@ -512,6 +512,41 @@ def test_measure_on_edges_rejects_a_repeated_edge():
     assert DiscreteMeasure.on_edges(grid, [5, 1], [1.0, 2.0]).mass == 3.0
 
 
+def test_measure_on_edges_rejects_ids_and_weights_of_different_lengths():
+    # pairing by zip once dropped the unmatched entries: [1, 2, 4] with two
+    # weights gave a measure of mass 3.0
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    with pytest.raises(ValueError) as err:
+        DiscreteMeasure.on_edges(grid, [1, 2, 4], [1.0, 2.0])
+    assert str(err.value) == "3 edge ids and 2 weights: edge id 4 at position 2 has no partner"
+    with pytest.raises(ValueError) as err:
+        DiscreteMeasure.on_edges(grid, [1], [1.0, 2.0])
+    assert str(err.value) == "1 edge ids and 2 weights: weight 2.0 at position 1 has no partner"
+
+
+def test_measure_on_edges_rejects_a_fractional_id():
+    # the ids were cast to int, so 1.5 was edge 1; the dict constructor
+    # rejects a non-integral key, and on_edges now follows it
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    with pytest.raises(ValueError) as err:
+        DiscreteMeasure.on_edges(grid, [1.5], [1.0])
+    assert str(err.value) == "edge id 1.5 at position 0 is not an integer"
+    with pytest.raises(ValueError, match="edge id nan at position 1 is not an integer"):
+        DiscreteMeasure.on_edges(grid, [2.0, math.nan], [1.0, 1.0])
+    mu = DiscreteMeasure.on_edges(grid, np.array([4.0, 2.0]), [1.0, 2.0])
+    assert list(mu.weights.items()) == [((1, 1), 1.0), ((0, 2), 2.0)]
+
+
+def test_measure_on_edges_rejects_boolean_ids():
+    # a boolean array once read as the edge ids 1 and 0
+    grid = build_torus_grid(1, 8, 1, 0.125)
+    with pytest.raises(ValueError) as err:
+        DiscreteMeasure.on_edges(grid, np.array([True, False]), [1.0, 2.0])
+    assert str(err.value) == "edge id True at position 0 is not an integer"
+    mu = DiscreteMeasure.on_edges(grid, np.array([1, 0], dtype=np.uint8), [1.0, 2.0])
+    assert list(mu.weights.items()) == [((0, 1), 1.0), ((0, 0), 2.0)]
+
+
 @pytest.mark.parametrize("make", ["dict", "on_edges", "zero_weight"])
 def test_empty_measure_reads_as_empty(make):
     grid = build_torus_grid(2, 3, 1, 0.5)

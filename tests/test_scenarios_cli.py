@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -141,6 +142,89 @@ def test_scenario_artifacts_and_byte_stability(tmp_path, name):
     summary = json.loads((d1 / "summary.json").read_text())
     assert summary["passed"] is True
     assert all(c["passed"] for c in summary["checks"])
+
+
+# The bound each scenario judges its result's criteria at: the smallest of the
+# fixed bounds its builder's own optimality checks once carried.
+CRITERIA_TOL = {
+    "exact_form": 1e-9,
+    "free_particle": 1e-8,
+    "tonelli_pendulum": 1e-9,
+    "rotation": 1e-8,
+    "double_well": 1e-9,
+    "finsler_distance": 1e-9,
+    "dirac_boundary": 1e-8,
+    "legendre_control": 1e-9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_checks_are_its_analytic_checks_then_its_results_criteria(name):
+    run = run_scenario(name)
+    own = [c for c in run.checks if c.source.startswith(("analytic", "definition"))]
+    criteria = run.checks[len(own):]
+    assert run.checks[: len(own)] == own
+    if SCENARIOS[name].kind == "control":
+        names = ["lp_dp_gap", "max_principle_on_support", "max_principle_off_support", "u_v_residual"]
+    else:
+        names = ["slack_min", "slack_on_support_max", "hamiltonian_residual_max", "duality_gap"]
+        names += ["boundary_residual_max"] + ([] if name == "finsler_distance" else ["mass_one"])
+    assert [c.name for c in criteria] == names
+    assert {c.tol for c in criteria} == {CRITERIA_TOL[name]}
+
+
+def _with(result, criterion, actual):
+    """``result`` with the residual of ``criterion`` replaced by ``actual``."""
+    if isinstance(result, scenarios.ctl.ControlResult):
+        return dataclasses.replace(result, **{criterion: actual})
+    return dataclasses.replace(result, report=dataclasses.replace(result.report, **{criterion: actual}))
+
+
+@pytest.mark.parametrize(
+    "name, pipeline, criterion, actual",
+    [
+        ("exact_form", "run_measure", "slack_min", -2e-9),
+        ("rotation", "run_measure", "hamiltonian_residual_max", 2e-8),
+        ("finsler_distance", "run_measure", "boundary_residual_max", 2e-9),
+        ("legendre_control", "run_control", "u_v_residual", 2e-9),
+    ],
+)
+def test_cli_scenario_reports_a_missed_criterion(
+    tmp_path, capsys, monkeypatch, name, pipeline, criterion, actual
+):
+    # a scenario's criteria are its only optimality checks: a result that
+    # misses one by a factor of two fails the run, in summary.json and in the
+    # exit code, with its residual and its bound
+    owner = scenarios if pipeline == "run_measure" else scenarios.ctl
+    solve = getattr(owner, pipeline)
+    monkeypatch.setattr(owner, pipeline, lambda *args: _with(solve(*args), criterion, actual))
+    assert main(["scenario", name, "--outdir", str(tmp_path), "--label", "golden"]) == 1
+    summary = json.loads((tmp_path / name / "golden" / "summary.json").read_text())
+    assert summary["passed"] is False
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [(c["name"], c["actual"], c["tol"]) for c in failed] == [(criterion, actual, CRITERIA_TOL[name])]
+    assert f"[FAIL] {name}.{criterion}: actual {actual!r}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_passes_at_every_sweep_level(name):
+    # finsler_distance's default dst 8 wraps onto src 0 at n = 8
+    levels = {"refine": [1, 2, 4]}.get(SCENARIOS[name].sweep_param, [8, 16, 32, 64])
+    if name == "finsler_distance":
+        levels = levels[1:]
+    rows = refinement_sweep(name, levels)["rows"]
+    assert [(row["n"], row.get("passed")) for row in rows] == [(n, True) for n in levels], rows
+
+
+@pytest.mark.parametrize("n, src, dst", [(32, 0, 8), (64, 0, 8), (64, 5, 40)])
+def test_finsler_distance_profile_is_the_ring_distance_capped_at_the_destination(n, src, dst):
+    # the certificate's potential is the zero-start fixpoint, so f - f(src)
+    # stops growing at d(src, dst); against the full ring distance this check
+    # once read 0.25, 0.375 and 0.047
+    run = run_scenario("finsler_distance", {"n": n, "src": src, "dst": dst})
+    profile = {c.name: c for c in run.checks}["distance_profile"]
+    assert profile.actual == 0.0 and profile.tol == 1e-9
+    assert run.passed
 
 
 def test_cli_scenario_exit_codes(tmp_path, capsys):
